@@ -30,6 +30,8 @@ Run:  PYTHONPATH=src python examples/serving_slo.py
 from dataclasses import replace
 
 from repro.serving import (
+    ChaosSpec,
+    ClusterSpec,
     ServeSimConfig,
     build_decoder,
     max_sustainable_qps,
@@ -95,7 +97,7 @@ def main() -> None:
         (4, "disaggregated"),
         (4, "merged"),
     ):
-        config = replace(base, devices=devices, router=router)
+        config = replace(base, cluster=ClusterSpec(devices=devices, router=router))
         max_qps, _ = max_sustainable_qps(config, refine_steps=4, decoder=decoder)
         if single_device is None:
             single_device = max_qps
@@ -117,13 +119,10 @@ def main() -> None:
         (4, "2x1.0,2x0.5", "fixed"),
         (4, "2x1.0,2x0.5", "balanced"),
     ):
-        config = replace(
-            base,
-            devices=devices,
-            router="disaggregated",
-            pool_split=split,
-            device_spec=spec,
+        cluster = ClusterSpec(
+            devices=devices, router="disaggregated", pool_split=split, device_spec=spec
         )
+        config = replace(base, cluster=cluster)
         max_qps, probes = max_sustainable_qps(config, refine_steps=4, decoder=decoder)
         report = next(iter(probes.values()))
         roles = "".join(
@@ -145,10 +144,12 @@ def main() -> None:
     # steppers only advance on commit, so the recovered requests finish
     # with transcripts bit-identical to the fault-free run: chaos moves
     # *waiting*, never *results*.
-    chaos_base = replace(base, qps=8.0, devices=4, router="disaggregated")
+    chaos_base = replace(
+        base, qps=8.0, cluster=ClusterSpec(devices=4, router="disaggregated")
+    )
     fault_free = simulate(chaos_base, decoder=decoder)
     chaotic = simulate(
-        replace(chaos_base, faults="crash@2000:dev3:restart=1500"),
+        replace(chaos_base, chaos=ChaosSpec(faults="crash@2000:dev3:restart=1500")),
         decoder=decoder,
     )
     print(chaotic.render())

@@ -9,7 +9,6 @@ id so reports and ``--format json`` output stay stable as rules are added.
 from repro.analysis.engine import Rule
 from repro.analysis.rules import (
     api001_export_drift,
-    cfg001_config_compat,
     det001_wall_clock,
     det002_unseeded_random,
     det003_builtin_hash,
@@ -21,7 +20,6 @@ ALL_RULES: tuple[Rule, ...] = tuple(
     sorted(
         (
             api001_export_drift.RULE,
-            cfg001_config_compat.RULE,
             det001_wall_clock.RULE,
             det002_unseeded_random.RULE,
             det003_builtin_hash.RULE,

@@ -4,8 +4,8 @@ Every rule works on plain :mod:`ast` trees — no imports are executed — so
 name resolution is necessarily syntactic.  The helpers here cover the two
 forms the rules care about: resolving a call's dotted target through the
 module's import aliases (``from time import perf_counter as pc`` makes a
-``pc()`` call resolve to ``time.perf_counter``), and reading dataclass
-field declarations out of a class body.
+``pc()`` call resolve to ``time.perf_counter``), and collecting the
+string literals under a node.
 """
 
 from __future__ import annotations
@@ -85,47 +85,6 @@ def has_star_args(node: ast.Call) -> bool:
     return any(isinstance(arg, ast.Starred) for arg in node.args) or any(
         keyword.arg is None for keyword in node.keywords
     )
-
-
-def is_dataclass_def(node: ast.ClassDef) -> bool:
-    """Is the class decorated with ``@dataclass`` / ``@dataclasses.dataclass``?"""
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = dotted_name(target)
-        if dotted in ("dataclass", "dataclasses.dataclass"):
-            return True
-    return False
-
-
-def dataclass_fields(node: ast.ClassDef) -> Iterator[tuple[str, ast.AnnAssign]]:
-    """Yield ``(field_name, annotation_node)`` for each declared field.
-
-    ``ClassVar`` annotations are not dataclass fields and are skipped.
-    """
-    for statement in node.body:
-        if not isinstance(statement, ast.AnnAssign):
-            continue
-        if not isinstance(statement.target, ast.Name):
-            continue
-        annotation = ast.unparse(statement.annotation)
-        if "ClassVar" in annotation:
-            continue
-        yield statement.target.id, statement
-
-
-def field_has_default(statement: ast.AnnAssign) -> bool:
-    """Does the field declaration carry a default (incl. ``field(...)``)?"""
-    value = statement.value
-    if value is None:
-        return False
-    if isinstance(value, ast.Call):
-        dotted = dotted_name(value.func)
-        if dotted in ("field", "dataclasses.field"):
-            return any(
-                keyword.arg in ("default", "default_factory")
-                for keyword in value.keywords
-            )
-    return True
 
 
 def string_literals(node: ast.AST) -> set[str]:

@@ -18,22 +18,9 @@ from repro.models.simulated import (
 from repro.models.textlm import SimulatedTextLM, TextSession
 from repro.models.vocab import Vocabulary, build_default_vocabulary
 
-
-def __getattr__(name: str):
-    # KVCacheTracker's home is now repro.serving.memory (one public surface
-    # for session- and cluster-level KV accounting).  Resolved lazily: an
-    # eager import here would cycle through repro.serving while this
-    # package is still initialising.
-    if name == "KVCacheTracker":
-        from repro.serving.memory import KVCacheTracker
-
-        return KVCacheTracker
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DecodeSession",
     "EmissionOracle",
-    "KVCacheTracker",
     "LatencyEvent",
     "LatencyProfile",
     "ModelSpec",

@@ -90,7 +90,6 @@ from repro.serving.router import (
     ClusterConfig,
     build_router,
     measure_draft_share,
-    normalize_router,
     plan_pool_split,
 )
 from repro.serving.scheduler import (
@@ -167,7 +166,6 @@ __all__ = [
     "make_trace",
     "max_sustainable_qps",
     "measure_draft_share",
-    "normalize_router",
     "offered_qps",
     "parse_device_specs",
     "parse_fault_spec",

@@ -93,8 +93,7 @@ class KVCacheTracker:
     """Per-session cache length plus lifetime append/rollback counters.
 
     The attention term of the latency model reads the cache through
-    :meth:`context_length`; benches read the churn counters.  (This type
-    used to live in ``repro.models.kv_cache``, which now re-exports it.)
+    :meth:`context_length`; benches read the churn counters.
     """
 
     length: int = 0

@@ -62,9 +62,6 @@ ROUTER_COLOCATED = "colocated"
 ROUTER_DISAGGREGATED = "disaggregated"
 ROUTER_MERGED = "merged"
 
-#: CLI-friendly aliases.
-ROUTER_ALIASES = {"disagg": ROUTER_DISAGGREGATED}
-
 SPLIT_FIXED = "fixed"
 SPLIT_BALANCED = "balanced"
 
@@ -77,11 +74,6 @@ DEFAULT_DRAFT_SHARE = 0.5
 
 #: Utterances sampled by the scheduler to measure the draft:verify ratio.
 PLANNER_SAMPLE_UTTERANCES = 3
-
-
-def normalize_router(name: str) -> str:
-    """Canonical policy name (accepts the ``disagg`` shorthand)."""
-    return ROUTER_ALIASES.get(name, name)
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,6 @@ class ClusterConfig:
     device_specs: tuple[DeviceSpec, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "router", normalize_router(self.router))
         if self.device_specs is not None:
             specs = tuple(self.device_specs)
             object.__setattr__(self, "device_specs", specs)

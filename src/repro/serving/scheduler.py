@@ -101,6 +101,7 @@ from typing import Sequence
 from repro.core.streaming import positions_available
 from repro.data.corpus import Dataset
 from repro.decoding.base import DecodeStepper, PhaseOutcome, begin_decode
+from repro.models.simulated import prompt_token_count
 from repro.serving.arrivals import Arrival, chunk_schedule
 from repro.serving.devices import Device
 from repro.serving.faults import FaultPlan, RetryPolicy
@@ -438,10 +439,6 @@ class ContinuousBatchScheduler:
             draft_share,
             memory_blocks=capacities if memory is not None else None,
         )
-        if memory is not None:
-            # Lazy: the serving package must stay importable from a partially
-            # initialised repro.models (see repro.models.__getattr__).
-            from repro.models.simulated import prompt_token_count
         # Cross-request batched scoring: when the decoder's models expose the
         # block oracle (``oracle_block_size > 1``), every request admitted in
         # one scheduler round gets its anchored distributions materialised in

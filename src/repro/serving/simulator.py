@@ -53,38 +53,7 @@ class ChaosSpec:
     batch_deadline_ms: float | None = None  # batch-class SLO + shed bound
 
 
-# Legacy flat kwargs -> (sub-config field, sub-config attribute).  Kept so
-# seed-era call sites (and pickles) keep working against the composed shape.
-_CLUSTER_KWARGS = {
-    name: name for name in ("devices", "router", "pool_split", "device_spec")
-}
-_CHAOS_KWARGS = {
-    name: name
-    for name in (
-        "faults",
-        "fault_seed",
-        "max_retries",
-        "retry_backoff_ms",
-        "straggler_k",
-        "admission_deadline_ms",
-        "batch_deadline_ms",
-    )
-}
-_MEMORY_KWARGS = {
-    "memory_blocks": "device_blocks",
-    "block_size": "block_size",
-    "prefix_sharing": "prefix_sharing",
-    "reprefill_ms_per_block": "reprefill_ms_per_block",
-}
-_STREAM_KWARGS = {
-    "streaming": "enabled",
-    "rtf": "rtf",
-    "chunk_s": "chunk_s",
-    "lookahead_s": "lookahead_s",
-}
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ServeSimConfig:
     """Everything one serve simulation depends on (picklable, replayable).
 
@@ -92,11 +61,8 @@ class ServeSimConfig:
     ``chaos`` (:class:`ChaosSpec`), ``memory``
     (:class:`~repro.serving.memory.MemorySpec`) and ``stream``
     (:class:`~repro.serving.scheduler.StreamSpec`) — plus the flat workload
-    knobs.  The seed-era flat surface still works both ways: legacy kwargs
-    (``ServeSimConfig(devices=4, faults="...", memory_blocks=64)``) merge
-    into the sub-configs, and every legacy field name reads back through a
-    property (``config.devices``), so ``dataclasses.replace`` and old
-    pickles keep working.
+    knobs.  Override a sub-config knob by replacing the sub-config:
+    ``replace(config, cluster=replace(config.cluster, devices=4))``.
 
     The default deadline is a *completion* SLO of 3 s, calibrated against
     the default corpus: autoregressive decoding meets it with modest
@@ -123,204 +89,34 @@ class ServeSimConfig:
     memory: MemorySpec = MemorySpec()
     stream: StreamSpec = StreamSpec()
 
-    def __init__(
-        self,
-        method: str = "specasr-asp",
-        pairing: str = "whisper",
-        qps: float = 2.0,
-        num_requests: int = 48,
-        seed: int = 2025,
-        utterances: int = 32,
-        split: str = "test-clean",
-        arrival: str = "poisson",
-        deadline_ms: float = 3000.0,
-        max_batch: int = 4,
-        max_inflight: int = 8,
-        queue_capacity: int = 32,
-        overlap: float = 0.8,
-        batch_fraction: float = 0.0,
-        cluster: ClusterSpec | None = None,
-        chaos: ChaosSpec | None = None,
-        memory: MemorySpec | None = None,
-        stream: StreamSpec | None = None,
-        **legacy,
-    ) -> None:
-        cluster = cluster if cluster is not None else ClusterSpec()
-        chaos = chaos if chaos is not None else ChaosSpec()
-        memory = memory if memory is not None else MemorySpec()
-        stream = stream if stream is not None else StreamSpec()
-        cluster_kw = {
-            _CLUSTER_KWARGS[k]: legacy.pop(k)
-            for k in list(legacy)
-            if k in _CLUSTER_KWARGS
-        }
-        chaos_kw = {
-            _CHAOS_KWARGS[k]: legacy.pop(k) for k in list(legacy) if k in _CHAOS_KWARGS
-        }
-        memory_kw = {
-            _MEMORY_KWARGS[k]: legacy.pop(k)
-            for k in list(legacy)
-            if k in _MEMORY_KWARGS
-        }
-        stream_kw = {
-            _STREAM_KWARGS[k]: legacy.pop(k)
-            for k in list(legacy)
-            if k in _STREAM_KWARGS
-        }
-        if legacy:
-            raise TypeError(
-                "ServeSimConfig got unexpected keyword arguments: "
-                f"{sorted(legacy)}"
-            )
-        if cluster_kw:
-            cluster = replace(cluster, **cluster_kw)
-        if chaos_kw:
-            chaos = replace(chaos, **chaos_kw)
-        if memory_kw:
-            memory = replace(memory, **memory_kw)
-        if stream_kw:
-            stream = replace(stream, **stream_kw)
-        for name, value in (
-            ("method", method),
-            ("pairing", pairing),
-            ("qps", qps),
-            ("num_requests", num_requests),
-            ("seed", seed),
-            ("utterances", utterances),
-            ("split", split),
-            ("arrival", arrival),
-            ("deadline_ms", deadline_ms),
-            ("max_batch", max_batch),
-            ("max_inflight", max_inflight),
-            ("queue_capacity", queue_capacity),
-            ("overlap", overlap),
-            ("batch_fraction", batch_fraction),
-            ("cluster", cluster),
-            ("chaos", chaos),
-            ("memory", memory),
-            ("stream", stream),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setstate__(self, state: dict) -> None:
-        if (
-            "cluster" not in state
-            or "chaos" not in state
-            or "memory" not in state
-            or "stream" not in state
-        ):
-            # A pickle predating any sub-config (flat seed-era layout, or a
-            # composed one from before a later sub-config existed): rebuild
-            # through __init__, which folds flat names in and defaults the
-            # rest.  Every sub-config field is guarded independently — the
-            # CFG001 lint rule cross-checks this list against the fields.
-            rebuilt = ServeSimConfig(**state)
-            state = dict(rebuilt.__dict__)
-        self.__dict__.update(state)
-
-    # -- flat read surface (legacy field names) ----------------------------
-    @property
-    def devices(self) -> int | None:
-        return self.cluster.devices
-
-    @property
-    def router(self) -> str:
-        return self.cluster.router
-
-    @property
-    def pool_split(self) -> str:
-        return self.cluster.pool_split
-
-    @property
-    def device_spec(self) -> str:
-        return self.cluster.device_spec
-
-    @property
-    def faults(self) -> str:
-        return self.chaos.faults
-
-    @property
-    def fault_seed(self) -> int:
-        return self.chaos.fault_seed
-
-    @property
-    def max_retries(self) -> int:
-        return self.chaos.max_retries
-
-    @property
-    def retry_backoff_ms(self) -> float:
-        return self.chaos.retry_backoff_ms
-
-    @property
-    def straggler_k(self) -> float:
-        return self.chaos.straggler_k
-
-    @property
-    def admission_deadline_ms(self) -> float | None:
-        return self.chaos.admission_deadline_ms
-
-    @property
-    def batch_deadline_ms(self) -> float | None:
-        return self.chaos.batch_deadline_ms
-
-    @property
-    def memory_blocks(self) -> int | None:
-        return self.memory.device_blocks
-
-    @property
-    def block_size(self) -> int:
-        return self.memory.block_size
-
-    @property
-    def prefix_sharing(self) -> bool:
-        return self.memory.prefix_sharing
-
-    @property
-    def reprefill_ms_per_block(self) -> float:
-        return self.memory.reprefill_ms_per_block
-
-    @property
-    def streaming(self) -> bool:
-        return self.stream.enabled
-
-    @property
-    def rtf(self) -> float:
-        return self.stream.rtf
-
-    @property
-    def chunk_s(self) -> float:
-        return self.stream.chunk_s
-
-    @property
-    def lookahead_s(self) -> float:
-        return self.stream.lookahead_s
-
     # -- derived configs ---------------------------------------------------
     def scheduler_config(self) -> SchedulerConfig:
+        chaos = self.chaos
         return SchedulerConfig(
             max_batch=self.max_batch,
             max_inflight=self.max_inflight,
             queue_capacity=self.queue_capacity,
             overlap=self.overlap,
-            max_retries=self.max_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
-            straggler_factor=self.straggler_k,
-            admission_deadline_ms=self.admission_deadline_ms,
-            batch_deadline_ms=self.batch_deadline_ms,
+            max_retries=chaos.max_retries,
+            retry_backoff_ms=chaos.retry_backoff_ms,
+            straggler_factor=chaos.straggler_k,
+            admission_deadline_ms=chaos.admission_deadline_ms,
+            batch_deadline_ms=chaos.batch_deadline_ms,
         )
 
     def fault_plan(self) -> FaultPlan | None:
         """The injected fault plan, or None when the spec is empty."""
-        if not self.faults.strip():
+        if not self.chaos.faults.strip():
             return None
-        return parse_fault_spec(self.faults, seed=self.fault_seed)
+        return parse_fault_spec(self.chaos.faults, seed=self.chaos.fault_seed)
 
     def cluster_config(self) -> ClusterConfig:
-        specs = parse_device_specs(self.device_spec) if self.device_spec else None
+        cluster = self.cluster
+        specs = parse_device_specs(cluster.device_spec) if cluster.device_spec else None
         return ClusterConfig(
-            devices=self.devices,
-            router=self.router,
-            split=self.pool_split,
+            devices=cluster.devices,
+            router=cluster.router,
+            split=cluster.pool_split,
             device_specs=specs,
         )
 
@@ -369,7 +165,7 @@ def simulate(
             len(dataset),
             config.seed,
             config.batch_fraction,
-            rtf=config.rtf if config.streaming else 0.0,
+            rtf=config.stream.rtf if config.stream.enabled else 0.0,
         )
         offered = config.qps
     else:
@@ -392,7 +188,7 @@ def simulate(
         scheduler.last_stats,
         config.deadline_ms,
         offered,
-        batch_deadline_ms=config.batch_deadline_ms,
+        batch_deadline_ms=config.chaos.batch_deadline_ms,
     )
 
 
@@ -439,6 +235,10 @@ def max_sustainable_qps(
     """
     if start_qps <= 0:
         raise ValueError("start_qps must be positive")
+    if start_qps > qps_ceiling:
+        raise ValueError(
+            f"start_qps ({start_qps}) must not exceed qps_ceiling ({qps_ceiling})"
+        )
     evaluated: dict[float, ServeReport] = {}
     if decoder is None:
         decoder = build_decoder(config)

@@ -51,12 +51,11 @@ def rules_fired(source: str, rel: str = SCOPED) -> set[str]:
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_six_rules_registered(self):
         ids = [rule.id for rule in default_rules()]
         assert ids == sorted(ids), "registry must be ordered by rule id"
         assert set(ids) == {
             "API001",
-            "CFG001",
             "DET001",
             "DET002",
             "DET003",
@@ -68,7 +67,6 @@ class TestRegistry:
         scopes = {rule.id: rule.scope for rule in default_rules()}
         assert scopes["DET001"] == "src/repro"
         assert scopes["SIM001"] == "src/repro"
-        assert scopes["CFG001"] == "src/repro/serving"
         assert scopes["DET002"] is None
 
 
@@ -237,82 +235,6 @@ class TestSim001:
     def test_suppression(self):
         src = "out = PhaseOutcome('warm', 0, ms=0.0)  # repro: ignore[SIM001]\n"
         assert lint(src) == []
-
-
-# -- CFG001: config pickle compatibility -------------------------------------
-
-
-class TestCfg001:
-    def test_field_without_default_fires(self):
-        fixture = """\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class RetrySpec:
-                attempts: int
-            """
-        fired = lint(fixture)
-        assert [f.rule for f in fired] == ["CFG001"]
-        assert "no default" in fired[0].message
-
-    def test_spec_field_needs_setstate_coverage(self):
-        fixture = """\
-            from dataclasses import dataclass, field
-
-            @dataclass(frozen=True)
-            class ChaosSpec:
-                rate: float = 0.0
-
-            @dataclass
-            class ServeSimConfig:
-                chaos: ChaosSpec = field(default_factory=ChaosSpec)
-
-                def __setstate__(self, state):
-                    self.__init__(**state)
-            """
-        fired = lint(fixture)
-        assert [f.rule for f in fired] == ["CFG001"]
-        assert "'chaos'" in fired[0].message
-
-    def test_guarded_setstate_is_clean(self):
-        fixture = """\
-            from dataclasses import dataclass, field
-
-            @dataclass(frozen=True)
-            class ChaosSpec:
-                rate: float = 0.0
-
-            @dataclass
-            class ServeSimConfig:
-                chaos: ChaosSpec = field(default_factory=ChaosSpec)
-
-                def __setstate__(self, state):
-                    if "chaos" not in state:
-                        state = dict(state)
-                        state["chaos"] = ChaosSpec()
-                    self.__dict__.update(state)
-            """
-        assert lint(fixture) == []
-
-    def test_out_of_scope_models_are_exempt(self):
-        fixture = """\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class ModelSpec:
-                name: str
-            """
-        assert lint(fixture, rel="src/repro/models/registry.py") == []
-
-    def test_suppression(self):
-        fixture = """\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class RetrySpec:
-                attempts: int  # repro: ignore[CFG001]
-            """
-        assert lint(fixture) == []
 
 
 # -- API001: __all__ drift ---------------------------------------------------

@@ -73,9 +73,15 @@ class TestServeSimValidation:
         with pytest.raises(SystemExit):
             main(["serve-sim", "--router", "sharded"])
 
+    def test_rejects_disagg_shorthand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--router", "disagg", "--devices", "2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in self._error_text(capsys)
+
     def test_rejects_disagg_on_single_device(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve-sim", "--router", "disagg", "--devices", "1"])
+            main(["serve-sim", "--router", "disaggregated", "--devices", "1"])
         assert "at least 2 devices" in str(excinfo.value)
 
     def test_rejects_inflight_below_batch(self, capsys):
@@ -118,7 +124,7 @@ class TestServeSimValidation:
                     "--devices",
                     "2",
                     "--router",
-                    "disagg",
+                    "disaggregated",
                     "--no-max-qps",
                 ]
             )
@@ -167,7 +173,7 @@ class TestServeSimValidation:
                     "--devices",
                     "4",
                     "--router",
-                    "disagg",
+                    "disaggregated",
                     "--faults",
                     "crash@500:dev3:restart=800;perr:0.05",
                     "--batch-fraction",

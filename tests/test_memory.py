@@ -14,16 +14,14 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
 * **Constrained capacity** — conservation (completed + rejected + shed ==
   arrived) holds under pressure, transcripts of completed requests stay
   scheduler-independent, and an impossible demand sheds ``"memory"``.
-* **Config surface** — the composed ``ServeSimConfig`` keeps the seed-era
-  flat kwargs, ``dataclasses.replace`` and legacy pickles working, and the
-  ``@BLOCKS`` device-spec suffix round-trips.
+* **Config surface** — ``ServeSimConfig`` takes only its composed
+  sub-configs and pickles round-trip, and the ``@BLOCKS`` device-spec
+  suffix round-trips.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +38,7 @@ from repro.serving import (
     MemorySpec,
     SchedulerConfig,
     ServeSimConfig,
+    StreamSpec,
     format_device_specs,
     parse_device_specs,
     poisson_trace,
@@ -110,23 +109,20 @@ class TestKVCacheTracker:
         kv = KVCacheTracker()
         assert not hasattr(kv, "_history")
 
-    def test_deprecation_shim(self):
-        import importlib
-        import sys
+    def test_rollback_validation(self):
+        kv = KVCacheTracker()
+        kv.append(3)
+        with pytest.raises(ValueError):
+            kv.rollback_to(5)
+        with pytest.raises(ValueError):
+            kv.rollback_to(-1)
 
-        sys.modules.pop("repro.models.kv_cache", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = importlib.import_module("repro.models.kv_cache")
-        assert any(w.category is DeprecationWarning for w in caught)
-        assert legacy.KVCacheTracker is KVCacheTracker
+    def test_negative_append_rejected(self):
+        with pytest.raises(ValueError):
+            KVCacheTracker().append(-1)
 
-    def test_models_package_lazy_export(self):
-        import repro.models
-
-        assert repro.models.KVCacheTracker is KVCacheTracker
-        with pytest.raises(AttributeError):
-            repro.models.not_a_real_name
+    def test_waste_ratio_empty(self):
+        assert KVCacheTracker().waste_ratio == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -516,105 +512,38 @@ class TestSchedulerMemory:
 
 
 # ---------------------------------------------------------------------------
-# Config surface: composed sub-configs, legacy compat, @BLOCKS grammar
+# Config surface: composed sub-configs, @BLOCKS grammar
 # ---------------------------------------------------------------------------
 
 
 class TestConfigSurface:
-    def test_flat_kwargs_fold_into_subconfigs(self):
-        config = ServeSimConfig(
-            devices=4,
-            router="disaggregated",
-            faults="crash@100:dev0",
-            straggler_k=2.0,
-            memory_blocks=64,
-            block_size=8,
-        )
-        assert config.cluster == ClusterSpec(devices=4, router="disaggregated")
-        assert config.chaos.faults == "crash@100:dev0"
-        assert config.chaos.straggler_k == 2.0
-        assert config.memory == MemorySpec(device_blocks=64, block_size=8)
-        # Flat read surface mirrors the sub-configs.
-        assert config.devices == 4
-        assert config.router == "disaggregated"
-        assert config.memory_blocks == 64
-        assert config.block_size == 8
-
-    def test_subconfig_and_flat_equivalent(self):
-        flat = ServeSimConfig(devices=2, faults="perr:0.1", memory_blocks=32)
-        composed = ServeSimConfig(
-            cluster=ClusterSpec(devices=2),
-            chaos=ChaosSpec(faults="perr:0.1"),
-            memory=MemorySpec(device_blocks=32),
-        )
-        assert flat == composed
-        assert hash(flat) == hash(composed)
-
-    def test_flat_override_on_top_of_subconfig(self):
-        config = ServeSimConfig(
-            cluster=ClusterSpec(devices=4, router="merged"), pool_split="balanced"
-        )
-        assert config.devices == 4
-        assert config.router == "merged"
-        assert config.pool_split == "balanced"
-
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             ServeSimConfig(bogus=1)
-
-    def test_replace_with_flat_and_field_names(self):
-        config = ServeSimConfig(devices=4, router="disaggregated", memory_blocks=64)
-        assert replace(config, qps=9.0).qps == 9.0
-        bumped = replace(config, devices=2)
-        assert bumped.devices == 2
-        assert bumped.router == "disaggregated"  # sibling fields preserved
-        assert bumped.memory_blocks == 64
-        assert config.with_qps(3.0).memory_blocks == 64
+        # Sub-config knobs have exactly one spelling: the sub-config field.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServeSimConfig(devices=4)
 
     def test_pickle_roundtrip(self):
-        config = ServeSimConfig(devices=3, faults="perr:0.05", memory_blocks=16)
+        config = ServeSimConfig(
+            cluster=ClusterSpec(devices=3),
+            chaos=ChaosSpec(faults="perr:0.05"),
+            memory=MemorySpec(device_blocks=16),
+            stream=StreamSpec(enabled=True, rtf=2.0, chunk_s=0.5),
+        )
         assert pickle.loads(pickle.dumps(config)) == config
-
-    def test_legacy_flat_pickle_state_upgrades(self):
-        state = {
-            "method": "specasr-asp",
-            "pairing": "whisper",
-            "qps": 2.0,
-            "num_requests": 48,
-            "seed": 2025,
-            "utterances": 32,
-            "split": "test-clean",
-            "arrival": "poisson",
-            "deadline_ms": 3000.0,
-            "max_batch": 4,
-            "max_inflight": 8,
-            "queue_capacity": 32,
-            "overlap": 0.8,
-            "devices": 3,
-            "router": "merged",
-            "pool_split": "fixed",
-            "device_spec": "",
-            "faults": "",
-            "fault_seed": 0,
-            "max_retries": 3,
-            "retry_backoff_ms": 25.0,
-            "straggler_k": 0.0,
-            "admission_deadline_ms": None,
-            "batch_deadline_ms": None,
-            "batch_fraction": 0.0,
-        }
-        config = ServeSimConfig.__new__(ServeSimConfig)
-        config.__setstate__(state)
-        assert config == ServeSimConfig(devices=3, router="merged")
-        assert config.memory == MemorySpec()
 
     def test_memory_spec_accessor(self):
         assert ServeSimConfig().memory_spec() == MemorySpec()
-        assert ServeSimConfig(memory_blocks=8).memory_spec().device_blocks == 8
+        config = ServeSimConfig(memory=MemorySpec(device_blocks=8))
+        assert config.memory_spec().device_blocks == 8
 
     def test_simulate_reports_memory(self):
         config = ServeSimConfig(
-            num_requests=6, utterances=4, qps=4.0, memory_blocks=4096
+            num_requests=6,
+            utterances=4,
+            qps=4.0,
+            memory=MemorySpec(device_blocks=4096),
         )
         report = simulate(config)
         payload = report.to_dict()

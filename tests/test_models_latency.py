@@ -1,8 +1,7 @@
-"""Tests for repro.models.latency and repro.models.kv_cache."""
+"""Tests for repro.models.latency."""
 
 import pytest
 
-from repro.models.kv_cache import KVCacheTracker
 from repro.models.latency import (
     LatencyEvent,
     LatencyProfile,
@@ -79,41 +78,3 @@ class TestSimClock:
             LatencyEvent("a", "draft", 1, 0, 2.0),
         ]
         assert summarize_events(events) == {"a/draft": 3.0}
-
-
-class TestKVCache:
-    def test_append_and_peak(self):
-        kv = KVCacheTracker()
-        kv.append(10)
-        kv.append(5)
-        assert kv.length == 15
-        assert kv.peak == 15
-
-    def test_rollback(self):
-        kv = KVCacheTracker()
-        kv.append(10)
-        kv.rollback_to(4)
-        assert kv.length == 4
-        assert kv.rolled_back_total == 6
-        assert kv.rollback_events == 1
-
-    def test_rollback_validation(self):
-        kv = KVCacheTracker()
-        kv.append(3)
-        with pytest.raises(ValueError):
-            kv.rollback_to(5)
-        with pytest.raises(ValueError):
-            kv.rollback_to(-1)
-
-    def test_waste_ratio(self):
-        kv = KVCacheTracker()
-        kv.append(10)
-        kv.rollback_to(5)
-        assert kv.waste_ratio == pytest.approx(0.5)
-
-    def test_waste_ratio_empty(self):
-        assert KVCacheTracker().waste_ratio == 0.0
-
-    def test_negative_append_rejected(self):
-        with pytest.raises(ValueError):
-            KVCacheTracker().append(-1)

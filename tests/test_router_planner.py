@@ -28,7 +28,6 @@ from repro.serving.router import (
     MergedVerifyRouter,
     build_router,
     measure_draft_share,
-    normalize_router,
     plan_pool_split,
 )
 
@@ -301,11 +300,7 @@ class TestRouterRegistry:
         _, router = build_router(config, overlap=0.8)
         assert isinstance(router, EveryoneToDeviceZero)
 
-    def test_normalize_router_alias(self):
-        assert normalize_router("disagg") == "disaggregated"
-        assert normalize_router("merged") == "merged"
-        assert normalize_router("unknown-policy") == "unknown-policy"
-        assert ClusterConfig(devices=2, router="disagg").router == "disaggregated"
+    def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown router"):
             ClusterConfig(devices=2, router="unknown-policy")
 

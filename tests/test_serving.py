@@ -305,6 +305,11 @@ class TestServeReportAndSearch:
         )
         assert spec_qps > ar_qps
 
+    def test_search_rejects_start_above_ceiling(self):
+        config = ServeSimConfig(num_requests=4, utterances=4)
+        with pytest.raises(ValueError, match="qps_ceiling"):
+            max_sustainable_qps(config, start_qps=8.0, qps_ceiling=4.0)
+
     def test_trace_replay_overrides_qps(self, tmp_path):
         config = ServeSimConfig(method="spec(8,1)", num_requests=8, utterances=8)
         trace = uniform_trace(8, 5.0, 8, seed=1)

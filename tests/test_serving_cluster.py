@@ -29,11 +29,11 @@ from repro.decoding.tree_spec import FixedTreeConfig, FixedTreeDecoder
 from repro.harness.methods import build_method
 from repro.serving import (
     ClusterConfig,
+    ClusterSpec,
     ContinuousBatchScheduler,
     Device,
     SchedulerConfig,
     ServeSimConfig,
-    normalize_router,
     parse_device_specs,
     poisson_trace,
     simulate,
@@ -236,8 +236,9 @@ class TestClusterConfig:
             ClusterConfig(devices=1, router="merged")
 
     def test_disagg_alias(self):
-        assert normalize_router("disagg") == "disaggregated"
-        assert ClusterConfig(devices=2, router="disagg").router == "disaggregated"
+        # The policy has one spelling; the old shorthand is an unknown name.
+        with pytest.raises(ValueError, match="unknown router"):
+            ClusterConfig(devices=2, router="disagg")
 
 
 class TestClusterDeterminism:
@@ -474,8 +475,7 @@ class TestClusterSimulate:
             qps=3.0,
             num_requests=10,
             utterances=8,
-            devices=2,
-            router="merged",
+            cluster=ClusterSpec(devices=2, router="merged"),
         )
         assert simulate(config).to_dict() == simulate(config).to_dict()
 
@@ -485,8 +485,7 @@ class TestClusterSimulate:
             qps=2.0,
             num_requests=8,
             utterances=8,
-            devices=2,
-            router="disaggregated",
+            cluster=ClusterSpec(devices=2, router="disaggregated"),
         )
         payload = simulate(config).to_dict()
         assert payload["devices"] == 2

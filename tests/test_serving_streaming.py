@@ -13,8 +13,6 @@ are final).
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,12 +291,8 @@ class TestStreamingReport:
             num_requests=6,
             utterances=6,
             qps=0.5,
-            streaming=True,
-            rtf=1.0,
-            chunk_s=1.0,
-            lookahead_s=0.3,
+            stream=StreamSpec(enabled=True, rtf=1.0, chunk_s=1.0, lookahead_s=0.3),
         )
-        assert config.streaming and config.rtf == 1.0
         report = simulate(config)
         summary = report.streaming
         assert summary is not None
@@ -317,17 +311,6 @@ class TestStreamingReport:
         report = simulate(ServeSimConfig(num_requests=4, utterances=4, qps=2.0))
         assert report.streaming is None
         assert "streaming" not in report.to_dict()
-
-    def test_config_pickle_roundtrip_and_legacy_upgrade(self):
-        config = ServeSimConfig(streaming=True, rtf=2.0, chunk_s=0.5)
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone.streaming and clone.rtf == 2.0 and clone.chunk_s == 0.5
-        # a pickle predating the stream sub-config upgrades to defaults
-        state = config.__dict__.copy()
-        del state["stream"]
-        stale = ServeSimConfig.__new__(ServeSimConfig)
-        stale.__setstate__(state)
-        assert stale.stream == StreamSpec()
 
     def test_stream_spec_validation(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.models.acoustic import clear_acoustic_caches  # noqa: E402
 from repro.serving import (  # noqa: E402
+    ChaosSpec,
+    ClusterSpec,
+    MemorySpec,
     ServeSimConfig,
     build_decoder,
     max_sustainable_qps,
@@ -155,13 +158,10 @@ def _point_key(devices: int, router: str, split: str, device_spec: str) -> str:
 def _point_config(
     base: ServeSimConfig, devices: int, router: str, split: str, device_spec: str
 ) -> ServeSimConfig:
-    return replace(
-        base,
-        devices=devices,
-        router=router,
-        pool_split=split,
-        device_spec=device_spec,
+    cluster = ClusterSpec(
+        devices=devices, router=router, pool_split=split, device_spec=device_spec
     )
+    return replace(base, cluster=cluster)
 
 
 def _base_config(args, num_requests: int) -> ServeSimConfig:
@@ -220,8 +220,6 @@ def _check_determinism(config: ServeSimConfig) -> None:
             )
     # Memory parity contract: ample capacity admits every phase, so the
     # memory-enabled run is bit-identical to the memory-disabled scheduler.
-    from repro.serving import MemorySpec
-
     ample = ContinuousBatchScheduler(
         decoder,
         config.scheduler_config(),
@@ -320,7 +318,7 @@ def _method_entry(args, method: str, num_requests: int) -> dict:
 
 
 def _chaos_entry(args, num_requests: int) -> dict:
-    """Sustained QPS at the SLO with 0/1/2 injected failures (K=4 disagg)."""
+    """Sustained QPS at the SLO with 0/1/2 injected failures (K=4 disaggregated)."""
     devices, router, split, device_spec = CHAOS_CLUSTER
     base = _point_config(
         replace(_base_config(args, num_requests), method=CHAOS_METHOD),
@@ -332,7 +330,7 @@ def _chaos_entry(args, num_requests: int) -> dict:
     decoder = build_decoder(base)
     grid = {}
     for label, faults in CHAOS_POINTS:
-        config = replace(base, faults=faults)
+        config = replace(base, chaos=ChaosSpec(faults=faults))
         max_qps, _ = max_sustainable_qps(
             config, target_ratio=args.slo_target, decoder=decoder
         )
@@ -364,7 +362,9 @@ def _memory_entry(args, num_requests: int) -> dict:
         for capacity in MEMORY_CAPACITIES:
             label = "unbounded" if capacity is None else str(capacity)
             config = replace(
-                base, devices=devices, router=router, memory_blocks=capacity
+                base,
+                cluster=ClusterSpec(devices=devices, router=router),
+                memory=MemorySpec(device_blocks=capacity),
             )
             max_qps, _ = max_sustainable_qps(
                 config, target_ratio=args.slo_target, decoder=decoder
@@ -373,12 +373,12 @@ def _memory_entry(args, num_requests: int) -> dict:
     shared = replace(
         base,
         utterances=MEMORY_SHARED_UTTERANCES,
-        devices=2,
-        memory_blocks=MEMORY_REUSE_CAPACITY,
+        cluster=ClusterSpec(devices=2),
+        memory=MemorySpec(device_blocks=MEMORY_REUSE_CAPACITY),
     )
     reuse = {}
     for label, sharing in (("prefix-reuse", True), ("no-reuse", False)):
-        config = replace(shared, prefix_sharing=sharing)
+        config = replace(shared, memory=replace(shared.memory, prefix_sharing=sharing))
         max_qps, _ = max_sustainable_qps(
             config, target_ratio=args.slo_target, decoder=decoder
         )
@@ -702,7 +702,7 @@ def _chaos_smoke(args) -> int:
         replace(
             _base_config(args, args.smoke_requests),
             method=CHAOS_METHOD,
-            faults=CHAOS_DETERMINISM_FAULTS,
+            chaos=ChaosSpec(faults=CHAOS_DETERMINISM_FAULTS),
         ),
         devices,
         router,
