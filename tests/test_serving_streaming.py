@@ -13,6 +13,9 @@ are final).
 
 from __future__ import annotations
 
+import io
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,6 +314,30 @@ class TestStreamingReport:
         report = simulate(ServeSimConfig(num_requests=4, utterances=4, qps=2.0))
         assert report.streaming is None
         assert "streaming" not in report.to_dict()
+
+    def test_config_pickle_roundtrip_and_legacy_upgrade(self):
+        config = ServeSimConfig(stream=StreamSpec(enabled=True, rtf=2.0, chunk_s=0.5))
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config and clone.stream.rtf == 2.0
+
+        class LegacyPickler(pickle.Pickler):
+            """Writes configs the way they were pickled before ``stream`` existed."""
+
+            def reducer_override(self, obj):
+                if type(obj) is not ServeSimConfig:
+                    return NotImplemented
+                func, args, state = obj.__reduce_ex__(2)[:3]
+                state = dict(state)
+                del state["stream"]
+                return func, args, state
+
+        buf = io.BytesIO()
+        LegacyPickler(buf).dump(config)
+        # a pickle predating the stream sub-config loads with its default
+        stale = pickle.loads(buf.getvalue())
+        assert "stream" not in vars(stale)
+        assert stale.stream == StreamSpec()
+        assert stale.cluster == config.cluster
 
     def test_stream_spec_validation(self):
         with pytest.raises(ValueError):
