@@ -817,6 +817,3 @@ class OracleFactory:
             )
             self._cache.put(key, oracle)
         return oracle
-
-    def cached_count(self) -> int:
-        return len(self._cache)

@@ -213,12 +213,6 @@ class SimulatedASRModel:
         eos = self.vocab.eos_id
         return stream[:-1] if stream and stream[-1] == eos else stream
 
-    def prewarm(self, utterance: Utterance) -> None:
-        """Materialise every anchored distribution for ``utterance`` in one
-        batched oracle pass (no latency is billed — this is cache warming,
-        the corpus-grid form of the vectorised scoring path)."""
-        prewarm_oracles([self.oracle(utterance)])
-
     def score_batch(
         self,
         requests: "Sequence[tuple]",
@@ -526,9 +520,6 @@ class DecodeSession:
         return count
 
     # -- forward passes ------------------------------------------------------
-    def _peek_node(self, node: _TrieNode) -> StepResult:
-        return self._node_step(node)
-
     def peek(self, prefix) -> StepResult:
         """Next-token distribution without charging any latency."""
         return self._node_step(self._resolve(prefix))

@@ -17,6 +17,8 @@ at each seam:
 * ``score_batch`` / ``_node_steps`` (cross-session batched verification)
   against solo ``verify_eval`` / ``step_frontier`` calls, latency billing
   included;
+* a whole serve run on the ``merged`` router: records and ``ScheduleStats``
+  match between the two oracle paths;
 * ``batched_generators`` / ``batched_seed_states`` (the vectorised
   SeedSequence expansion) against numpy's own seeding, fallbacks included;
 * the bounded ``_base`` LRU: a long sweep keeps the per-oracle block cache
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.methods import build_method
 from repro.models import acoustic
 from repro.models.acoustic import (
     BASE_BLOCK_SIZE,
@@ -39,6 +42,8 @@ from repro.models.acoustic import (
 from repro.models.latency import SimClock
 from repro.models.registry import model_pair
 from repro.models.simulated import prewarm_models
+from repro.serving import ClusterConfig, ContinuousBatchScheduler
+from repro.serving.arrivals import poisson_trace
 from repro.utils import rng as rng_module
 from repro.utils.rng import (
     batched_generators,
@@ -208,6 +213,28 @@ class TestSessionBatchParity:
         session.prefill()
         with pytest.raises(ValueError):
             model.score_batch([(session, [])])
+
+
+class TestServeParity:
+    """The serving loop sees the same phases on either oracle path."""
+
+    def test_merged_cluster_scalar_equals_block_oracle(self, clean_dataset, vocab):
+        trace = poisson_trace(24, 32.0, len(clean_dataset), seed=5)
+        runs = []
+        for block_size in (1, None):  # scalar reference, then the default
+            draft, target = model_pair("whisper", vocab, oracle_block_size=block_size)
+            scheduler = ContinuousBatchScheduler(
+                build_method("specasr-asp", draft, target),
+                cluster=ClusterConfig(devices=4, router="merged"),
+            )
+            records = scheduler.run(trace, clean_dataset)
+            outcomes = [
+                (r.status, r.tokens, r.decode_ms, r.first_token_ms, r.finish_ms)
+                for r in records
+            ]
+            runs.append((outcomes, scheduler.last_stats))
+        assert runs[0] == runs[1]
+        assert runs[0][1].mean_batch_occupancy > 1.5  # verify passes coalesced
 
 
 class TestBatchedGenerators:

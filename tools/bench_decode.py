@@ -1,11 +1,8 @@
 #!/usr/bin/env python
-"""Wall-clock decode benchmark: serial vs. parallel vs. pre/post-trie.
+"""Wall-clock decode benchmark: serial vs. parallel vs. vectorised scoring.
 
-Times the standard method suite over a LibriSim split in four modes:
+Times the standard method suite over a LibriSim split in three modes:
 
-* ``serial_tuple``   — decoders talk to sessions through the legacy tuple
-  interface (every call passes a full token-sequence prefix, forcing a
-  per-call prefix walk — the pre-trie session cost model);
 * ``serial_cursor``  — the trie-cursor fast path, serial corpus loop;
 * ``parallel_cursor`` — the trie-cursor fast path through
   :class:`repro.harness.executor.CorpusExecutor` with ``--workers`` workers
@@ -15,10 +12,10 @@ Times the standard method suite over a LibriSim split in four modes:
 * ``vectorized``     — the block-vectorised emission oracle: every (model,
   utterance) anchored distribution is materialised through one grouped
   array pass (``prewarm_models``, paid inside the measured wall), then the
-  suite decodes over warm caches.  The first three modes pin
+  suite decodes over warm caches.  The first two modes pin
   ``oracle_block_size=1`` so the scalar per-position path stays the
   reference; transcripts and SimClock totals are asserted bit-identical
-  across all four.
+  across all three.
 
 Each mode runs ``--reps`` times with fresh models and cleared module-level
 caches (cold oracle state, like a fresh serving process); the best wall
@@ -64,77 +61,23 @@ from repro.models.registry import model_pair  # noqa: E402
 from repro.models.simulated import prewarm_models  # noqa: E402
 
 
-class TupleShimSession:
-    """Forwards session calls with plain tuple prefixes (legacy interface).
-
-    Hiding the native ``cursor()`` factory makes every decoder fall back to
-    tuple-backed cursors, so each forward pass re-presents its full prefix —
-    the per-call cost shape of the pre-trie ``DecodeSession``.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    def prefill(self) -> None:
-        self._inner.prefill()
-
-    def peek(self, prefix):
-        return self._inner.peek(tuple(prefix))
-
-    def step(self, prefix, kind="decode"):
-        return self._inner.step(tuple(prefix), kind=kind)
-
-    def step_frontier(self, prefixes, kind="draft"):
-        return self._inner.step_frontier([tuple(p) for p in prefixes], kind=kind)
-
-    def verify_eval(self, prefixes, billed_tokens=None):
-        return self._inner.verify_eval(
-            [tuple(p) for p in prefixes], billed_tokens=billed_tokens
-        )
-
-    def rollback(self, kept_prefix_len: int) -> None:
-        self._inner.rollback(kept_prefix_len)  # no pruning, like the seed
-
-    def is_eos(self, token: int) -> bool:
-        return self._inner.is_eos(token)
-
-    def max_decode_positions(self) -> int:
-        return self._inner.max_decode_positions()
-
-
-class TupleShimModel:
-    """Model wrapper whose sessions only speak the tuple interface."""
-
-    def __init__(self, model) -> None:
-        self._model = model
-        self.name = model.name
-        self.vocab = model.vocab
-
-    def session(self, unit, clock) -> TupleShimSession:
-        return TupleShimSession(self._model.session(unit, clock))
-
-
-def _fresh_methods(pairing: str, shim: bool, block_size: int | None = 1):
+def _fresh_methods(pairing: str, block_size: int | None = 1):
     """Standard method suite plus its model pair.
 
-    Legacy modes pin ``oracle_block_size=1`` — the scalar per-position
+    The cursor modes pin ``oracle_block_size=1`` — the scalar per-position
     oracle is the reference cost shape; the ``vectorized`` mode passes
     ``None`` to keep the models' block-vectorised default.
     """
     draft, target = model_pair(
         pairing, shared_vocabulary(), oracle_block_size=block_size
     )
-    models = (draft, target)
-    if shim:
-        draft, target = TupleShimModel(draft), TupleShimModel(target)
-    return standard_methods(draft, target), models
+    return standard_methods(draft, target), (draft, target)
 
 
 def _measure(
     pairing,
     dataset,
     reps,
-    shim=False,
     executor=None,
     block_size: int | None = 1,
     prewarm=False,
@@ -150,7 +93,7 @@ def _measure(
     runs = None
     for _ in range(reps):
         clear_acoustic_caches()
-        methods, models = _fresh_methods(pairing, shim, block_size)
+        methods, models = _fresh_methods(pairing, block_size)
         start = time.perf_counter()
         if prewarm:
             prewarm_models(models, dataset)
@@ -197,7 +140,6 @@ def run_bench(args) -> dict:
     config = ExperimentConfig(seed=args.seed, utterances=args.utterances)
     dataset = load_split(args.split, config)
 
-    wall_tuple, runs_tuple = _measure(args.pairing, dataset, args.reps, shim=True)
     wall_cursor, runs_cursor = _measure(args.pairing, dataset, args.reps)
     executor = CorpusExecutor(workers=args.workers, backend=args.backend)
     wall_parallel, runs_parallel = _measure(
@@ -208,14 +150,12 @@ def run_bench(args) -> dict:
     )
 
     identical_transcripts = (
-        _transcripts(runs_tuple)
-        == _transcripts(runs_cursor)
+        _transcripts(runs_cursor)
         == _transcripts(runs_parallel)
         == _transcripts(runs_vector)
     )
     identical_clocks = (
-        _clock_totals(runs_tuple)
-        == _clock_totals(runs_cursor)
+        _clock_totals(runs_cursor)
         == _clock_totals(runs_parallel)
         == _clock_totals(runs_vector)
     )
@@ -243,7 +183,6 @@ def run_bench(args) -> dict:
             "reps": args.reps,
         },
         "modes": {
-            "serial_tuple": _mode_stats(wall_tuple, dataset, runs_tuple),
             "serial_cursor": _mode_stats(wall_cursor, dataset, runs_cursor),
             "parallel_cursor": {
                 **_mode_stats(wall_parallel, dataset, runs_parallel),
@@ -254,9 +193,6 @@ def run_bench(args) -> dict:
             "vectorized": _mode_stats(wall_vector, dataset, runs_vector),
         },
         "speedups": {
-            "cursor_vs_tuple_serial": round(wall_tuple / wall_cursor, 3),
-            "parallel_vs_tuple_serial": round(wall_tuple / wall_parallel, 3),
-            "vectorized_vs_tuple_serial": round(wall_tuple / wall_vector, 3),
             "vectorized_vs_parallel_cursor": round(wall_parallel / wall_vector, 3),
         },
         "sim_speedup_vs_autoregressive": sim_speedups,
