@@ -1038,11 +1038,9 @@ class _ServeLoop:
         all audio has arrived (nothing left to wait for, including the final
         EOS round).
         """
-        caps = active.chunk_caps
-        if caps is None or not active.new_round:
+        if not active.new_round or now_ms >= active.audio_end_ms:
             return None
-        if now_ms >= active.audio_end_ms:
-            return None
+        caps = active.chunk_caps  # dispatch only asks for streamed sessions
         current = 0
         for at_ms, cap in caps:
             if at_ms > now_ms:

@@ -381,6 +381,23 @@ def _run(decoder, dataset, trace, config=None, cluster=None, faults=None):
     return records, scheduler
 
 
+def _run_twice(scheduler, trace, dataset):
+    """Run one scheduler instance twice on ``trace``; both runs must give the
+    same records, ``last_stats`` and ``last_dispatch_log``."""
+    runs = []
+    for _ in range(2):
+        records = scheduler.run(trace, dataset)
+        outcomes = [
+            (r.status, r.tokens, r.finish_ms, r.retries, r.requeues, r.emission_ms)
+            for r in records
+        ]
+        runs.append(
+            (outcomes, scheduler.last_stats, list(scheduler.last_dispatch_log))
+        )
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
 def _assert_conservation(records, stats):
     assert all(r.status in TERMINAL for r in records)
     completed = sum(1 for r in records if r.status == STATUS_COMPLETED)
@@ -458,22 +475,25 @@ class TestCrashRecovery:
             memory=MemorySpec(device_blocks=8),
             stream=StreamSpec(chunk_s=0.5),
         )
-        runs = []
-        for _ in range(2):
-            records = scheduler.run(trace, clean_dataset)
-            outcomes = [
-                (r.status, r.tokens, r.finish_ms, r.retries, r.requeues, r.emission_ms)
-                for r in records
-            ]
-            runs.append(
-                (outcomes, scheduler.last_stats, list(scheduler.last_dispatch_log))
-            )
-        assert runs[0] == runs[1]
+        outcomes, stats, _ = _run_twice(scheduler, trace, clean_dataset)
         # Every axis actually bit: retries, KV pressure and streamed timelines.
-        outcomes, stats, _ = runs[0]
         assert stats.retries > 0 and stats.requeues > 0
         assert stats.evictions > 0 and stats.memory_stalls > 0
         assert sum(1 for *_, emissions in outcomes if emissions) == len(trace) // 2
+
+    def test_crash_rerun_is_bit_identical_on_fast_path(
+        self, chaos_decoder, clean_dataset
+    ):
+        """The same replay with faults but no KV limit and nothing streamed:
+        the scheduler's ``memory is None`` path."""
+        plan = parse_fault_spec("crash@800:dev3:restart=1200;perr:0.05", seed=3)
+        scheduler = ContinuousBatchScheduler(
+            chaos_decoder, cluster=self.CLUSTER, faults=plan
+        )
+        outcomes, stats, _ = _run_twice(scheduler, _trace(self.TRACE), clean_dataset)
+        assert stats.retries > 0 and stats.requeues > 0
+        assert stats.block_size == 0  # no KV accounting
+        assert not any(emissions for *_, emissions in outcomes)
 
 
 class TestDegradation:
