@@ -93,11 +93,6 @@ class DecodeTrace:
             return 0.0
         return self.total_accepted / submitted
 
-    def mean_per_round(self, attribute: str) -> float:
-        if not self.rounds:
-            return 0.0
-        return sum(getattr(r, attribute) for r in self.rounds) / len(self.rounds)
-
 
 @dataclass
 class DecodeResult:
@@ -355,9 +350,10 @@ class PrefixCursor:
 
     Mirrors :class:`repro.models.simulated.SessionCursor` (``advance`` /
     ``extend`` / ``rollback`` / ``len`` / iteration) on top of a plain token
-    tuple, so decoders written against cursors run unchanged on scripted
-    fakes and text sessions.  Iterating yields the prefix tokens, which is
-    what such sessions expect as a prefix argument.
+    tuple, so decoders written against cursors run unchanged on the scripted
+    test fakes.  (ASR and text sessions hand out the trie cursor itself.)
+    Iterating yields the prefix tokens, which is what such sessions expect
+    as a prefix argument.
     """
 
     __slots__ = ("session", "_prefix")
@@ -398,8 +394,8 @@ def as_cursor(session, prefix=()):
     """A cursor on ``session`` at ``prefix``.
 
     Passing an existing cursor returns it unchanged; sessions exposing a
-    native ``cursor()`` factory (the trie-backed ASR sessions) get an O(1)
-    handle, everything else gets a :class:`PrefixCursor` shim.
+    native ``cursor()`` factory (the trie-backed ASR and text sessions) get
+    an O(1) handle, everything else gets a :class:`PrefixCursor` shim.
     """
     if is_cursor(prefix):
         return prefix

@@ -1,6 +1,6 @@
 """Simulated model substrate: vocabulary, latency, emission oracle, models."""
 
-from repro.models.acoustic import EmissionOracle, OracleParams, OracleStep
+from repro.models.acoustic import EmissionOracle, OracleParams, StepResult
 from repro.models.latency import LatencyEvent, LatencyProfile, SimClock, forward_ms
 from repro.models.registry import (
     ModelSpec,
@@ -9,12 +9,7 @@ from repro.models.registry import (
     model_pair,
     published_asr_configs,
 )
-from repro.models.simulated import (
-    DecodeSession,
-    SessionCursor,
-    SimulatedASRModel,
-    StepResult,
-)
+from repro.models.simulated import DecodeSession, SessionCursor, SimulatedASRModel
 from repro.models.textlm import SimulatedTextLM, TextSession
 from repro.models.vocab import Vocabulary, build_default_vocabulary
 
@@ -25,7 +20,6 @@ __all__ = [
     "LatencyProfile",
     "ModelSpec",
     "OracleParams",
-    "OracleStep",
     "SessionCursor",
     "SimClock",
     "SimulatedASRModel",

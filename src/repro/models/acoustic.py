@@ -103,11 +103,14 @@ class OracleParams:
         return self.noise_floor + self.noise_slope * difficulty
 
 
-class OracleStep(NamedTuple):
+class StepResult(NamedTuple):
     """Next-token distribution at one decode position.
 
-    A NamedTuple rather than a dataclass: tens of thousands are built per
-    corpus decode and tuple construction is measurably cheaper.
+    The oracle's step cache stores these and decode sessions hand out the
+    cached object itself, so there is one instance per distinct
+    ``(position, perturb_level, context_key)``.  A NamedTuple rather than a
+    dataclass: tens of thousands are built per corpus decode and tuple
+    construction is measurably cheaper.
     """
 
     position: int
@@ -194,7 +197,10 @@ class EmissionOracle:
         self.vocab = vocab
         self.params = params or OracleParams()
         self.block_size = int(block_size)
-        self._cache: dict[tuple[int, int, int], OracleStep] = {}
+        # The step cache: the only memo of finished distributions.  An entry
+        # never changes once step()/step_many() has returned it, so
+        # decode-session trie nodes point into it.
+        self._cache: dict[tuple[int, int, int], StepResult] = {}
         # Per-position pre-perturbation state: (candidates, candidate array,
         # base scores).  Perturbed variants of a position share it, so
         # re-anchoring after a correction costs one noise draw + softmax,
@@ -230,7 +236,7 @@ class EmissionOracle:
 
     def step(
         self, position: int, perturb_level: int = 0, context_key: int = 0
-    ) -> OracleStep:
+    ) -> StepResult:
         """Next-token distribution at ``position``."""
         if position < 0:
             raise ValueError(f"negative position {position}")
@@ -242,9 +248,6 @@ class EmissionOracle:
             cached = self._compute_step(position, perturb_level, context_key)
             self._cache[key] = cached
         return cached
-
-    def greedy_token(self, position: int) -> int:
-        return self.step(position).token
 
     def greedy_stream(self) -> list[int]:
         """The model's anchored greedy transcript (EOS-terminated)."""
@@ -326,7 +329,7 @@ class EmissionOracle:
 
     def step_many(
         self, queries: "list[tuple[int, int, int]]"
-    ) -> list[OracleStep]:
+    ) -> list[StepResult]:
         """Batched :meth:`step` over ``(position, perturb_level, context_key)``
         triples.
 
@@ -407,7 +410,7 @@ class EmissionOracle:
                 probs = prob2[row_index].tolist()
                 top = order2[row_index, :topk_n].tolist()
                 topk = tuple((candidates[i], probs[i]) for i in top)
-                cache[key] = OracleStep(
+                cache[key] = StepResult(
                     position=key[0],
                     token=topk[0][0],
                     top_prob=topk[0][1],
@@ -436,7 +439,7 @@ class EmissionOracle:
 
     def _compute_step(
         self, position: int, perturb_level: int, context_key: int
-    ) -> OracleStep:
+    ) -> StepResult:
         p = self.params
         candidates, cand_arr, scores = self._base_for(position)
         n = len(candidates)
@@ -458,7 +461,7 @@ class EmissionOracle:
         order = np.lexsort((cand_arr, -prob_arr))
         top = order[: p.topk]
         topk = tuple((candidates[i], probs[i]) for i in top)
-        return OracleStep(
+        return StepResult(
             position=position,
             token=topk[0][0],
             top_prob=topk[0][1],
@@ -742,7 +745,7 @@ def _compute_base_blocks(
                 probs = prob2[row].tolist()
                 top = order2[row, :topk_n].tolist()
                 topk = tuple((candidates[c], probs[c]) for c in top)
-                cache[key] = OracleStep(
+                cache[key] = StepResult(
                     position=pos,
                     token=topk[0][0],
                     top_prob=topk[0][1],

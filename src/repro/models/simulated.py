@@ -5,7 +5,8 @@ like a real cascaded LLM-ASR model: you open a session on an utterance,
 prefill (audio embeddings + text prompt), then request next-token
 distributions given a text prefix.  Internally the next token comes from the
 audio-conditioned :class:`~repro.models.acoustic.EmissionOracle`, and every
-forward pass is charged to a :class:`~repro.models.latency.SimClock`.
+forward pass is charged to a :class:`~repro.models.latency.SimClock` over
+``prompt + depth`` cached positions.
 
 Sessions track the *divergence state* of each prefix: how many perturbation
 steps remain since the prefix last departed from this model's own greedy
@@ -13,21 +14,24 @@ path.  That state is what makes the simulation audio-conditioned — the model
 re-anchors a couple of tokens after any injected correction (see
 ``acoustic.py`` for the rationale).
 
-Divergence states live in a per-session **prefix trie**: one node per
-explored prefix, each holding the state after that prefix, the (cached)
-context key of its last three tokens, and the (cached) oracle distribution
-for the next position.  A :class:`SessionCursor` is a handle onto a trie
-node; advancing a cursor by one token is an O(1) dictionary hop, so decoders
-that keep cursors pay O(L) per utterance instead of the O(L²) cost of
-re-hashing full prefix tuples on every forward pass.  Plain token sequences
-are still accepted everywhere (they walk the trie from the root), so legacy
-callers and test fakes keep working unchanged.
+Divergence states live in a **prefix trie** shared by every session over
+the same (model, utterance): one node per explored prefix, each holding the
+state after that prefix, its last three tokens (the context-key input) and
+a pointer to the next position's distribution.  That pointer is the only
+thing in front of the oracle: the oracle's step cache is the one memo of
+distributions.  A :class:`SessionCursor` is a handle onto a trie node (of
+an ASR or a text session); advancing a cursor by one token is an O(1)
+dictionary hop, so decoders that keep cursors pay O(L) per utterance
+instead of the O(L²) cost of re-hashing full prefix tuples on every forward
+pass.  Plain token sequences are still accepted everywhere (they walk the
+trie from the root), so legacy callers and test fakes keep working
+unchanged.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.data.corpus import Utterance
 from repro.models.acoustic import (
@@ -35,6 +39,7 @@ from repro.models.acoustic import (
     EmissionOracle,
     OracleFactory,
     OracleParams,
+    StepResult,
     prewarm_oracles,
 )
 from repro.models.latency import (
@@ -50,6 +55,9 @@ from repro.models.latency import (
 )
 from repro.models.vocab import Vocabulary
 from repro.utils.hashing import stable_hash
+
+if TYPE_CHECKING:
+    from repro.models.textlm import TextSession, _TextNode
 
 #: Audio embeddings produced per second of audio after encoder downsampling.
 EMBEDDINGS_PER_SECOND = 5.0
@@ -79,15 +87,6 @@ Prefix = tuple[int, ...]
 _CTX_CACHE: dict[Prefix, int] = {}
 _CTX_CACHE_MAX = 1 << 16
 
-#: Per-oracle memo of finished StepResults keyed by (position, state, ctx).
-#: All sessions over the same (model, utterance) share it, so re-decoding an
-#: utterance with another method rebuilds its trie from dict lookups instead
-#: of re-deriving distributions.  Dies with the oracle (which the model
-#: bounds with an LRU).
-_RESULT_CACHES: "weakref.WeakKeyDictionary[EmissionOracle, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
 #: Per-oracle shared trie root.  Divergence states and distributions are
 #: pure functions of (model, utterance, prefix), so every session over the
 #: same oracle can walk one trie: decoding an utterance with a second
@@ -108,26 +107,6 @@ def _context_key(last3: Prefix) -> int:
     return ctx
 
 
-class StepResult(NamedTuple):
-    """Next-token output of one simulated forward position.
-
-    A NamedTuple rather than a dataclass: construction sits on the decode
-    hot path (one per evaluated tree node / draft position).
-    """
-
-    token: int
-    top_prob: float
-    topk: tuple[tuple[int, float], ...]
-    position: int
-    perturb_level: int
-
-    def rank_of(self, token: int) -> int | None:
-        for rank, (candidate, _prob) in enumerate(self.topk, start=1):
-            if candidate == token:
-                return rank
-        return None
-
-
 def prewarm_models(
     models: "Sequence[SimulatedASRModel]", utterances: "Sequence[Utterance]"
 ) -> None:
@@ -142,28 +121,21 @@ def prewarm_models(
     )
 
 
-def _resolve_pending_steps(oracle: EmissionOracle, pending: list) -> None:
-    """Fill ``node.step`` for every ``(results, node, key)`` entry via one
-    batched oracle pass.
+def _resolve_pending_steps(oracle: EmissionOracle, nodes: "list[_TrieNode]") -> None:
+    """Point every node's ``step`` at the oracle's cached distribution, via
+    one batched oracle pass.
 
-    ``results`` is the per-oracle StepResult memo the node's session shares;
-    entries may span several sessions as long as they share ``oracle``.
-    Results are bit-identical to resolving each node through the scalar
-    ``_node_step`` path (the oracle's batched scoring is bit-identical to
-    its scalar scoring, and StepResult construction is the same).
+    ``nodes`` may span several sessions as long as they share ``oracle``.
+    The batched pass is bit-identical to resolving each node through the
+    scalar ``_node_step`` path.
     """
-    oracle_steps = oracle.step_many([key for _results, _node, key in pending])
-    for (results, node, key), oracle_step in zip(pending, oracle_steps, strict=True):
-        step = results.get(key)
-        if step is None:
-            step = StepResult(
-                token=oracle_step.token,
-                top_prob=oracle_step.top_prob,
-                topk=oracle_step.topk,
-                position=oracle_step.position,
-                perturb_level=node.state,
-            )
-            results[key] = step
+    steps = oracle.step_many(
+        [
+            (node.depth, node.state, _context_key(node.last3) if node.state else 0)
+            for node in nodes
+        ]
+    )
+    for node, step in zip(nodes, steps, strict=True):
         node.step = step
 
 
@@ -226,7 +198,7 @@ class SimulatedASRModel:
         cursors).  Per session the pass bills **exactly** the latency record
         the equivalent solo call would write — ``verify_eval`` semantics for
         ``kind=KIND_VERIFY`` (billed tokens default to the frontier size,
-        KV context at the shallowest node), ``step_frontier`` semantics
+        context at the shallowest node), ``step_frontier`` semantics
         otherwise — so SimClock totals are bit-identical to looping the
         per-session calls.  All uncached distributions across every request
         are then resolved with one grouped array pass per distinct
@@ -246,49 +218,36 @@ class SimulatedASRModel:
                 billed = billed_tokens if billed_tokens is not None else len(nodes)
                 if billed < 1:
                     raise ValueError(f"billed_tokens must be >= 1, got {billed}")
-                cached = session.kv.context_length(
-                    min(node.depth for node in nodes)
-                )
+                depth = min(node.depth for node in nodes)
             else:
                 billed = len(nodes)
-                cached = session.kv.context_length(
-                    max(node.depth for node in nodes)
-                )
+                depth = max(node.depth for node in nodes)
+            cached = session._prompt_tokens + depth
             ms = forward_ms(session.model.latency, billed, cached)
             session.clock.record(session.model.name, kind, billed, cached, ms)
-            session.kv.append(billed)
             prepared.append((session, nodes))
-        # Group uncached queries by oracle: sessions over the same utterance
-        # share one grouped pass (and one StepResult memo).
-        buckets: dict[int, tuple[EmissionOracle, list]] = {}
+        # Group uncached nodes by oracle: sessions over the same utterance
+        # share one grouped pass.
+        buckets: dict[int, tuple[EmissionOracle, list[_TrieNode]]] = {}
         for session, nodes in prepared:
-            results = session._results
             oracle = session._oracle
             for node in nodes:
                 if node.step is None:
-                    context = _context_key(node.last3) if node.state else 0
-                    key = (node.depth, node.state, context)
-                    step = results.get(key)
-                    if step is None:
-                        bucket = buckets.get(id(oracle))
-                        if bucket is None:
-                            bucket = buckets[id(oracle)] = (oracle, [])
-                        bucket[1].append((results, node, key))
-                    else:
-                        node.step = step
+                    bucket = buckets.get(id(oracle))
+                    if bucket is None:
+                        bucket = buckets[id(oracle)] = (oracle, [])
+                    bucket[1].append(node)
         for oracle, pending in buckets.values():
             _resolve_pending_steps(oracle, pending)
-        return [
-            [session._node_step(node) for node in nodes]
-            for session, nodes in prepared
-        ]
+        return [[node.step for node in nodes] for _session, nodes in prepared]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedASRModel({self.name!r}, capacity={self.capacity})"
 
 
 class _TrieNode:
-    """One explored prefix: divergence state plus cached oracle output."""
+    """One explored prefix: divergence state plus a pointer to the oracle's
+    cached distribution for the next position."""
 
     __slots__ = ("token", "parent", "depth", "state", "last3", "children", "step")
 
@@ -306,7 +265,7 @@ class _TrieNode:
         self.state = state
         self.last3 = last3  # up to three trailing tokens (context key input)
         self.children: dict[int, _TrieNode] = {}
-        self.step: StepResult | None = None  # lazily computed distribution
+        self.step: StepResult | None = None  # the oracle's cache entry, lazily
 
     def prefix(self) -> Prefix:
         tokens: list[int] = []
@@ -319,24 +278,29 @@ class _TrieNode:
 
 
 class SessionCursor:
-    """O(1) handle onto one prefix of a :class:`DecodeSession` trie.
+    """O(1) handle onto one prefix of a session's prefix trie.
 
-    Cursors are immutable: :meth:`advance` and :meth:`extend` return new
-    cursors, so a decoder can keep cursors for several branches of a token
-    tree at once.  Iterating a cursor yields its prefix tokens (an O(depth)
-    walk), which keeps cursors usable anywhere a token sequence is expected.
+    The one trie cursor for both session types: a :class:`DecodeSession`
+    (ASR) and a :class:`~repro.models.textlm.TextSession` (text) hand these
+    out.  Cursors are immutable: :meth:`advance` and :meth:`extend` return
+    new cursors, so a decoder can keep cursors for several branches of a
+    token tree at once.  Iterating a cursor yields its prefix tokens (an
+    O(depth) walk), which keeps cursors usable anywhere a token sequence is
+    expected.
     """
 
     __slots__ = ("session", "node")
 
-    def __init__(self, session: "DecodeSession", node: _TrieNode) -> None:
+    def __init__(
+        self, session: "DecodeSession | TextSession", node: "_TrieNode | _TextNode"
+    ) -> None:
         self.session = session
         self.node = node
 
     def advance(self, token: int) -> "SessionCursor":
         """Cursor for this prefix extended by one token (O(1))."""
         node = self.node
-        # Inlined hit path of DecodeSession._child: existing trie edges are
+        # Inlined hit path of the session's _child: existing trie edges are
         # the overwhelmingly common case in the per-token decode loops.
         child = node.children.get(token)
         if child is None:
@@ -352,17 +316,13 @@ class SessionCursor:
         return SessionCursor(self.session, node)
 
     def rollback(self) -> None:
-        """Roll the session's KV cache back to this prefix and prune dead
-        divergence branches (everything off the committed path)."""
+        """Commit this prefix: the session prunes dead divergence branches
+        (everything off the committed path)."""
         self.session.rollback(self.node.depth, keep=self)
 
     @property
     def tokens(self) -> Prefix:
         return self.node.prefix()
-
-    @property
-    def perturb_level(self) -> int:
-        return self.node.state
 
     def __len__(self) -> int:
         return self.node.depth
@@ -375,7 +335,7 @@ class SessionCursor:
 
 
 class DecodeSession:
-    """Per-utterance decoding interface with latency and KV accounting."""
+    """Per-utterance decoding interface with latency accounting."""
 
     def __init__(
         self, model: SimulatedASRModel, utterance: Utterance, clock: SimClock
@@ -383,18 +343,7 @@ class DecodeSession:
         self.model = model
         self.utterance = utterance
         self.clock = clock
-        # Deferred import: the tracker lives with the serving-layer block
-        # allocator, and a module-level import here would cycle through
-        # repro.serving.__init__ while repro.models is still initialising.
-        from repro.serving.memory import KVCacheTracker
-
-        self.kv = KVCacheTracker()
         self._oracle = model.oracle(utterance)
-        results = _RESULT_CACHES.get(self._oracle)
-        if results is None:
-            results = {}
-            _RESULT_CACHES[self._oracle] = results
-        self._results: dict[tuple[int, int, int], StepResult] = results
         self._window = model.oracle_params.perturb_window
         root = _TRIE_CACHES.get(self._oracle)
         if root is None:
@@ -421,7 +370,6 @@ class DecodeSession:
             )
         ms = prefill_ms(self.model.latency, self._prompt_tokens)
         self.clock.record(self.model.name, KIND_PREFILL, self._prompt_tokens, 0, ms)
-        self.kv.prefill(self._prompt_tokens)
 
     @property
     def prompt_tokens(self) -> int:
@@ -437,19 +385,7 @@ class DecodeSession:
         step = node.step
         if step is None:
             context = _context_key(node.last3) if node.state else 0
-            key = (node.depth, node.state, context)
-            step = self._results.get(key)
-            if step is None:
-                oracle_step = self._oracle.step(node.depth, node.state, context)
-                step = StepResult(
-                    token=oracle_step.token,
-                    top_prob=oracle_step.top_prob,
-                    topk=oracle_step.topk,
-                    position=oracle_step.position,
-                    perturb_level=node.state,
-                )
-                self._results[key] = step
-            node.step = step
+            step = node.step = self._oracle.step(node.depth, node.state, context)
         return step
 
     def _node_steps(self, nodes: "list[_TrieNode]") -> list[StepResult]:
@@ -457,20 +393,9 @@ class DecodeSession:
         ``nodes`` is resolved through one grouped oracle pass
         (:meth:`EmissionOracle.step_many`), bit-identical to the scalar
         per-node path."""
-        pending: list = []
-        results = self._results
-        for node in nodes:
-            if node.step is None:
-                context = _context_key(node.last3) if node.state else 0
-                key = (node.depth, node.state, context)
-                step = results.get(key)
-                if step is None:
-                    pending.append((results, node, key))
-                else:
-                    node.step = step
+        pending = [node for node in nodes if node.step is None]
         if pending:
             _resolve_pending_steps(self._oracle, pending)
-        # Every node's step is populated by now (hit, memo, or batch above).
         return [node.step for node in nodes]
 
     def _child(self, node: _TrieNode, token: int) -> _TrieNode:
@@ -533,11 +458,9 @@ class DecodeSession:
             node = prefix.node
         else:
             node = self._resolve(prefix)
-        kv = self.kv
-        cached = kv.context_length(node.depth)
+        cached = self._prompt_tokens + node.depth
         ms = forward_ms(self.model.latency, 1, cached)
         self.clock.record(self.model.name, kind, 1, cached, ms)
-        kv.append(1)
         step = node.step
         return step if step is not None else self._node_step(node)
 
@@ -552,10 +475,9 @@ class DecodeSession:
         nodes = [self._resolve(p) for p in prefixes]
         if not nodes:
             raise ValueError("step_frontier needs at least one prefix")
-        cached = self.kv.context_length(max(node.depth for node in nodes))
+        cached = self._prompt_tokens + max(node.depth for node in nodes)
         ms = forward_ms(self.model.latency, len(nodes), cached)
         self.clock.record(self.model.name, kind, len(nodes), cached, ms)
-        self.kv.append(len(nodes))
         return self._node_steps(nodes)
 
     def verify_eval(
@@ -575,24 +497,22 @@ class DecodeSession:
         billed = billed_tokens if billed_tokens is not None else len(nodes)
         if billed < 1:
             raise ValueError(f"billed_tokens must be >= 1, got {billed}")
-        cached = self.kv.context_length(min(node.depth for node in nodes))
+        cached = self._prompt_tokens + min(node.depth for node in nodes)
         ms = forward_ms(self.model.latency, billed, cached)
         self.clock.record(self.model.name, KIND_VERIFY, billed, cached, ms)
-        self.kv.append(billed)
         return self._node_steps(nodes)
 
     def rollback(self, kept_prefix_len: int, keep: SessionCursor | None = None) -> None:
-        """Roll the KV cache back to ``prompt + kept_prefix_len`` positions.
+        """Commit a prefix of ``kept_prefix_len`` tokens: prune dead branches.
 
-        When ``keep`` (a cursor at the committed prefix) is given, divergence
-        branches off the committed path are pruned from the trie, so long
-        utterances with many speculation rounds don't accumulate dead
-        divergence-state entries.  The subtree *below* the committed node is
-        retained — it is the live speculation cache for the next round.
+        Billing keeps no cache state (every pass bills ``prompt + depth``),
+        so the length alone changes nothing.  When ``keep`` (a cursor at the
+        committed prefix) is given, divergence branches off the committed
+        path are pruned from the trie, so long utterances with many
+        speculation rounds don't accumulate dead divergence-state entries.
+        The subtree *below* the committed node is retained — it is the live
+        speculation cache for the next round.
         """
-        target = self.kv.context_length(kept_prefix_len)
-        if target <= self.kv.length:
-            self.kv.rollback_to(target)
         if keep is not None and keep.session is self:
             self._prune_to(keep.node)
 

@@ -14,11 +14,12 @@ useless, unlike ASR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.data.text_tasks import TextPrompt
+from repro.models.acoustic import StepResult
 from repro.models.latency import (
     KIND_DECODE,
     KIND_DRAFT,
@@ -27,7 +28,7 @@ from repro.models.latency import (
     forward_ms,
     prefill_ms,
 )
-from repro.models.simulated import StepResult
+from repro.models.simulated import SessionCursor
 from repro.models.vocab import Vocabulary
 from repro.utils.hashing import stable_hash
 from repro.utils.mathutil import softmax
@@ -129,47 +130,6 @@ class _TextNode:
         return tuple(tokens)
 
 
-class TextCursor:
-    """O(1) handle onto one prefix of a :class:`TextSession` trie.
-
-    Mirrors :class:`repro.models.simulated.SessionCursor` (``advance`` /
-    ``extend`` / ``rollback`` / ``len`` / iteration), so decoders written
-    against cursors get the native fast path on text sessions too.
-    """
-
-    __slots__ = ("session", "node")
-
-    def __init__(self, session: "TextSession", node: _TextNode) -> None:
-        self.session = session
-        self.node = node
-
-    def advance(self, token: int) -> "TextCursor":
-        return TextCursor(self.session, self.session._child(self.node, token))
-
-    def extend(self, tokens: Sequence[int]) -> "TextCursor":
-        node = self.node
-        child = self.session._child
-        for token in tokens:
-            node = child(node, token)
-        return TextCursor(self.session, node)
-
-    def rollback(self) -> None:
-        self.session.rollback(self.node.depth)
-
-    @property
-    def tokens(self) -> Prefix:
-        return self.node.prefix()
-
-    def __len__(self) -> int:
-        return self.node.depth
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.tokens)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TextCursor(depth={self.node.depth})"
-
-
 class TextSession:
     """Decode session over one text prompt (latency-accounted)."""
 
@@ -196,9 +156,9 @@ class TextSession:
         return len(self._prompt_ids)
 
     # -- prefix trie -----------------------------------------------------------
-    def cursor(self, prefix: Sequence[int] = ()) -> TextCursor:
+    def cursor(self, prefix: Sequence[int] = ()) -> SessionCursor:
         """A cursor at ``prefix`` (walks the trie once; root is free)."""
-        return TextCursor(self, self._resolve(prefix))
+        return SessionCursor(self, self._resolve(prefix))
 
     def _child(self, node: _TextNode, token: int) -> _TextNode:
         child = node.children.get(token)
@@ -213,7 +173,7 @@ class TextSession:
         return child
 
     def _resolve(self, prefix) -> _TextNode:
-        if isinstance(prefix, TextCursor):
+        if isinstance(prefix, SessionCursor):
             if prefix.session is self:
                 return prefix.node
             prefix = prefix.tokens  # foreign cursor: fall back to its tokens
@@ -246,7 +206,6 @@ class TextSession:
                 top_prob=1.0,
                 topk=((vocab.eos_id, 1.0),),
                 position=position,
-                perturb_level=0,
             )
 
         regular = vocab.regular_ids()
@@ -287,7 +246,6 @@ class TextSession:
             top_prob=topk[0][1],
             topk=topk,
             position=position,
-            perturb_level=0,
         )
 
     # -- forward passes (latency-accounted) --------------------------------------
@@ -322,8 +280,9 @@ class TextSession:
         self.clock.record(self.model.name, "verify", billed, cached, ms)
         return [self._node_step(node) for node in nodes]
 
-    def rollback(self, kept_prefix_len: int) -> None:
-        """Text sessions do not track KV explicitly; rollback is a no-op."""
+    def rollback(self, kept_prefix_len: int, keep: SessionCursor | None = None) -> None:
+        """A no-op: text sessions keep no divergence state to prune, and
+        billing reads only ``prompt + depth``."""
 
     def is_eos(self, token: int) -> bool:
         return token == self.model.vocab.eos_id

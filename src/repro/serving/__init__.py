@@ -23,14 +23,6 @@ pressure (resume pays a simulated re-prefill), and shares committed prefix
 blocks copy-on-write across requests decoding the same utterance.
 """
 
-# memory is a stdlib-only leaf; importing it first keeps these names
-# resolvable even while the heavier simulator imports below initialise.
-from repro.serving.memory import (
-    DEFAULT_BLOCK_SIZE,
-    ClusterKVMemory,
-    KVCacheTracker,
-    MemorySpec,
-)
 from repro.serving.arrivals import (
     Arrival,
     chunk_schedule,
@@ -60,6 +52,7 @@ from repro.serving.faults import (
     format_fault_plan,
     parse_fault_spec,
 )
+from repro.serving.memory import DEFAULT_BLOCK_SIZE, ClusterKVMemory, MemorySpec
 from repro.serving.queue import AdmissionQueue
 from repro.serving.report import ServeReport, StreamingSummary
 from repro.serving.request import (
@@ -124,7 +117,6 @@ __all__ = [
     "DeviceSpec",
     "DeviceStall",
     "FaultPlan",
-    "KVCacheTracker",
     "MODEL_SWITCH_COST",
     "MemorySpec",
     "PRIORITY_BATCH",

@@ -88,69 +88,6 @@ class MemorySpec:
         return -(-tokens // self.block_size)
 
 
-@dataclass
-class KVCacheTracker:
-    """Per-session cache length plus lifetime append/rollback counters.
-
-    The attention term of the latency model reads the cache through
-    :meth:`context_length`; benches read the churn counters.
-    """
-
-    length: int = 0
-    peak: int = 0
-    prompt_length: int = 0
-    appended_total: int = 0
-    rolled_back_total: int = 0
-    rollback_events: int = 0
-
-    def prefill(self, prompt_tokens: int) -> None:
-        """Cache the prompt (audio embeddings + text prompt positions)."""
-        if prompt_tokens < 0:
-            raise ValueError(f"cannot prefill negative count {prompt_tokens}")
-        self.prompt_length += prompt_tokens
-        self.append(prompt_tokens)
-
-    def append(self, count: int) -> None:
-        """Cache ``count`` new positions."""
-        if count < 0:
-            raise ValueError(f"cannot append negative count {count}")
-        self.length += count
-        self.appended_total += count
-        if self.length > self.peak:
-            self.peak = self.length
-
-    def context_length(self, suffix_tokens: int) -> int:
-        """Cache length attended over at ``suffix_tokens`` past the prompt.
-
-        This is the ``cached_tokens`` argument of the latency model's
-        attention term: prompt positions plus the decoded prefix depth.
-        """
-        if suffix_tokens < 0:
-            raise ValueError(f"negative suffix length {suffix_tokens}")
-        return self.prompt_length + suffix_tokens
-
-    def rollback_to(self, length: int) -> None:
-        """Discard cached positions beyond ``length`` (rejected tokens)."""
-        if length < 0:
-            raise ValueError(f"cannot rollback to negative length {length}")
-        if length > self.length:
-            raise ValueError(
-                f"rollback target {length} exceeds current length {self.length}"
-            )
-        dropped = self.length - length
-        if dropped:
-            self.rolled_back_total += dropped
-            self.rollback_events += 1
-        self.length = length
-
-    @property
-    def waste_ratio(self) -> float:
-        """Fraction of appended positions that were later rolled back."""
-        if self.appended_total == 0:
-            return 0.0
-        return self.rolled_back_total / self.appended_total
-
-
 class _BlockPool:
     """Physical block accounting for one device."""
 

@@ -75,7 +75,6 @@ class ScriptedSession:
             top_prob=prob,
             topk=((token, prob), (alt, max(1.0 - prob, 0.01))),
             position=len(tuple(prefix)),
-            perturb_level=0,
         )
 
     def step(self, prefix, kind: str = KIND_DECODE) -> StepResult:

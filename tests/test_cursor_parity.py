@@ -134,18 +134,6 @@ def test_rollback_prunes_dead_branches(vocab, clean_dataset):
     assert session.trie_size() <= 2 * len(cursor) + 4
 
 
-def test_rollback_without_cursor_keeps_legacy_behavior(whisper_pair, clean_dataset):
-    _, target = whisper_pair
-    utterance = clean_dataset[2]
-    session = target.session(utterance, SimClock())
-    session.prefill()
-    result = session.step(())
-    session.step((result.token,))
-    kv_before = session.kv.length
-    session.rollback(1)  # plain length-based rollback still works
-    assert session.kv.length == kv_before - 1
-
-
 def test_foreign_cursor_falls_back_to_tokens(whisper_pair, clean_dataset):
     draft, target = whisper_pair
     utterance = clean_dataset[0]
@@ -175,12 +163,12 @@ class TestTextSessionCursor:
     def test_native_cursor_used_by_as_cursor(self, text_model):
         from repro.decoding.base import as_cursor
         from repro.models.latency import SimClock
-        from repro.models.textlm import TextCursor
+        from repro.models.simulated import SessionCursor
 
         model, prompt = text_model
         session = model.session(prompt, SimClock())
         cursor = as_cursor(session)
-        assert isinstance(cursor, TextCursor)
+        assert isinstance(cursor, SessionCursor)
 
     def test_cursor_matches_tuple_prefixes(self, text_model):
         from repro.models.latency import SimClock

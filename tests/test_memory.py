@@ -34,7 +34,6 @@ from repro.serving import (
     ClusterKVMemory,
     ClusterSpec,
     ContinuousBatchScheduler,
-    KVCacheTracker,
     MemorySpec,
     SchedulerConfig,
     ServeSimConfig,
@@ -57,7 +56,7 @@ MODELS = ("draft-m", "target-m")
 
 
 # ---------------------------------------------------------------------------
-# MemorySpec / KVCacheTracker basics
+# MemorySpec basics
 # ---------------------------------------------------------------------------
 
 
@@ -83,46 +82,6 @@ class TestMemorySpec:
             MemorySpec(block_size=0)
         with pytest.raises(ValueError):
             MemorySpec(reprefill_ms_per_block=-1.0)
-
-
-class TestKVCacheTracker:
-    def test_prefill_and_context(self):
-        kv = KVCacheTracker()
-        kv.prefill(10)
-        assert kv.prompt_length == 10
-        assert kv.length == 10
-        assert kv.context_length(0) == 10
-        assert kv.context_length(5) == 15
-
-    def test_rollback_frees(self):
-        kv = KVCacheTracker()
-        kv.prefill(4)
-        kv.append(8)
-        kv.rollback_to(6)
-        assert kv.length == 6
-        assert kv.peak == 12
-        assert kv.rolled_back_total == 6
-        assert kv.rollback_events == 1
-        assert kv.waste_ratio == pytest.approx(6 / 12)
-
-    def test_no_unbounded_history(self):
-        kv = KVCacheTracker()
-        assert not hasattr(kv, "_history")
-
-    def test_rollback_validation(self):
-        kv = KVCacheTracker()
-        kv.append(3)
-        with pytest.raises(ValueError):
-            kv.rollback_to(5)
-        with pytest.raises(ValueError):
-            kv.rollback_to(-1)
-
-    def test_negative_append_rejected(self):
-        with pytest.raises(ValueError):
-            KVCacheTracker().append(-1)
-
-    def test_waste_ratio_empty(self):
-        assert KVCacheTracker().waste_ratio == 0.0
 
 
 # ---------------------------------------------------------------------------

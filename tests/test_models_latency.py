@@ -1,4 +1,4 @@
-"""Tests for repro.models.latency and the KV-cache tracker."""
+"""Tests for repro.models.latency."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.models.latency import (
     prefill_ms,
     summarize_events,
 )
-from repro.serving import KVCacheTracker
 
 PROFILE = LatencyProfile(
     "m", base_ms=10.0, per_token_ms=0.5, kv_us_per_token=2.0, prefill_per_token_ms=0.1
@@ -79,26 +78,3 @@ class TestSimClock:
             LatencyEvent("a", "draft", 1, 0, 2.0),
         ]
         assert summarize_events(events) == {"a/draft": 3.0}
-
-
-class TestKVCache:
-    def test_append_and_peak(self):
-        kv = KVCacheTracker()
-        kv.append(10)
-        kv.append(5)
-        assert kv.length == 15
-        assert kv.peak == 15
-
-    def test_rollback(self):
-        kv = KVCacheTracker()
-        kv.append(10)
-        kv.rollback_to(4)
-        assert kv.length == 4
-        assert kv.rolled_back_total == 6
-        assert kv.rollback_events == 1
-
-    def test_waste_ratio(self):
-        kv = KVCacheTracker()
-        kv.append(10)
-        kv.rollback_to(5)
-        assert kv.waste_ratio == pytest.approx(0.5)

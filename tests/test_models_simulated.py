@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.models.latency import SimClock
+from repro.models.acoustic import BASE_BLOCK_SIZE
+from repro.models.latency import KIND_DRAFT, KIND_VERIFY, SimClock
+from repro.models.registry import model_pair
 from repro.models.simulated import (
     EMBEDDINGS_PER_SECOND,
     TEXT_PROMPT_TOKENS,
     DecodeSession,
 )
+from repro.utils.hashing import stable_hash
 
 
 class TestSessionLifecycle:
@@ -35,7 +38,7 @@ class TestSessionLifecycle:
         assert session.prompt_tokens == expected_prompt
         assert clock.count_for_kind("prefill") == 1
         assert clock.count_for_kind("encode") == 1
-        assert session.kv.length == expected_prompt
+        assert clock.tokens_for_kind("prefill") == expected_prompt
 
 
 class TestStepping:
@@ -104,15 +107,65 @@ class TestStepping:
         assert len(results) == 3
         assert clock.tokens_for_kind("verify") == 2
 
-    def test_rollback_shrinks_kv(self, whisper_pair, utterance):
+    def test_passes_bill_prompt_plus_depth(self, whisper_pair, utterance):
+        """Every pass attends over ``prompt + depth`` cached positions: the
+        deepest prefix for a draft frontier, the shallowest for a verify."""
         _, target = whisper_pair
+        clock = SimClock()
+        session = target.session(utterance, clock)
+        session.prefill()
+        prompt = session.prompt_tokens
+        greedy = tuple(target.greedy_transcript(utterance))
+
+        def billed_context() -> int:
+            return clock.events[-1].cached_tokens
+
+        for depth in range(4):
+            session.step(greedy[:depth])
+            assert billed_context() == prompt + depth
+        session.step_frontier([greedy[:1], greedy[:3], greedy[:2]])
+        assert billed_context() == prompt + 3
+        session.verify_eval([greedy[:2], greedy[:4], greedy[:3]])
+        assert billed_context() == prompt + 2
+        frontier = [greedy[:3], greedy[:1]]
+        target.score_batch([(session, frontier)], kind=KIND_VERIFY)
+        assert billed_context() == prompt + 1
+        target.score_batch([(session, frontier)], kind=KIND_DRAFT)
+        assert billed_context() == prompt + 3
+        # Rollback only prunes the trie; billing is unchanged after it.
+        session.cursor(greedy[:1]).rollback()
+        session.step(greedy[:2])
+        assert billed_context() == prompt + 2
+
+    @pytest.mark.parametrize("block_size", [1, BASE_BLOCK_SIZE])
+    def test_steps_are_the_oracle_cache_entries(
+        self, vocab, clean_dataset, block_size
+    ):
+        """The oracle's step cache is the only memo: sessions hand out the
+        cached object itself, on and off the model's own greedy path."""
+        _, target = model_pair("whisper", vocab, oracle_block_size=block_size)
+        utterance = clean_dataset[2]
+        oracle = target.oracle(utterance)
         session = target.session(utterance, SimClock())
         session.prefill()
-        session.step(())
-        session.step((1,))
-        before = session.kv.length
-        session.rollback(0)
-        assert session.kv.length < before
+
+        def cache_entry(prefix):
+            state = session.perturb_state(prefix)
+            context = stable_hash("ctx", prefix[-3:]) if state else 0
+            return oracle._cache[(len(prefix), state, context)]
+
+        greedy = oracle.greedy_stream()
+        on_path = tuple(greedy[:3])
+        off_path = on_path[:-1] + (session.peek(on_path[:-1]).topk[1][0],)
+        assert session.perturb_state(on_path) == 0
+        assert session.perturb_state(off_path) > 0
+        for prefix in (on_path, off_path):
+            assert session.peek(prefix) is cache_entry(prefix)
+        # Batched resolution (one step_many pass) hands out the entries too.
+        deeper = [on_path + (greedy[3],), off_path + (session.peek(off_path).token,)]
+        assert session.perturb_state(deeper[1]) > 0
+        for prefix, step in zip(deeper, session.verify_eval(deeper), strict=True):
+            assert step is cache_entry(prefix)
 
 
 class TestAudioAnchoring:
@@ -122,9 +175,8 @@ class TestAudioAnchoring:
         session = target.session(utterance, SimClock())
         prefix: list[int] = []
         for _ in range(utterance.num_tokens):
-            result = session.peek(prefix)
-            assert result.perturb_level == 0
-            prefix.append(result.token)
+            assert session.perturb_state(prefix) == 0
+            prefix.append(session.peek(prefix).token)
 
     def test_divergence_perturbs_then_reanchors(
         self, whisper_pair, clean_dataset, vocab

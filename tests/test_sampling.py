@@ -28,7 +28,6 @@ def make_step(pairs):
         top_prob=pairs[0][1],
         topk=tuple(pairs),
         position=0,
-        perturb_level=0,
     )
 
 
