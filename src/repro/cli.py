@@ -485,12 +485,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         raise SystemExit(f"specasr serve-sim: error: {error}") from None
     trace = load_trace(args.trace) if args.trace else None
     decoder = build_decoder(config)
-    if args.router != "colocated" and not hasattr(decoder, "begin"):
-        raise SystemExit(
-            f"specasr serve-sim: error: method {args.method!r} has no "
-            f"phase-split stepper; --router {args.router} needs one "
-            "(use --router colocated)"
-        )
     report = simulate(config, trace=trace, decoder=decoder)
     if not args.no_max_qps and trace is None:
         max_qps, _ = max_sustainable_qps(

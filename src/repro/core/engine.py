@@ -9,11 +9,12 @@ Composes the three techniques according to the configuration:
 * ``SpecASRConfig(sparse_tree=True)``           → full SpecASR with two-pass
   sparse-tree prediction ("+TSP" row, best for large targets).
 
-Every round drafts (adaptively, possibly reusing the previous round's
-unaccepted suffix), verifies in one masked target pass, commits the accepted
-tokens plus the target's correction, and retains the new unaccepted suffix
-for the next round.  The engine is lossless: its transcript always equals
-the target model's greedy decode.
+The round loop itself is the shared
+:func:`~repro.decoding.speculative.draft_verify_phases`.  The engine supplies
+its two halves: the draft half drafts adaptively, possibly reusing the
+previous round's unaccepted suffix; the verify half runs one masked target
+pass and retains the new unaccepted suffix for the next round.  The engine
+is lossless: its transcript always equals the target model's greedy decode.
 """
 
 from __future__ import annotations
@@ -30,18 +31,12 @@ from repro.core.recycling import (
 )
 from repro.core.sparse_tree import assemble_tree, build_sparse_tree_round
 from repro.decoding.base import (
-    PHASE_DRAFT,
-    PHASE_VERIFY,
     DecodeResult,
-    DecodeTrace,
     ModelLike,
-    PhaseGenerator,
     PhasedDecodeStepper,
     RoundStats,
-    as_cursor,
-    strip_eos,
 )
-from repro.decoding.speculative import commit
+from repro.decoding.speculative import draft_verify_phases
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
 from repro.decoding.verifier import TreeVerifyOutcome, verify_tree
 from repro.models.latency import SimClock
@@ -80,9 +75,17 @@ class SpecASREngine:
         even if EOS was not reached.
         """
         clock = SimClock()
-        return PhasedDecodeStepper(
-            self._decode_phases(unit, clock, start_prefix, max_positions), clock
+        rounds = _EngineRounds(self)
+        phases = draft_verify_phases(
+            self,
+            unit,
+            clock,
+            rounds.draft,
+            rounds.verify,
+            start_prefix,
+            max_positions,
         )
+        return PhasedDecodeStepper(phases, clock)
 
     def decode(
         self,
@@ -92,113 +95,44 @@ class SpecASREngine:
     ) -> DecodeResult:
         return self.begin(unit, start_prefix, max_positions).drain()
 
-    def _decode_phases(
-        self,
-        unit,
-        clock: SimClock,
-        start_prefix: tuple[int, ...] = (),
-        max_positions: int | None = None,
-    ) -> PhaseGenerator:
-        draft_session = self.draft.session(unit, clock)
-        target_session = self.target.session(unit, clock)
-        draft_session.prefill()
-        eos_id = self.target.vocab.eos_id
-        trace = DecodeTrace()
-        prefix: list[int] = list(start_prefix)
-        # One cursor per session at the committed prefix; both advance in
-        # O(1) per committed token instead of re-hashing the whole prefix.
-        draft_cursor = as_cursor(draft_session, tuple(start_prefix))
-        target_cursor = as_cursor(target_session, tuple(start_prefix))
-        suffix: RecycledSuffix | None = None
-        limit = target_session.max_decode_positions()
-        if max_positions is not None:
-            if max_positions < len(prefix):
-                raise ValueError(
-                    f"max_positions ({max_positions}) is shorter than the "
-                    f"start prefix ({len(prefix)} tokens)"
-                )
-            limit = min(limit, max_positions)
-        controller = (
+
+class _EngineRounds:
+    """The draft and verify halves of one SpecASR decode, with its
+    per-decode state: the recycled suffix and the adaptive-threshold
+    controller.
+
+    :meth:`SpecASREngine.begin` creates one per decode, so concurrent
+    decodes on one engine never share state.
+    """
+
+    __slots__ = ("config", "eos_id", "suffix", "controller")
+
+    def __init__(self, engine: SpecASREngine) -> None:
+        self.config = engine.config
+        self.eos_id = engine.target.vocab.eos_id
+        self.suffix: RecycledSuffix | None = None
+        self.controller = (
             ThresholdController(
-                ThresholdControllerConfig(initial=self.config.threshold)
+                ThresholdControllerConfig(initial=engine.config.threshold)
             )
-            if self.config.adaptive_threshold
+            if engine.config.adaptive_threshold
             else None
-        )
-        target_prefilled = False
-        done = False
-        while not done and len(prefix) < limit:
-            # Per-round view of the config; differs from `config` only when
-            # the adaptive threshold controller is active.  Kept local so
-            # concurrent decode() calls on one engine never share state.
-            round_config = (
-                replace(self.config, threshold=controller.value)
-                if controller is not None
-                else self.config
-            )
-            tree, info, stats = self._draft_round(
-                draft_session, draft_cursor, suffix, eos_id, round_config
-            )
-            if len(tree) == 0:
-                # Defensive: nothing draftable; end the decode on a final
-                # draft phase.  The target still prefills so the clock
-                # total matches the pre-phase-split implementation.
-                if not target_prefilled:
-                    target_session.prefill()
-                    target_prefilled = True
-                yield PHASE_DRAFT, self.draft.name, (), True, True
-                break
-            yield PHASE_DRAFT, self.draft.name, (), False, False
-            if not target_prefilled:
-                # Target prefill bills to the first verify phase, so a
-                # disaggregating router charges it to the target pool.
-                target_session.prefill()
-                target_prefilled = True
-            outcome = verify_tree(target_session, target_cursor, tree)
-            stats.accepted_tokens = len(outcome.accepted_tokens)
-            emitted = outcome.accepted_tokens + [outcome.correction]
-            stats.emitted_tokens = len(emitted)
-            trace.rounds.append(stats)
-            if controller is not None:
-                controller.observe_round(
-                    truncated=stats.submitted_tokens < self.config.max_draft_len,
-                    submitted=stats.submitted_tokens,
-                    accepted=stats.accepted_tokens,
-                )
-            suffix = self._extract_suffix(tree, info, outcome, eos_id)
-            committed_before = len(prefix)
-            prefix, done = commit(prefix, emitted, eos_id)
-            newly_committed = prefix[committed_before:]
-            draft_cursor = draft_cursor.extend(newly_committed)
-            target_cursor = target_cursor.extend(newly_committed)
-            draft_cursor.rollback()
-            target_cursor.rollback()
-            done = done or len(prefix) >= limit
-            yield PHASE_VERIFY, self.target.name, newly_committed, True, done
-        return DecodeResult(
-            tokens=strip_eos(prefix, eos_id),
-            clock=clock,
-            trace=trace,
-            method=self.name,
         )
 
     # -- drafting ------------------------------------------------------------
-    def _draft_round(
-        self,
-        draft_session,
-        prefix,
-        suffix: RecycledSuffix | None,
-        eos_id: int,
-        config: SpecASRConfig | None = None,
-    ) -> tuple[TokenTree, list[DraftedToken], RoundStats]:
-        stats = RoundStats()
-        if config is None:
-            config = self.config
-        use_suffix = suffix if (config.recycling and suffix) else None
+    def draft(
+        self, draft_session, prefix, stats: RoundStats, eos_id: int
+    ) -> tuple[TokenTree, list[DraftedToken]]:
+        # Per-round view of the config; differs from `self.config` only when
+        # the adaptive threshold controller is active.
+        config = self.config
+        if self.controller is not None:
+            config = replace(config, threshold=self.controller.value)
+        suffix = self.suffix if (config.recycling and self.suffix) else None
 
         if config.sparse_tree:
             drafted = build_sparse_tree_round(
-                draft_session, prefix, use_suffix, config, eos_id
+                draft_session, prefix, suffix, config, eos_id
             )
             tree, info = assemble_tree(
                 drafted.trunk, drafted.alt_branch, drafted.branches
@@ -208,11 +142,11 @@ class SpecASREngine:
             stats.recycled_tokens = drafted.recycled_tokens
             stats.submitted_tokens = len(drafted.trunk)
             stats.tree_nodes = len(tree)
-            return tree, info, stats
+            return tree, info
 
-        if use_suffix is not None:
+        if suffix is not None:
             drafted = draft_with_recycling(
-                draft_session, prefix, use_suffix, config, eos_id, truncate=True
+                draft_session, prefix, suffix, config, eos_id, truncate=True
             )
             tree, info = assemble_tree(drafted.main, drafted.alt)
             stats.draft_steps = drafted.draft_steps
@@ -220,7 +154,7 @@ class SpecASREngine:
             stats.recycled_tokens = drafted.recycled_tokens
             stats.submitted_tokens = len(drafted.main)
             stats.tree_nodes = len(tree)
-            return tree, info, stats
+            return tree, info
 
         plain = draft_adaptive(draft_session, prefix, config, eos_id, truncate=True)
         items = [
@@ -232,15 +166,32 @@ class SpecASREngine:
         stats.drafted_tokens = len(items)
         stats.submitted_tokens = len(items)
         stats.tree_nodes = len(tree)
-        return tree, info, stats
+        return tree, info
 
-    # -- suffix retention ------------------------------------------------------
+    # -- verification ----------------------------------------------------------
+    def verify(
+        self,
+        target_session,
+        target_cursor,
+        drafted: tuple[TokenTree, list[DraftedToken]],
+        stats: RoundStats,
+    ) -> list[int]:
+        tree, info = drafted
+        outcome = verify_tree(target_session, target_cursor, tree)
+        if self.controller is not None:
+            self.controller.observe_round(
+                truncated=stats.submitted_tokens < self.config.max_draft_len,
+                submitted=stats.submitted_tokens,
+                accepted=len(outcome.accepted_tokens),
+            )
+        self.suffix = self._extract_suffix(tree, info, outcome)
+        return [*outcome.accepted_tokens, outcome.correction]
+
     def _extract_suffix(
         self,
         tree: TokenTree,
         info: list[DraftedToken],
         outcome: TreeVerifyOutcome,
-        eos_id: int,
     ) -> RecycledSuffix | None:
         """Retain the unaccepted remainder of the verified main path.
 
@@ -267,5 +218,7 @@ class SpecASREngine:
         if not remainder:
             return None
         items = [info[node] for node in remainder]
-        retained = RecycledSuffix.from_items(items, eos_id, self.config.max_draft_len)
+        retained = RecycledSuffix.from_items(
+            items, self.eos_id, self.config.max_draft_len
+        )
         return retained if retained else None

@@ -47,8 +47,9 @@ class AutoregressiveDecoder:
             if done:
                 break
             cursor = cursor.advance(result.token)
-        eos_id = self.target.vocab.eos_id if hasattr(self.target, "vocab") else None
-        final = strip_eos(tokens, eos_id) if eos_id is not None else tokens
         return DecodeResult(
-            tokens=final, clock=clock, trace=DecodeTrace(), method=self.name
+            tokens=strip_eos(tokens, self.target.vocab.eos_id),
+            clock=clock,
+            trace=DecodeTrace(),
+            method=self.name,
         )

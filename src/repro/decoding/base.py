@@ -10,27 +10,27 @@ The :class:`DecodeTrace` counters are exactly the quantities the paper's
 figures report: rounds, draft steps, predicted/accepted tokens per round,
 recycled tokens, tree nodes verified.
 
-Decoders may additionally be *step-resumable*: ``begin(unit)`` returns a
-:class:`DecodeStepper` that performs one speculative round per ``step()``
-call, so a serving scheduler can multiplex many in-flight decodes and admit
-new requests between rounds (continuous batching).  ``decode()`` is then
-just ``begin(unit).drain()``, so both entry points share one code path and
-produce bit-identical results.
+Every decoder is *step-resumable*: ``begin(unit)`` returns a
+:class:`DecodeStepper`, so a serving scheduler can multiplex many in-flight
+decodes and admit new requests between rounds (continuous batching).
+``decode()`` is just ``begin(unit).drain()``, so both entry points share one
+code path and produce bit-identical results.
 
-Rounds further split into *phases*: a draft→verify round is one
-``PHASE_DRAFT`` phase (billed to the draft model) followed by one
-``PHASE_VERIFY`` phase (billed to the target model).  ``step_phase()``
-returns a :class:`PhaseOutcome` per phase, which is what lets a multi-device
-scheduler place the two halves of a round on *different* simulated
-accelerators (draft/target disaggregation) and coalesce verification passes
-across requests.  The atomic ``step()`` is a thin wrapper that drains the
-phases of one round, so round-level callers are unchanged.
+Rounds split into *phases*: a draft→verify round is one ``PHASE_DRAFT``
+phase (billed to the draft model) followed by one ``PHASE_VERIFY`` phase
+(billed to the target model); the round loop every speculative decoder
+shares is :func:`repro.decoding.speculative.draft_verify_phases`.
+``step_phase()`` returns a :class:`PhaseOutcome` per phase, which is what
+lets a multi-device scheduler place the two halves of a round on
+*different* simulated accelerators (draft/target disaggregation) and
+coalesce verification passes across requests.  The atomic ``step()`` drains
+the phases of one round, so round-level callers are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Protocol, Sequence
+from typing import Any, Generator, Protocol, Sequence
 
 from repro.models.latency import KIND_ENCODE, SimClock
 
@@ -171,10 +171,6 @@ def _phase_kv_peak(events) -> int:
     return peak
 
 
-#: A round generator yields ``(newly_committed_tokens, done)`` once per
-#: speculative round and returns the final :class:`DecodeResult`.
-RoundGenerator = Generator[tuple[Sequence[int], bool], None, DecodeResult]
-
 #: A phase generator yields ``(phase, model, tokens, round_done, done)``
 #: once per phase and returns the final :class:`DecodeResult`.  The stepper
 #: adds the SimClock delta, turning each yield into a :class:`PhaseOutcome`.
@@ -184,22 +180,15 @@ PhaseGenerator = Generator[
 
 
 class DecodeStepper:
-    """Step-resumable decode: one speculative round per :meth:`step` call.
+    """Step-resumable decode: one phase per :meth:`step_phase` call.
 
-    Wraps a round generator and the :class:`SimClock` its sessions bill to.
-    Each ``step()`` resumes the generator for one round and reports the
-    committed tokens plus the clock delta.  After the final round the
-    generator is drained so :attr:`result` is immediately available.
+    ``step()`` runs one whole draft→verify round and ``drain()`` runs the
+    decode to completion, both composed from :meth:`step_phase`, so every
+    granularity a caller picks produces the same result.
     """
 
-    def __init__(self, rounds, clock: SimClock) -> None:
-        self._rounds = rounds
-        self.clock = clock
+    def __init__(self) -> None:
         self._result: DecodeResult | None = None
-        #: Committed transcript positions so far (grows with every phase's
-        #: ``new_tokens``; includes a trailing EOS until the result strips
-        #: it).  A streaming scheduler gates decode progress on this.
-        self.positions = 0
 
     @property
     def done(self) -> bool:
@@ -211,105 +200,9 @@ class DecodeStepper:
             raise RuntimeError("decode not finished; call step() until done")
         return self._result
 
-    def _finish(self, stop: StopIteration) -> None:
-        if not isinstance(stop.value, DecodeResult):
-            raise RuntimeError(
-                "round generator finished without a DecodeResult"
-            ) from None
-        self._result = stop.value
-
-    def step(self) -> StepOutcome:
-        """Run one speculative round; raises if the decode already finished."""
-        if self._result is not None:
-            raise RuntimeError("decode already finished")
-        events_before = len(self.clock.events)
-        try:
-            tokens, done = next(self._rounds)
-        except StopIteration as stop:
-            # Degenerate decode (no rounds at all, e.g. a zero-length limit):
-            # the generator went straight to its return statement.
-            self._finish(stop)
-            tokens, done = (), True
-        else:
-            if done:
-                try:
-                    next(self._rounds)
-                except StopIteration as stop:
-                    self._finish(stop)
-                else:
-                    raise RuntimeError("round generator yielded past done=True")
-        ms = sum(event.ms for event in self.clock.events[events_before:])
-        self.positions += len(tokens)
-        return StepOutcome(tuple(tokens), ms, done)
-
-    def step_phase(self) -> PhaseOutcome:
-        """Run one phase.
-
-        Round-generator steppers have no finer granularity than a round, so
-        the whole round is reported as a single verify phase (it runs on one
-        device regardless of routing policy).  Phase-split decoders override
-        this with true draft/verify stepping (:class:`PhasedDecodeStepper`).
-        """
-        events_before = len(self.clock.events)
-        outcome = self.step()
-        return PhaseOutcome(
-            phase=PHASE_VERIFY,
-            model="",
-            ms=outcome.ms,
-            new_tokens=outcome.new_tokens,
-            round_done=True,
-            done=outcome.done,
-            kv_peak=_phase_kv_peak(self.clock.events[events_before:]),
-        )
-
-    def drain(self) -> DecodeResult:
-        """Run all remaining rounds and return the final result."""
-        while self._result is None:
-            self.step()
-        return self._result
-
-
-class PhasedDecodeStepper(DecodeStepper):
-    """Phase-resumable decode: one draft or verify phase per
-    :meth:`step_phase` call.
-
-    Wraps a :data:`PhaseGenerator`.  The atomic :meth:`step` drains the
-    phases of one round and sums their costs, so it is bit-identical to the
-    round-level stepper it replaces — ``decode()``, ``drain()`` and every
-    round-granular caller are unchanged.
-    """
-
     def step_phase(self) -> PhaseOutcome:
         """Run one phase; raises if the decode already finished."""
-        if self._result is not None:
-            raise RuntimeError("decode already finished")
-        events_before = len(self.clock.events)
-        try:
-            phase, model, tokens, round_done, done = next(self._rounds)
-        except StopIteration as stop:
-            # Degenerate decode (no phases at all): the generator went
-            # straight to its return statement.
-            self._finish(stop)
-            phase, model, tokens, round_done, done = PHASE_VERIFY, "", (), True, True
-        else:
-            if done:
-                try:
-                    next(self._rounds)
-                except StopIteration as stop:
-                    self._finish(stop)
-                else:
-                    raise RuntimeError("phase generator yielded past done=True")
-        events = self.clock.events[events_before:]
-        self.positions += len(tokens)
-        return PhaseOutcome(
-            phase=phase,
-            model=model,
-            ms=sum(event.ms for event in events),
-            new_tokens=tuple(tokens),
-            round_done=round_done or done,
-            done=done,
-            kv_peak=_phase_kv_peak(events),
-        )
+        raise NotImplementedError
 
     def step(self) -> StepOutcome:
         """One atomic draft→verify round, composed from its phases."""
@@ -322,27 +215,69 @@ class PhasedDecodeStepper(DecodeStepper):
             if outcome.round_done:
                 return StepOutcome(tuple(tokens), ms, outcome.done)
 
+    def drain(self) -> DecodeResult:
+        """Run all remaining phases and return the final result."""
+        while self._result is None:
+            self.step_phase()
+        return self._result
 
-def _whole_decode_rounds(decoder, unit, clock: SimClock):
-    """Fallback round generator: the entire decode as a single step."""
-    result = decoder.decode(unit)
-    clock.merge(result.clock)
-    yield tuple(result.tokens), True
-    return result
+
+class PhasedDecodeStepper(DecodeStepper):
+    """Drives a :data:`PhaseGenerator` and the :class:`SimClock` its
+    sessions bill to.
+
+    Each :meth:`step_phase` resumes the generator for one phase and reports
+    the committed tokens plus the clock delta.  After the final phase the
+    generator is drained so :attr:`result` is immediately available.
+    """
+
+    def __init__(self, phases: PhaseGenerator, clock: SimClock) -> None:
+        super().__init__()
+        self._phases = phases
+        self.clock = clock
+
+    def _finish(self, stop: StopIteration) -> None:
+        if not isinstance(stop.value, DecodeResult):
+            raise RuntimeError(
+                "phase generator finished without a DecodeResult"
+            ) from None
+        self._result = stop.value
+
+    def step_phase(self) -> PhaseOutcome:
+        """Run one phase; raises if the decode already finished."""
+        if self._result is not None:
+            raise RuntimeError("decode already finished")
+        events_before = len(self.clock.events)
+        try:
+            phase, model, tokens, round_done, done = next(self._phases)
+        except StopIteration as stop:
+            # Degenerate decode (no phases at all): the generator went
+            # straight to its return statement.
+            self._finish(stop)
+            phase, model, tokens, round_done, done = PHASE_VERIFY, "", (), True, True
+        else:
+            if done:
+                try:
+                    next(self._phases)
+                except StopIteration as stop:
+                    self._finish(stop)
+                else:
+                    raise RuntimeError("phase generator yielded past done=True")
+        events = self.clock.events[events_before:]
+        return PhaseOutcome(
+            phase=phase,
+            model=model,
+            ms=sum(event.ms for event in events),
+            new_tokens=tuple(tokens),
+            round_done=round_done or done,
+            done=done,
+            kv_peak=_phase_kv_peak(events),
+        )
 
 
 def begin_decode(decoder, unit) -> DecodeStepper:
-    """A :class:`DecodeStepper` for ``decoder`` on ``unit``.
-
-    Decoders exposing a native ``begin()`` get true per-round stepping;
-    anything else falls back to a single-step wrapper around ``decode()``
-    (correct, but a scheduler cannot interleave inside it).
-    """
-    make = getattr(decoder, "begin", None)
-    if make is not None:
-        return make(unit)
-    clock = SimClock()
-    return DecodeStepper(_whole_decode_rounds(decoder, unit, clock), clock)
+    """A :class:`DecodeStepper` for ``decoder`` on ``unit``."""
+    return decoder.begin(unit)
 
 
 class PrefixCursor:
@@ -429,6 +364,7 @@ class ModelLike(Protocol):
     """Structural interface decoders require from a model."""
 
     name: str
+    vocab: Any  # exposes ``eos_id``
 
     def session(self, unit, clock: SimClock) -> SessionLike: ...
 
@@ -437,6 +373,8 @@ class Decoder(Protocol):
     """A decoding strategy."""
 
     name: str
+
+    def begin(self, unit) -> DecodeStepper: ...
 
     def decode(self, unit) -> DecodeResult: ...
 

@@ -17,17 +17,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.decoding.base import (
-    DecodeResult,
-    DecodeTrace,
-    ModelLike,
-    RoundStats,
-    as_cursor,
-    strip_eos,
-)
-from repro.decoding.speculative import commit
+from repro.decoding.base import DecodeResult, ModelLike, PhasedDecodeStepper
+from repro.decoding.speculative import draft_verify_phases, verify_tree_round
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
-from repro.decoding.verifier import verify_tree
 from repro.models.latency import KIND_DRAFT, SimClock
 
 
@@ -74,52 +66,17 @@ class DynamicTreeDecoder:
         self.config = config
         self.name = name or f"dynamic-tree(n={config.node_budget})"
 
-    def decode(self, unit) -> DecodeResult:
+    def begin(self, unit) -> PhasedDecodeStepper:
+        """Step-resumable decode; each step is one draft→verify round, split
+        into a draft phase and a verify phase."""
         clock = SimClock()
-        draft_session = self.draft.session(unit, clock)
-        target_session = self.target.session(unit, clock)
-        draft_session.prefill()
-        target_session.prefill()
-        eos_id = self.target.vocab.eos_id
-        trace = DecodeTrace()
-        prefix: list[int] = []
-        draft_cursor = as_cursor(draft_session)
-        target_cursor = as_cursor(target_session)
-        limit = target_session.max_decode_positions()
-        done = False
-        while not done and len(prefix) < limit:
-            emitted = self._round(
-                draft_cursor,
-                target_cursor,
-                draft_session,
-                target_session,
-                trace,
-                eos_id,
-            )
-            committed_before = len(prefix)
-            prefix, done = commit(prefix, emitted, eos_id)
-            newly_committed = prefix[committed_before:]
-            draft_cursor = draft_cursor.extend(newly_committed)
-            target_cursor = target_cursor.extend(newly_committed)
-            draft_cursor.rollback()
-            target_cursor.rollback()
-        return DecodeResult(
-            tokens=strip_eos(prefix, eos_id),
-            clock=clock,
-            trace=trace,
-            method=self.name,
-        )
+        phases = draft_verify_phases(self, unit, clock, self._draft, verify_tree_round)
+        return PhasedDecodeStepper(phases, clock)
 
-    def _round(
-        self,
-        draft_cursor,
-        target_cursor,
-        draft_session,
-        target_session,
-        trace,
-        eos_id,
-    ) -> list[int]:
-        stats = RoundStats()
+    def decode(self, unit) -> DecodeResult:
+        return self.begin(unit).drain()
+
+    def _draft(self, draft_session, draft_cursor, stats, eos_id) -> TokenTree:
         tree = TokenTree()
         config = self.config
         # Path probability per node; ROOT_PARENT's is 1.
@@ -163,15 +120,9 @@ class DynamicTreeDecoder:
             # Degenerate round (nothing above threshold): draft one token.
             result = draft_session.step(draft_cursor, kind=KIND_DRAFT)
             stats.draft_steps += 1
-            node = tree.add(result.token, ROOT_PARENT, result.top_prob)
-            path_prob[node] = result.top_prob
+            tree.add(result.token, ROOT_PARENT, result.top_prob)
 
         stats.drafted_tokens = len(tree)
         stats.submitted_tokens = tree.max_depth()
         stats.tree_nodes = len(tree)
-        outcome = verify_tree(target_session, target_cursor, tree)
-        stats.accepted_tokens = len(outcome.accepted_tokens)
-        emitted = outcome.accepted_tokens + [outcome.correction]
-        stats.emitted_tokens = len(emitted)
-        trace.rounds.append(stats)
-        return emitted
+        return tree

@@ -1,15 +1,22 @@
-"""Vanilla speculative decoding — the paper's speculative baselines.
+"""Vanilla speculative decoding — the paper's speculative baselines — and
+the draft→verify round loop every speculative decoder shares.
 
 Configurations mirror the paper's baselines: (prediction length, beam size)
 of (8, 1), (16, 1) and (8, 2).  With one beam the draft proposes a single
 linear sequence of fixed length; with two beams the first uncertain position
 spawns a second branch (top-2 token) and both branches are extended in
 batched draft passes, then verified together as a token tree.
+
+:func:`draft_verify_phases` owns the round protocol: draft from the
+committed prefix, verify in one target pass, commit the accepted tokens
+plus the target's correction.  A decoder supplies only its draft half and
+its verify half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.decoding.base import (
     PHASE_DRAFT,
@@ -26,6 +33,14 @@ from repro.decoding.base import (
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
 from repro.decoding.verifier import verify_sequence, verify_tree
 from repro.models.latency import KIND_DRAFT, SimClock
+
+#: Draft half of a round: ``(draft_session, draft_cursor, stats, eos_id)``
+#: → a proposal, with the round's draft counters filled into ``stats``.
+DraftRound = Callable[[Any, Any, RoundStats, int], Any]
+#: Verify half of a round: ``(target_session, target_cursor, proposal,
+#: stats)`` → the accepted draft tokens followed by one target token (the
+#: correction, or the bonus token when every draft was accepted).
+VerifyRound = Callable[[Any, Any, Any, RoundStats], list[int]]
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,80 @@ def commit(
     return prefix, done
 
 
+def draft_verify_phases(
+    decoder,
+    unit,
+    clock: SimClock,
+    draft_round: DraftRound,
+    verify_round: VerifyRound,
+    start_prefix: tuple[int, ...] = (),
+    max_positions: int | None = None,
+) -> PhaseGenerator:
+    """The draft→verify round loop: one draft phase and one verify phase
+    per round, until EOS or the position limit.
+
+    ``decoder`` supplies the ``draft``/``target`` models and the result's
+    method name.  ``start_prefix`` primes the decode with an
+    already-committed transcript prefix; ``max_positions`` caps how many
+    transcript positions the decode may commit.  The target prefill bills to
+    the first verify phase, so a disaggregating router charges it to the
+    target pool.
+    """
+    draft_session = decoder.draft.session(unit, clock)
+    target_session = decoder.target.session(unit, clock)
+    draft_session.prefill()
+    eos_id = decoder.target.vocab.eos_id
+    trace = DecodeTrace()
+    prefix: list[int] = list(start_prefix)
+    # One cursor per session at the committed prefix; both advance in
+    # O(1) per committed token instead of re-hashing the whole prefix.
+    draft_cursor = as_cursor(draft_session, tuple(start_prefix))
+    target_cursor = as_cursor(target_session, tuple(start_prefix))
+    limit = target_session.max_decode_positions()
+    if max_positions is not None:
+        if max_positions < len(prefix):
+            raise ValueError(
+                f"max_positions ({max_positions}) is shorter than the "
+                f"start prefix ({len(prefix)} tokens)"
+            )
+        limit = min(limit, max_positions)
+    done = False
+    while not done and len(prefix) < limit:
+        stats = RoundStats()
+        proposal = draft_round(draft_session, draft_cursor, stats, eos_id)
+        yield PHASE_DRAFT, decoder.draft.name, (), False, False
+        if not trace.rounds:  # the first verify phase
+            target_session.prefill()
+        emitted = verify_round(target_session, target_cursor, proposal, stats)
+        stats.accepted_tokens = len(emitted) - 1
+        stats.emitted_tokens = len(emitted)
+        trace.rounds.append(stats)
+        committed_before = len(prefix)
+        prefix, done = commit(prefix, emitted, eos_id)
+        newly_committed = prefix[committed_before:]
+        draft_cursor = draft_cursor.extend(newly_committed)
+        target_cursor = target_cursor.extend(newly_committed)
+        draft_cursor.rollback()
+        target_cursor.rollback()
+        done = done or len(prefix) >= limit
+        yield PHASE_VERIFY, decoder.target.name, newly_committed, True, done
+    return DecodeResult(
+        tokens=strip_eos(prefix, eos_id),
+        clock=clock,
+        trace=trace,
+        method=decoder.name,
+    )
+
+
+def verify_tree_round(
+    target_session, target_cursor, tree: TokenTree, stats: RoundStats
+) -> list[int]:
+    """Verify half of the token-tree decoders: one masked target pass over
+    ``tree``, committing the accepted path plus the target's correction."""
+    outcome = verify_tree(target_session, target_cursor, tree)
+    return [*outcome.accepted_tokens, outcome.correction]
+
+
 class SpeculativeDecoder:
     """Draft-then-verify decoding with a fixed prediction length."""
 
@@ -79,55 +168,21 @@ class SpeculativeDecoder:
         """Step-resumable decode; each step is one draft→verify round, split
         into a draft phase and a verify phase."""
         clock = SimClock()
-        return PhasedDecodeStepper(self._decode_phases(unit, clock), clock)
+        single = self.config.beams == 1
+        phases = draft_verify_phases(
+            self,
+            unit,
+            clock,
+            self._draft_single if single else self._draft_beams,
+            self._verify_single if single else verify_tree_round,
+        )
+        return PhasedDecodeStepper(phases, clock)
 
     def decode(self, unit) -> DecodeResult:
         return self.begin(unit).drain()
 
-    def _decode_phases(self, unit, clock: SimClock) -> PhaseGenerator:
-        draft_session = self.draft.session(unit, clock)
-        target_session = self.target.session(unit, clock)
-        draft_session.prefill()
-        eos_id = self.target.vocab.eos_id
-        trace = DecodeTrace()
-        prefix: list[int] = []
-        draft_cursor = as_cursor(draft_session)
-        target_cursor = as_cursor(target_session)
-        limit = target_session.max_decode_positions()
-        single = self.config.beams == 1
-        target_prefilled = False
-        done = False
-        while not done and len(prefix) < limit:
-            stats = RoundStats()
-            draft_fn = self._draft_single if single else self._draft_beams
-            drafted = draft_fn(draft_cursor, draft_session, stats, eos_id)
-            yield PHASE_DRAFT, self.draft.name, (), False, False
-            if not target_prefilled:
-                # Target prefill bills to the first verify phase, so a
-                # disaggregating router charges it to the target pool.
-                target_session.prefill()
-                target_prefilled = True
-            verify_fn = self._verify_single if single else self._verify_beams
-            emitted = verify_fn(target_session, target_cursor, drafted, stats)
-            trace.rounds.append(stats)
-            committed_before = len(prefix)
-            prefix, done = commit(prefix, emitted, eos_id)
-            newly_committed = prefix[committed_before:]
-            draft_cursor = draft_cursor.extend(newly_committed)
-            target_cursor = target_cursor.extend(newly_committed)
-            draft_cursor.rollback()
-            target_cursor.rollback()
-            done = done or len(prefix) >= limit
-            yield PHASE_VERIFY, self.target.name, newly_committed, True, done
-        return DecodeResult(
-            tokens=strip_eos(prefix, eos_id),
-            clock=clock,
-            trace=trace,
-            method=self.name,
-        )
-
     # -- single-beam round ------------------------------------------------------
-    def _draft_single(self, draft_cursor, draft_session, stats, eos_id) -> list[int]:
+    def _draft_single(self, draft_session, draft_cursor, stats, eos_id) -> list[int]:
         drafts: list[int] = []
         cursor = draft_cursor
         for _ in range(self.config.draft_len):
@@ -144,13 +199,10 @@ class SpeculativeDecoder:
 
     def _verify_single(self, target_session, target_cursor, drafts, stats) -> list[int]:
         outcome = verify_sequence(target_session, target_cursor, drafts)
-        stats.accepted_tokens = outcome.accepted
-        emitted = drafts[: outcome.accepted] + [outcome.correction]
-        stats.emitted_tokens = len(emitted)
-        return emitted
+        return [*drafts[: outcome.accepted], outcome.correction]
 
     # -- two-beam round ------------------------------------------------------
-    def _draft_beams(self, draft_cursor, draft_session, stats, eos_id) -> TokenTree:
+    def _draft_beams(self, draft_session, draft_cursor, stats, eos_id) -> TokenTree:
         tree = TokenTree()
         first = draft_session.step(draft_cursor, kind=KIND_DRAFT)
         stats.draft_steps += 1
@@ -180,10 +232,3 @@ class SpeculativeDecoder:
         stats.submitted_tokens = tree.max_depth()
         stats.tree_nodes = len(tree)
         return tree
-
-    def _verify_beams(self, target_session, target_cursor, tree, stats) -> list[int]:
-        outcome = verify_tree(target_session, target_cursor, tree)
-        stats.accepted_tokens = len(outcome.accepted_tokens)
-        emitted = outcome.accepted_tokens + [outcome.correction]
-        stats.emitted_tokens = len(emitted)
-        return emitted

@@ -11,17 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.decoding.base import (
-    DecodeResult,
-    DecodeTrace,
-    ModelLike,
-    RoundStats,
-    as_cursor,
-    strip_eos,
-)
-from repro.decoding.speculative import commit
+from repro.decoding.base import DecodeResult, ModelLike, PhasedDecodeStepper
+from repro.decoding.speculative import draft_verify_phases, verify_tree_round
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
-from repro.decoding.verifier import verify_tree
 from repro.models.latency import KIND_DRAFT, SimClock
 
 
@@ -57,56 +49,21 @@ class FixedTreeDecoder:
         self.config = config
         self.name = name or f"fixed-tree(depth={config.depth})"
 
-    def decode(self, unit) -> DecodeResult:
+    def begin(self, unit) -> PhasedDecodeStepper:
+        """Step-resumable decode; each step is one draft→verify round, split
+        into a draft phase and a verify phase."""
         clock = SimClock()
-        draft_session = self.draft.session(unit, clock)
-        target_session = self.target.session(unit, clock)
-        draft_session.prefill()
-        target_session.prefill()
-        eos_id = self.target.vocab.eos_id
-        trace = DecodeTrace()
-        prefix: list[int] = []
-        draft_cursor = as_cursor(draft_session)
-        target_cursor = as_cursor(target_session)
-        limit = target_session.max_decode_positions()
-        done = False
-        while not done and len(prefix) < limit:
-            emitted = self._round(
-                draft_cursor,
-                target_cursor,
-                draft_session,
-                target_session,
-                trace,
-                eos_id,
-            )
-            committed_before = len(prefix)
-            prefix, done = commit(prefix, emitted, eos_id)
-            newly_committed = prefix[committed_before:]
-            draft_cursor = draft_cursor.extend(newly_committed)
-            target_cursor = target_cursor.extend(newly_committed)
-            draft_cursor.rollback()
-            target_cursor.rollback()
-        return DecodeResult(
-            tokens=strip_eos(prefix, eos_id),
-            clock=clock,
-            trace=trace,
-            method=self.name,
-        )
+        phases = draft_verify_phases(self, unit, clock, self._draft, verify_tree_round)
+        return PhasedDecodeStepper(phases, clock)
 
-    def _round(
-        self,
-        draft_cursor,
-        target_cursor,
-        draft_session,
-        target_session,
-        trace,
-        eos_id,
-    ) -> list[int]:
-        stats = RoundStats()
+    def decode(self, unit) -> DecodeResult:
+        return self.begin(unit).drain()
+
+    def _draft(self, draft_session, draft_cursor, stats, eos_id) -> TokenTree:
         tree = TokenTree()
         node_cursors = {ROOT_PARENT: draft_cursor}
         frontier: list[int] = [ROOT_PARENT]
-        for _depth, branch_factor in enumerate(self.config.branching):
+        for branch_factor in self.config.branching:
             live = [
                 node
                 for node in frontier
@@ -132,9 +89,4 @@ class FixedTreeDecoder:
         stats.drafted_tokens = len(tree)
         stats.submitted_tokens = tree.max_depth()
         stats.tree_nodes = len(tree)
-        outcome = verify_tree(target_session, target_cursor, tree)
-        stats.accepted_tokens = len(outcome.accepted_tokens)
-        emitted = outcome.accepted_tokens + [outcome.correction]
-        stats.emitted_tokens = len(emitted)
-        trace.rounds.append(stats)
-        return emitted
+        return tree

@@ -471,18 +471,6 @@ class _ServeLoop:
         id_prefix: str,
     ) -> None:
         decoder, cluster = scheduler.decoder, scheduler.cluster
-        if cluster.router != ROUTER_COLOCATED and not hasattr(decoder, "begin"):
-            # A whole-decode fallback stepper yields one opaque verify blob:
-            # nothing to hand to a draft pool, and merged coalescing would
-            # mis-price distinct decodes as one pass.  Require a phase-split
-            # decoder for disaggregating policies instead of silently idling
-            # half the cluster.
-            name = getattr(decoder, "name", type(decoder).__name__)
-            raise ValueError(
-                f"router {cluster.router!r} needs a phase-split decoder "
-                f"(one exposing begin()), but {name!r} only supports "
-                "whole-decode stepping — use the colocated router"
-            )
         self.decoder = decoder
         self.config = config = scheduler.config
         self.plan = plan = scheduler.faults

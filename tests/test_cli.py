@@ -133,6 +133,23 @@ class TestServeSimValidation:
         out = capsys.readouterr().out
         assert "2 device(s)" in out
 
+    def test_serve_sim_tree_baseline_on_merged_router(self, capsys):
+        argv = [
+            "serve-sim",
+            "--method",
+            "fixed-tree",
+            "--router",
+            "merged",
+            "--devices",
+            "2",
+            "--requests",
+            "8",
+            "--no-max-qps",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "requests  : 8 (completed 8," in out
+
     def test_rejects_malformed_fault_spec(self, capsys):
         with pytest.raises(SystemExit, match="serve-sim: error"):
             main(["serve-sim", "--faults", "explode@100:dev0"])

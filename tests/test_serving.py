@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.decoding.base import StepOutcome, begin_decode
-from repro.decoding.tree_spec import FixedTreeConfig, FixedTreeDecoder
 from repro.harness.methods import build_method
 from repro.metrics.latency_report import PercentileSummary, percentile
 from repro.serving import (
@@ -39,7 +38,15 @@ from repro.serving.request import (
     ServeRequest,
 )
 
-STEPPED_METHODS = ("autoregressive", "spec(8,1)", "spec(8,2)", "specasr-tsp")
+STEPPED_METHODS = (
+    "autoregressive",
+    "spec(8,1)",
+    "spec(8,2)",
+    "fixed-tree",
+    "dynamic-tree",
+    "spec-sampling",
+    "specasr-tsp",
+)
 
 
 def _record(index: int, utterance, arrival_ms: float = 0.0) -> RequestRecord:
@@ -66,17 +73,6 @@ class TestDecodeStepper:
         assert all(not o.done for o in outcomes[:-1])
         # step costs partition the clock total exactly
         assert sum(o.ms for o in outcomes) == pytest.approx(result.total_ms)
-
-    def test_fallback_stepper_for_non_steppable(self, whisper_pair, clean_dataset):
-        draft, target = whisper_pair
-        decoder = FixedTreeDecoder(draft, target, FixedTreeConfig())
-        assert not hasattr(decoder, "begin")
-        utterance = clean_dataset[1]
-        stepper = begin_decode(decoder, utterance)
-        outcome = stepper.step()
-        assert outcome.done  # whole decode in one step
-        assert stepper.result.tokens == decoder.decode(utterance).tokens
-        assert outcome.ms == pytest.approx(stepper.result.total_ms)
 
     def test_step_after_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair

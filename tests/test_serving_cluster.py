@@ -2,8 +2,8 @@
 
 The contract under test, from the multi-device refactor:
 
-* **Phase split** — every steppable decoder exposes draft/verify phases
-  whose costs partition the SimClock exactly; ``drain()`` (phase path) and
+* **Phase split** — every decoder exposes draft/verify phases whose
+  costs partition the SimClock exactly; ``drain()`` (phase path) and
   the legacy ``decode()`` are bit-identical; the atomic ``step()`` is a
   thin wrapper over the phases of one round.
 * **Cluster determinism** — a fixed arrival trace produces bit-identical
@@ -25,7 +25,6 @@ from repro.decoding.base import (
     PhaseOutcome,
     begin_decode,
 )
-from repro.decoding.tree_spec import FixedTreeConfig, FixedTreeDecoder
 from repro.harness.methods import build_method
 from repro.serving import (
     ClusterConfig,
@@ -41,7 +40,15 @@ from repro.serving import (
 )
 from repro.serving.request import STATUS_COMPLETED
 
-PHASED_METHODS = ("autoregressive", "spec(8,1)", "spec(8,2)", "specasr-asp")
+PHASED_METHODS = (
+    "autoregressive",
+    "spec(8,1)",
+    "spec(8,2)",
+    "fixed-tree",
+    "dynamic-tree",
+    "spec-sampling",
+    "specasr-asp",
+)
 
 HETERO = parse_device_specs("2x1.0,2x0.5")
 
@@ -148,16 +155,6 @@ class TestPhaseSplitSteppers:
         assert [(s.new_tokens, s.ms) for s in steps] == pytest.approx(rounds)
         assert by_round.result.tokens == by_phase.result.tokens
         assert by_round.result.total_ms == by_phase.result.total_ms
-
-    def test_fallback_stepper_single_verify_phase(self, whisper_pair, clean_dataset):
-        draft, target = whisper_pair
-        decoder = FixedTreeDecoder(draft, target, FixedTreeConfig())
-        assert not hasattr(decoder, "begin")
-        stepper = begin_decode(decoder, clean_dataset[1])
-        phase = stepper.step_phase()
-        assert phase.done and phase.round_done
-        assert phase.phase == PHASE_VERIFY
-        assert phase.ms == pytest.approx(stepper.result.total_ms)
 
     def test_step_phase_after_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair
@@ -344,26 +341,26 @@ class TestPlacementSemantics:
         # coalesced verify passes can only shrink target-device occupancy
         assert merged.device_busy_ms <= disagg.device_busy_ms + 1e-9
 
-    def test_non_phased_decoder_rejected_on_disaggregating_router(
-        self, whisper_pair, clean_dataset
+    @pytest.mark.parametrize("router", ("disaggregated", "merged"))
+    def test_tree_decoder_serves_on_every_router(
+        self, whisper_pair, clean_dataset, router
     ):
-        draft, target = whisper_pair
-        decoder = FixedTreeDecoder(draft, target, FixedTreeConfig())
-        trace = uniform_trace(2, 1.0, len(clean_dataset), seed=1)
-        for router in ("disaggregated", "merged"):
+        # Every decoder is phase-split, so the draft/target pools take the
+        # fixed-tree baseline too; placement never changes its results.
+        decoder = build_method("fixed-tree", *whisper_pair)
+        trace = uniform_trace(8, 4.0, len(clean_dataset), seed=3)
+        runs = {}
+        for name in ("colocated", router):
             scheduler = ContinuousBatchScheduler(
-                decoder,
-                SchedulerConfig(),
-                ClusterConfig(devices=2, router=router),
+                decoder, SchedulerConfig(), ClusterConfig(devices=2, router=name)
             )
-            with pytest.raises(ValueError, match="phase-split"):
-                scheduler.run(trace, clean_dataset)
-        # the colocated policy still accepts whole-decode fallbacks
-        scheduler = ContinuousBatchScheduler(
-            decoder, SchedulerConfig(), ClusterConfig(devices=2)
-        )
-        records = scheduler.run(trace, clean_dataset)
-        assert all(r.status == STATUS_COMPLETED for r in records)
+            runs[name] = scheduler.run(trace, clean_dataset)
+            assert all(r.status == STATUS_COMPLETED for r in runs[name])
+        reference, records = runs["colocated"], runs[router]
+        assert [r.tokens for r in records] == [r.tokens for r in reference]
+        assert [r.decode_ms for r in records] == [r.decode_ms for r in reference]
+        # the draft device runs the draft phases
+        assert scheduler.last_stats.per_device_busy_ms[0] > 0
 
     def test_balanced_split_records_measured_share(self, whisper_pair, clean_dataset):
         stats = self._stats(
