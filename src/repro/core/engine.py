@@ -113,9 +113,9 @@ class _EngineRounds:
         self.suffix: RecycledSuffix | None = None
         self.controller = (
             ThresholdController(
-                ThresholdControllerConfig(initial=engine.config.threshold)
+                ThresholdControllerConfig(initial=self.config.threshold)
             )
-            if engine.config.adaptive_threshold
+            if self.config.adaptive_threshold
             else None
         )
 
