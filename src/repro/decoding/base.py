@@ -25,6 +25,16 @@ lets a multi-device scheduler place the two halves of a round on
 *different* simulated accelerators (draft/target disaggregation) and
 coalesce verification passes across requests.  The atomic ``step()`` drains
 the phases of one round, so round-level callers are unchanged.
+
+**Decode tapes.**  Decoding is audio-conditioned: for one decoder, every
+phase and the final result are a pure function of the unit's content, never
+of load.  :func:`begin_decode`, the entry point the serving scheduler and
+the pool planner start decodes through, therefore records a decode the
+first time a decoder sees a unit's ``content_key`` (a hash of every
+utterance field a decode reads) and replays that tape on every later call.
+Recording is eager, and every replay hands out the same read-only
+:class:`DecodeResult`.  ``decoder.begin()`` and ``decoder.decode()`` always
+decode afresh, so they stay an independent reference for the replay.
 """
 
 from __future__ import annotations
@@ -275,9 +285,52 @@ class PhasedDecodeStepper(DecodeStepper):
         )
 
 
+class TapeStepper(DecodeStepper):
+    """Replays a recorded decode: its phases in order, then its result."""
+
+    def __init__(self, phases: tuple[PhaseOutcome, ...], result: DecodeResult) -> None:
+        super().__init__()
+        self._phases = iter(phases)
+        self._recorded = result
+
+    def step_phase(self) -> PhaseOutcome:
+        """Replay one phase; raises if the decode already finished."""
+        if self._result is not None:
+            raise RuntimeError("decode already finished")
+        outcome = next(self._phases)
+        if outcome.done:
+            self._result = self._recorded
+        return outcome
+
+
 def begin_decode(decoder, unit) -> DecodeStepper:
-    """A :class:`DecodeStepper` for ``decoder`` on ``unit``."""
-    return decoder.begin(unit)
+    """A :class:`DecodeStepper` for ``decoder`` on ``unit``, from its tape.
+
+    The tape contract: decode content is a pure function of the decoder
+    and the unit's content.  ``unit.content_key`` covers every field a
+    decode reads (for an utterance: ``utterance_id``, which seeds it,
+    ``tokens``, ``difficulty`` and ``duration_s``), and the decoder
+    instance fixes the method, its config and both models.  The first
+    call for a key records the whole decode eagerly — every
+    :class:`PhaseOutcome` plus the :class:`DecodeResult` — into a dict on
+    the decoder; this and every later call return a :class:`TapeStepper`
+    over it.  Phases are frozen, and all replays share one
+    ``DecodeResult``, which callers must treat as read-only.  Units
+    without a ``content_key`` (scripted fakes, text prompts) decode afresh
+    through ``decoder.begin``.
+    """
+    key = getattr(unit, "content_key", None)
+    if key is None:
+        return decoder.begin(unit)
+    tapes = vars(decoder).setdefault("_decode_tapes", {})
+    tape = tapes.get(key)
+    if tape is None:
+        stepper = decoder.begin(unit)
+        phases = []
+        while not stepper.done:
+            phases.append(stepper.step_phase())
+        tape = tapes[key] = (tuple(phases), stepper.result)
+    return TapeStepper(*tape)
 
 
 class PrefixCursor:

@@ -195,8 +195,9 @@ def measure_draft_share(decoder, utterances) -> float:
     Pure simulation: phase costs depend only on (decoder, utterance), so
     the measurement is deterministic and placement-independent — running
     it never perturbs the transcripts or ``decode_ms`` the determinism
-    contract guards (and the decoder's oracle caches make the later
-    serving run of the same utterances cheap).
+    contract guards.  It starts decodes through
+    :func:`~repro.decoding.base.begin_decode`, so the tapes it records are
+    the ones the later serving run of the same utterances replays.
     """
     draft = 0.0
     total = 0.0

@@ -49,8 +49,8 @@ threads injected chaos through the loop:
   the partial occupancy is billed as wasted work and every phase in it
   rolls back to the waiting state.  The phase object is pure data and the
   stepper only advances on *commit*, so a re-dispatched phase resumes the
-  decode from its last committed trie cursor: transcripts stay
-  bit-identical to the fault-free run whenever the request completes.
+  decode where it stopped: transcripts stay bit-identical to the
+  fault-free run whenever the request completes.
 * Failed phases (crash aborts and transient phase errors) **retry with
   exponential backoff**, bounded by ``max_retries``; exhaustion sheds the
   request (reason ``"retries"``).
@@ -95,7 +95,11 @@ function of the trace, the decoders, the cluster shape and the fault plan —
 no wall clock, no RNG.  Transcripts and per-request ``decode_ms`` are
 additionally *scheduler-independent* (they depend only on the method and
 the utterance), which the determinism suite asserts across batch sizes,
-device counts, router policies and fault plans.
+device counts, router policies and fault plans.  Sessions start through
+:func:`~repro.decoding.base.begin_decode`, which records the whole decode
+before the scheduler sees its first phase, so no scheduling decision can
+reach a transcript; the suite compares served transcripts against an
+independent ``decoder.decode()``.
 
 Run-to-completion FIFO serving — the baseline continuous batching is usually
 compared against — is the ``max_batch=1, max_inflight=1`` corner of the same

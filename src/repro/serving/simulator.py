@@ -131,7 +131,7 @@ class ServeSimConfig:
 
 
 def build_decoder(config: ServeSimConfig, oracle_block_size: int | None = None):
-    """The decoder a simulation serves with (fresh models, warm-able caches).
+    """The decoder a simulation serves with (fresh models, empty decode tapes).
 
     ``oracle_block_size`` overrides the models' scoring granularity: ``1``
     pins the scalar per-position reference path, ``None`` keeps the default
@@ -153,8 +153,10 @@ def simulate(
     """Run one serve simulation.
 
     ``trace`` overrides the synthetic arrival process (trace-driven replay);
-    ``decoder`` lets callers reuse one decoder — and its oracle caches —
-    across many simulations (load searches, sweeps).
+    ``decoder`` lets callers reuse one decoder across many simulations (load
+    searches, sweeps): each utterance is then decoded once, on its first
+    request, and replayed from the decoder's decode tape at every load
+    (:func:`~repro.decoding.base.begin_decode`).
     """
     dataset = load_split(config.split, config.experiment_config())
     if trace is None:
@@ -231,7 +233,9 @@ def max_sustainable_qps(
     times.  Returns ``(max_qps, evaluated_reports)``; ``max_qps`` is 0.0 when
     even the lightest probed load misses the SLO.  Deterministic: the probe
     sequence is a pure function of the arguments.  Pass ``decoder`` to reuse
-    an already-built decoder (and its warm oracle caches) across the probes.
+    an already-built decoder across the probes; every probe shares one
+    decoder either way, so each utterance is decoded once for the whole
+    search and replayed from its decode tape at every other probe.
     """
     if start_qps <= 0:
         raise ValueError("start_qps must be positive")

@@ -6,6 +6,8 @@ The contract under test, from the multi-device refactor:
   costs partition the SimClock exactly; ``drain()`` (phase path) and
   the legacy ``decode()`` are bit-identical; the atomic ``step()`` is a
   thin wrapper over the phases of one round.
+* **Decode tapes** — ``begin_decode`` replays a recorded decode whose
+  phases and result equal a fresh ``begin()``, without opening a session.
 * **Cluster determinism** — a fixed arrival trace produces bit-identical
   transcripts and per-request ``decode_ms`` across device counts
   (1, 2, 4) and all router policies, and rerunning any fixed
@@ -26,6 +28,7 @@ from repro.decoding.base import (
     begin_decode,
 )
 from repro.harness.methods import build_method
+from repro.models.simulated import SimulatedASRModel
 from repro.serving import (
     ClusterConfig,
     ClusterSpec,
@@ -163,6 +166,55 @@ class TestPhaseSplitSteppers:
         stepper.drain()
         with pytest.raises(RuntimeError):
             stepper.step_phase()
+
+
+class TestDecodeTapes:
+    @pytest.mark.parametrize("method", PHASED_METHODS)
+    def test_replay_matches_first_decode(
+        self, whisper_pair, clean_dataset, method, monkeypatch
+    ):
+        draft, target = whisper_pair
+        utterance = clean_dataset[3]
+        decoder = build_method(method, draft, target)
+        opened: list[str] = []
+        open_session = SimulatedASRModel.session
+
+        def counting_session(model, unit, clock):
+            opened.append(model.name)
+            return open_session(model, unit, clock)
+
+        monkeypatch.setattr(SimulatedASRModel, "session", counting_session)
+        fresh = decoder.begin(utterance)
+        expected = []
+        while not fresh.done:
+            expected.append(fresh.step_phase())
+        reference = fresh.result
+        sessions_per_decode = len(opened)
+        assert sessions_per_decode >= 1
+        opened.clear()
+
+        first = begin_decode(decoder, utterance)
+        second = begin_decode(decoder, utterance)
+        # advance both replays alternately, one phase at a time
+        steppers = (first, second)
+        replayed: tuple[list[PhaseOutcome], ...] = ([], [])
+        for _ in expected:
+            for stepper, phases in zip(steppers, replayed, strict=True):
+                with pytest.raises(RuntimeError):
+                    _ = stepper.result
+                phases.append(stepper.step_phase())
+        for stepper, phases in zip(steppers, replayed, strict=True):
+            assert phases == expected
+            assert stepper.done
+            result = stepper.result
+            assert result.tokens == reference.tokens
+            assert result.total_ms == reference.total_ms
+            assert result.trace.rounds == reference.trace.rounds
+            with pytest.raises(RuntimeError):
+                stepper.step_phase()
+        # the first call decoded once; the second replays without a session
+        assert len(opened) == sessions_per_decode
+        assert first.result is second.result  # one shared, read-only result
 
 
 class TestDeviceModel:
