@@ -11,7 +11,6 @@ from repro.core.config import SpecASRConfig
 from repro.core.engine import SpecASREngine
 from repro.core.recycling import RecycledSuffix, RecyclingDraft, draft_with_recycling
 from repro.core.sparse_tree import SparseTreeDraft, build_sparse_tree_round
-from repro.core.streaming import StreamingConfig, StreamingResult, StreamingSpecASR
 
 __all__ = [
     "DraftSequence",
@@ -20,9 +19,6 @@ __all__ = [
     "SparseTreeDraft",
     "SpecASRConfig",
     "SpecASREngine",
-    "StreamingConfig",
-    "StreamingResult",
-    "StreamingSpecASR",
     "ThresholdController",
     "ThresholdControllerConfig",
     "UncertainPoint",

@@ -58,42 +58,16 @@ class SpecASREngine:
         self.name = name or config.mode
 
     # -- public API ----------------------------------------------------------
-    def begin(
-        self,
-        unit,
-        start_prefix: tuple[int, ...] = (),
-        max_positions: int | None = None,
-    ) -> PhasedDecodeStepper:
+    def begin(self, unit) -> PhasedDecodeStepper:
         """Step-resumable decode; each step is one draft→verify round, split
-        into a draft phase and a verify phase.
-
-        ``start_prefix`` primes the decode with an already-committed
-        transcript prefix (long-form windowing: the engine is lossless, so
-        decoding from a prefix of the greedy sequence continues it
-        identically).  ``max_positions`` caps how many transcript positions
-        the decode may commit (a window budget); the decode ends at the cap
-        even if EOS was not reached.
-        """
+        into a draft phase and a verify phase."""
         clock = SimClock()
         rounds = _EngineRounds(self)
-        phases = draft_verify_phases(
-            self,
-            unit,
-            clock,
-            rounds.draft,
-            rounds.verify,
-            start_prefix,
-            max_positions,
-        )
+        phases = draft_verify_phases(self, unit, clock, rounds.draft, rounds.verify)
         return PhasedDecodeStepper(phases, clock)
 
-    def decode(
-        self,
-        unit,
-        start_prefix: tuple[int, ...] = (),
-        max_positions: int | None = None,
-    ) -> DecodeResult:
-        return self.begin(unit, start_prefix, max_positions).drain()
+    def decode(self, unit) -> DecodeResult:
+        return self.begin(unit).drain()
 
 
 class _EngineRounds:

@@ -80,37 +80,25 @@ def draft_verify_phases(
     clock: SimClock,
     draft_round: DraftRound,
     verify_round: VerifyRound,
-    start_prefix: tuple[int, ...] = (),
-    max_positions: int | None = None,
 ) -> PhaseGenerator:
     """The draft→verify round loop: one draft phase and one verify phase
-    per round, until EOS or the position limit.
+    per round, until EOS or the target session's position limit.
 
     ``decoder`` supplies the ``draft``/``target`` models and the result's
-    method name.  ``start_prefix`` primes the decode with an
-    already-committed transcript prefix; ``max_positions`` caps how many
-    transcript positions the decode may commit.  The target prefill bills to
-    the first verify phase, so a disaggregating router charges it to the
-    target pool.
+    method name.  The target prefill bills to the first verify phase, so a
+    disaggregating router charges it to the target pool.
     """
     draft_session = decoder.draft.session(unit, clock)
     target_session = decoder.target.session(unit, clock)
     draft_session.prefill()
     eos_id = decoder.target.vocab.eos_id
     trace = DecodeTrace()
-    prefix: list[int] = list(start_prefix)
+    prefix: list[int] = []
     # One cursor per session at the committed prefix; both advance in
     # O(1) per committed token instead of re-hashing the whole prefix.
-    draft_cursor = as_cursor(draft_session, tuple(start_prefix))
-    target_cursor = as_cursor(target_session, tuple(start_prefix))
+    draft_cursor = as_cursor(draft_session)
+    target_cursor = as_cursor(target_session)
     limit = target_session.max_decode_positions()
-    if max_positions is not None:
-        if max_positions < len(prefix):
-            raise ValueError(
-                f"max_positions ({max_positions}) is shorter than the "
-                f"start prefix ({len(prefix)} tokens)"
-            )
-        limit = min(limit, max_positions)
     done = False
     while not done and len(prefix) < limit:
         stats = RoundStats()

@@ -2,14 +2,13 @@
 
 ``ext01-adaptive``  — online threshold adaptation vs fixed thresholds.
 ``ext01-sampling``  — speculative sampling acceptance/latency profile.
-``ext01-streaming`` — streaming latency profile of SpecASR vs AR decoding.
+``ext01-streaming`` — streaming latency profile of SpecASR on the serve scheduler.
 """
 
 from __future__ import annotations
 
 from repro.core.config import SpecASRConfig, full_specasr
 from repro.core.engine import SpecASREngine
-from repro.core.streaming import StreamingConfig, StreamingSpecASR
 from repro.decoding.sampling import SamplingConfig, SpeculativeSamplingDecoder
 from repro.harness.experiments.base import ExperimentReport
 from repro.harness.runner import (
@@ -20,6 +19,12 @@ from repro.harness.runner import (
     shared_vocabulary,
 )
 from repro.models.registry import model_pair
+from repro.serving import (
+    Arrival,
+    ContinuousBatchScheduler,
+    SchedulerConfig,
+    StreamSpec,
+)
 
 
 def run_adaptive(config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
@@ -80,7 +85,12 @@ def run_sampling(config: ExperimentConfig = ExperimentConfig()) -> ExperimentRep
 
 
 def run_streaming(config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
-    """Streaming latency profile: first-token latency, tail latency, RTF."""
+    """Streaming latency profile: first-token latency, tail latency, RTF.
+
+    Each utterance streams alone at real time (1 s chunks, 0.3 s lookahead)
+    through the serving scheduler on one device, one session at a time, so
+    every latency is the simulated round-by-round timeline with no queueing.
+    """
     report = ExperimentReport(
         exp_id="ext01-streaming",
         title="Streaming SpecASR latency profile (extension)",
@@ -95,21 +105,21 @@ def run_streaming(config: ExperimentConfig = ExperimentConfig()) -> ExperimentRe
     dataset = load_split("test-clean", config)
     for pairing in ("whisper", "vicuna-13b"):
         draft, target = model_pair(pairing, vocab)
-        streamer = StreamingSpecASR(
-            draft,
-            target,
-            StreamingConfig(chunk_s=1.0, specasr=full_specasr()),
+        scheduler = ContinuousBatchScheduler(
+            SpecASREngine(draft, target, full_specasr()),
+            SchedulerConfig(max_batch=1, max_inflight=1),
+            stream=StreamSpec(chunk_s=1.0, lookahead_s=0.3),
         )
         firsts: list[float] = []
         tail = rtf = 0.0
-        for utterance in dataset:
-            result = streamer.decode_stream(utterance)
-            # Empty transcripts have no first token (latency is None):
-            # excluded from the mean rather than counted as a perfect 0.0.
-            if result.first_token_latency_s is not None:
-                firsts.append(result.first_token_latency_s)
-            tail += result.final_latency_s * 1000.0
-            rtf += result.real_time_factor
+        for index, utterance in enumerate(dataset):
+            (record,) = scheduler.run([Arrival(0, index, 0.0, rtf=1.0)], dataset)
+            # Empty transcripts have no first token: excluded from the mean
+            # rather than counted at their completion time.
+            if record.tokens:
+                firsts.append(record.word_ttft_ms / 1000.0)
+            tail += record.final_latency_ms
+            rtf += record.decode_ms / 1000.0 / utterance.duration_s
         n = len(dataset)
         mean_first = sum(firsts) / len(firsts) if firsts else 0.0
         report.rows.append([pairing, mean_first, tail / n, rtf / n])

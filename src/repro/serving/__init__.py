@@ -30,6 +30,7 @@ from repro.serving.arrivals import (
     make_trace,
     offered_qps,
     poisson_trace,
+    positions_available,
     save_trace,
     uniform_trace,
 )
@@ -163,6 +164,7 @@ __all__ = [
     "parse_fault_spec",
     "plan_pool_split",
     "poisson_trace",
+    "positions_available",
     "priority_rank",
     "save_trace",
     "simulate",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from repro.data.corpus import Utterance
 from repro.serving.request import (
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
@@ -180,6 +181,25 @@ def chunk_schedule(
         heard = min(heard + chunk_s, duration_s)
         events.append((arrival.arrival_ms + heard * 1000.0 / arrival.rtf, heard))
     return events
+
+
+def positions_available(
+    utterance: Utterance, heard_s: float, lookahead_s: float
+) -> int:
+    """How many transcript positions ``heard_s`` seconds of audio support.
+
+    Zero until the lookahead margin is covered, then proportional to the
+    usable audio; the full ``num_tokens`` once the whole utterance is heard.
+    The serve scheduler's chunk-arrival gate caps a streamed session at
+    this many positions after each :func:`chunk_schedule` event.
+    """
+    if lookahead_s < 0:
+        raise ValueError("lookahead_s must be >= 0")
+    if heard_s >= utterance.duration_s:
+        return utterance.num_tokens
+    usable = max(heard_s - lookahead_s, 0.0)
+    rate = utterance.num_tokens / utterance.duration_s
+    return min(int(usable * rate), utterance.num_tokens)
 
 
 def offered_qps(trace: Sequence[Arrival]) -> float:

@@ -34,7 +34,8 @@ class StreamingSummary:
     Populated only when the trace contained streamed arrivals
     (``rtf > 0``).  ``partial_stability`` is the fraction of emitted tokens
     later revised — identically ``0.0`` for the lossless decoder, asserted
-    at construction so a regression cannot silently report stable partials.
+    at construction so a regression cannot silently report stable partial
+    transcripts.
     """
 
     requests: int  # streaming requests in the trace

@@ -114,8 +114,6 @@ class RequestRecord:
     stream_chunks: int = 0  # audio chunk events delivered
     emission_ms: list[float] = field(default_factory=list)
     # absolute emission time per transcript token: max(commit, audio ready)
-    partials: list[tuple[float, int]] = field(default_factory=list)
-    # (emission time, cumulative tokens final) per committing phase
     chunk_latencies_ms: list[float] = field(default_factory=list)
     # per cap-raising chunk: emission of its last due token - chunk arrival
     revised_tokens: int = 0  # emitted tokens later revised (0: lossless)

@@ -114,11 +114,10 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.core.streaming import positions_available
 from repro.data.corpus import Dataset
 from repro.decoding.base import DecodeStepper, PhaseOutcome, begin_decode
 from repro.models.simulated import prompt_token_count
-from repro.serving.arrivals import Arrival, chunk_schedule
+from repro.serving.arrivals import Arrival, chunk_schedule, positions_available
 from repro.serving.devices import Device
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.memory import ClusterKVMemory, MemorySpec
@@ -203,10 +202,9 @@ class StreamSpec:
     tagged with the real-time factor); ``chunk_s``/``lookahead_s`` shape
     how the scheduler expands a streamed arrival into chunk events and how
     many transcript positions the heard audio supports
-    (:func:`repro.core.streaming.positions_available` — the same cap the
-    offline streaming pipeline uses).  A request streams iff its own
-    ``rtf > 0``, so replayed traces recorded with per-request factors
-    stream without any flag.
+    (:func:`~repro.serving.arrivals.positions_available`).  A request
+    streams iff its own ``rtf > 0``, so replayed traces recorded with
+    per-request factors stream without any flag.
     """
 
     enabled: bool = False
@@ -950,7 +948,6 @@ class _ServeLoop:
                 position = active.emitted + offset + 1
                 emissions.append(max(end_ms, audio_ready_ms(active, position)))
             active.emitted += len(outcome.new_tokens)
-            record.partials.append((emissions[-1], active.emitted))
         if outcome.new_tokens and record.first_token_ms is None:
             record.first_token_ms = (
                 record.emission_ms[0] if active.chunk_caps is not None else end_ms
@@ -1059,7 +1056,6 @@ class _ServeLoop:
         # The commit stream includes the trailing EOS; the transcript
         # doesn't, so the final commit may have over-appended by one.
         del record.emission_ms[n:]
-        record.partials = [(t, min(c, n)) for t, c in record.partials]
         if record.emission_ms:
             record.finish_ms = max(end_ms, record.emission_ms[-1])
             record.first_token_ms = record.emission_ms[0]
