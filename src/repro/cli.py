@@ -65,11 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run experiment(s)")
     run_parser.add_argument("experiment", help="experiment id or 'all'")
-    run_parser.add_argument("--utterances", type=int, default=32)
+    run_parser.add_argument("--utterances", type=_positive_int, default=32)
     run_parser.add_argument("--seed", type=int, default=2025)
     run_parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="decode corpora with N parallel workers (results are identical "
         "to the serial runner; see repro.harness.executor)",

@@ -7,6 +7,12 @@ ordering** (results must come back keyed by (method, utterance index), not
 by completion order) and **per-worker model state** (each process builds its
 own decoders once and keeps its oracle caches warm across tasks).
 
+Grid order is utterance-major: corpus index outer, method inner.  The
+methods share models that keep a bounded LRU of per-utterance oracles and
+tries (``DEFAULT_ORACLE_CACHE``), so a process builds each (model,
+utterance) oracle once per grid however large the corpus.  ``run_methods``
+decodes through :meth:`CorpusExecutor.map_decode`: the one grid loop.
+
 Backends:
 
 * ``serial``  — plain in-process loop (the reference behaviour);
@@ -20,8 +26,9 @@ Backends:
 * ``auto``    — ``process`` when the work can be pickled, else ``thread``.
 
 Transcripts, traces and SimClock totals are bit-identical to the serial
-runner for every backend: decodes don't interact, and aggregation happens
-in the parent in corpus order.
+runner for every backend: decodes share only caches whose entries are pure
+functions of (model, utterance, prefix), and aggregation happens in the
+parent in corpus order.
 
 Two consumption styles:
 
@@ -140,7 +147,7 @@ class CorpusExecutor:
         method_order: Sequence[str] | None = None,
         window: int | None = None,
     ) -> Iterator[tuple[str, int, DecodeResult]]:
-        """Stream ``(method, index, result)`` in deterministic grid order.
+        """Stream ``(method, index, result)`` in utterance-major grid order.
 
         Unlike :meth:`map_decode`, results are yielded as soon as the next
         triple *in grid order* is ready, and at most ``window`` tasks
@@ -155,7 +162,7 @@ class CorpusExecutor:
             raise ValueError(f"window must be >= 1, got {window}")
         live = methods() if callable(methods) else methods
         names = list(method_order) if method_order is not None else list(live)
-        tasks = [(name, index) for name in names for index in range(len(dataset))]
+        tasks = [(name, index) for index in range(len(dataset)) for name in names]
         backend = self._effective_backend(methods, live, dataset)
         self.last_stats = ExecutorStats(backend, self.workers, len(tasks))
 

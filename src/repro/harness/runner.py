@@ -109,23 +109,11 @@ def run_method(
     workers: int = 1,
     executor: "CorpusExecutor | None" = None,
 ) -> MethodRun:
-    """Decode every utterance of ``dataset`` with ``decoder``.
-
-    ``workers > 1`` (or an explicit ``executor``) decodes utterances in
-    parallel; results stay in corpus order and are bit-identical to the
-    serial path.
-    """
-    run = MethodRun(method=decoder.name)
-    if executor is None and workers > 1:
-        executor = CorpusExecutor(workers=workers)
-    if executor is not None:
-        grid = executor.map_decode({decoder.name: decoder}, dataset)
-        run.results = grid[decoder.name]
-    else:
-        for utterance in dataset:
-            run.results.append(decoder.decode(utterance))
-    run.breakdown = aggregate_latency(decoder.name, run.results, list(dataset))
-    return run
+    """Decode every utterance of ``dataset`` with ``decoder``: a one-method
+    :func:`run_methods` grid."""
+    methods = {decoder.name: decoder}
+    runs = run_methods(methods, dataset, workers=workers, executor=executor)
+    return runs[decoder.name]
 
 
 def run_methods(
@@ -139,19 +127,11 @@ def run_methods(
 
     With ``check_lossless`` every method's transcripts are asserted equal to
     the first method's (conventionally autoregressive target decoding) —
-    the paper's iso-accuracy guarantee.  ``workers > 1`` (or an explicit
-    ``executor``) fans the (method × utterance) grid out across a worker
-    pool with deterministic ordering.
+    the paper's iso-accuracy guarantee.  The grid decodes through
+    :meth:`CorpusExecutor.map_decode` (serial for one worker) in its
+    utterance-major order, with identical results for every backend.
     """
-    if executor is None and workers > 1:
-        executor = CorpusExecutor(workers=workers)
-    if executor is not None:
-        grids = executor.map_decode(methods, dataset)
-    else:
-        grids = {
-            name: [decoder.decode(utterance) for utterance in dataset]
-            for name, decoder in methods.items()
-        }
+    grids = (executor or CorpusExecutor(workers=workers)).map_decode(methods, dataset)
     runs: dict[str, MethodRun] = {}
     reference_tokens: list[list[int]] | None = None
     for name, decoder in methods.items():

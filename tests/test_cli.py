@@ -43,6 +43,21 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "tab01", "--utterances", "0"],
+            ["run", "tab01", "--workers", "0"],
+            ["run", "tab01", "--workers", "-3"],
+        ],
+    )
+    def test_run_rejects_nonpositive_counts(self, capsys, argv):
+        """A usage error (exit 2), not a traceback or a silent serial run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestServeSimValidation:
     """Bad serve-sim arguments fail with a clean SystemExit, not a traceback."""

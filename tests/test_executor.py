@@ -7,12 +7,16 @@ only change wall-clock time, never results.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.harness.executor import CorpusExecutor, default_worker_count
 from repro.harness.methods import standard_methods
 from repro.harness.runner import run_method, run_methods
-from repro.models.registry import model_pair
+from repro.models.acoustic import EmissionOracle
+from repro.models.registry import PAIRINGS, get_spec, model_pair
+from repro.models.simulated import SimulatedASRModel
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,59 @@ class TestRunnerIntegration:
             assert [r.tokens for r in run.results] == reference
 
 
+class TestGridOrder:
+    CACHE = 2  # oracles per model: fewer than the corpus has utterances
+
+    def _model(self, name, vocab):
+        spec = get_spec(name)
+        return SimulatedASRModel(
+            name=spec.name,
+            capacity=spec.capacity,
+            latency=spec.latency,
+            vocab=vocab,
+            encoder_latency_ms_per_10s=spec.encoder_latency_ms_per_10s,
+            oracle_cache_size=self.CACHE,
+        )
+
+    def test_each_oracle_built_once_past_the_cache(
+        self, vocab, clean_dataset, monkeypatch
+    ):
+        """Every method decodes an utterance before the next one starts, so
+        each (model, utterance) oracle is built once per grid even when the
+        corpus outgrows the models' oracle cache."""
+        assert len(clean_dataset) > self.CACHE
+        draft, target = (self._model(name, vocab) for name in PAIRINGS["whisper"])
+        builds = []
+        init = EmissionOracle.__init__
+
+        def counting_init(oracle, *args, **kwargs):
+            init(oracle, *args, **kwargs)
+            builds.append((oracle.model_name, oracle.utterance.content_key))
+
+        monkeypatch.setattr(EmissionOracle, "__init__", counting_init)
+        run_methods(standard_methods(draft, target), clean_dataset)
+        assert len(builds) == 2 * len(clean_dataset)
+        assert len(set(builds)) == len(builds)
+
+    def test_threads_share_one_utterance_under_contention(
+        self, vocab, clean_dataset, serial_runs
+    ):
+        """One thread per method, so every method decodes the same utterance
+        at once over its shared oracle and trie, with the interpreter
+        switching threads as often as it can: results must still equal the
+        serial grid's."""
+        draft, target = model_pair("whisper", vocab)
+        methods = standard_methods(draft, target)
+        executor = CorpusExecutor(workers=len(methods), backend="thread")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = run_methods(methods, clean_dataset, executor=executor)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_identical(runs, serial_runs)
+
+
 class TestExecutorValidation:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -121,11 +178,11 @@ class TestIterResults:
         triples = list(
             executor.iter_results(standard_methods(draft, target), clean_dataset)
         )
-        # deterministic grid order: methods outer, corpus index inner
+        # deterministic grid order: corpus index outer, methods inner
         expected_order = [
             (name, index)
-            for name in serial_runs
             for index in range(len(clean_dataset))
+            for name in serial_runs
         ]
         assert [(name, index) for name, index, _ in triples] == expected_order
         for name, index, result in triples:
