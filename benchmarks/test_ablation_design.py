@@ -1,8 +1,9 @@
 """Ablation benches for SpecASR's internal design choices.
 
-Beyond the paper's Table II ladder, these ablate the knobs DESIGN.md calls
-out: recycling on/off, adjacent-position merging, the merge verification
-window, branch count, and the online-threshold extension.  Each run prints a
+Beyond the paper's Table II ladder, these ablate the engine knobs of
+``SpecASRConfig`` (``src/repro/core/``, see the README's "Layout" section):
+recycling on/off, adjacent-position merging, the merge verification window,
+branch count, and the online-threshold extension.  Each run prints a
 table and asserts that the chosen defaults are no worse than the ablated
 variants (within tolerance — some knobs are ties on small corpora).
 """

@@ -2,8 +2,8 @@
 
 Reproduces "SpecASR: Accelerating LLM-based Automatic Speech Recognition via
 Speculative Decoding" (DAC 2025) on a fully offline, deterministic simulated
-substrate.  See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results.
+substrate.  See the README's "Layout" section for the system inventory;
+``python -m repro run all`` prints paper-vs-measured results.
 
 Quickstart::
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from repro.data.librisim import SPLITS
 from repro.harness.experiments import list_experiments, run_experiment
 from repro.harness.methods import STANDARD_METHODS, standard_methods
 from repro.harness.runner import ExperimentConfig, load_split, shared_vocabulary
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     decode_parser = sub.add_parser("decode", help="decode a sample utterance")
     decode_parser.add_argument("--pairing", choices=sorted(PAIRINGS), default="whisper")
-    decode_parser.add_argument("--split", default="test-clean")
+    decode_parser.add_argument("--split", choices=SPLITS, default="test-clean")
     decode_parser.add_argument("--index", type=int, default=0)
 
     serve_parser = sub.add_parser(

@@ -10,7 +10,10 @@ deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.utils.rng import RngStream
 
@@ -66,11 +69,6 @@ class Lexicon:
             seen.update(bucket)
         return sorted(seen)
 
-    def zipf_weights(self) -> dict[str, float]:
-        """Zipf-like weight per word: rank within sorted order, 1/(rank+2)."""
-        words = self.all_words()
-        return {word: 1.0 / (rank + 2.0) for rank, word in enumerate(words)}
-
 
 def default_lexicon() -> Lexicon:
     """The embedded ~900-word lexicon used throughout the reproduction."""
@@ -103,49 +101,69 @@ _CLAUSE_TEMPLATES: tuple[tuple[str, ...], ...] = (
 )
 
 
+def _zipf_cdf(size: int) -> list[float]:
+    """Cumulative Zipf-ish weights ``1/(rank+2)`` over a bucket of ``size``.
+
+    Built exactly as ``Generator.choice(p=...)`` builds its table from the
+    normalised weights — ``cumsum``, then divide by the last entry, which
+    makes that entry exactly 1.0 — so ``bisect_right(cdf, uniform())``
+    picks what ``choice`` would pick from the same single draw.
+    """
+    weights = [1.0 / (i + 2.0) for i in range(size)]
+    total = sum(weights)
+    cdf = np.cumsum([w / total for w in weights])
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 @dataclass
 class SentenceSampler:
     """Deterministic prose-like sentence generator.
 
     Sentences are built by expanding 1-4 clause templates joined with
-    conjunctions; word choice inside each POS bucket is Zipf-weighted.
+    conjunctions; word choice inside each POS bucket is Zipf-weighted,
+    through one cumulative table per bucket built from the frozen lexicon.
     """
 
     lexicon: Lexicon = field(default_factory=default_lexicon)
+    _tables: dict[str, tuple[tuple[str, ...], list[float]]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def _bucket(self, tag: str) -> tuple[str, ...]:
-        mapping = {
-            "DET": self.lexicon.determiners,
-            "PRON": self.lexicon.pronouns,
-            "CONJ": self.lexicon.conjunctions,
-            "PREP": self.lexicon.prepositions,
-            "ADV": self.lexicon.adverbs,
-            "ADJ": self.lexicon.adjectives,
-            "NOUN": self.lexicon.nouns,
-            "VERB": self.lexicon.verbs,
-            "INTJ": self.lexicon.interjections,
+    def __post_init__(self) -> None:
+        lex = self.lexicon
+        buckets = {
+            "DET": lex.determiners,
+            "PRON": lex.pronouns,
+            "CONJ": lex.conjunctions,
+            "PREP": lex.prepositions,
+            "ADV": lex.adverbs,
+            "ADJ": lex.adjectives,
+            "NOUN": lex.nouns,
+            "VERB": lex.verbs,
+            "INTJ": lex.interjections,
         }
-        return mapping[tag]
+        self._tables = {
+            tag: (bucket, _zipf_cdf(len(bucket))) for tag, bucket in buckets.items()
+        }
 
-    def _pick(self, rng: RngStream, bucket: tuple[str, ...]) -> str:
+    def _pick(self, rng: RngStream, tag: str) -> str:
         # Zipf-ish preference for the front of the bucket.
-        weights = [1.0 / (i + 2.0) for i in range(len(bucket))]
-        total = sum(weights)
-        probs = [w / total for w in weights]
-        return rng.choice(bucket, p=probs)
+        bucket, cdf = self._tables[tag]
+        return bucket[bisect_right(cdf, rng.uniform())]
 
     def clause(self, rng: RngStream) -> list[str]:
         """Sample one clause as a list of words."""
         template = rng.choice(_CLAUSE_TEMPLATES)
-        return [self._pick(rng, self._bucket(tag)) for tag in template]
+        return [self._pick(rng, tag) for tag in template]
 
     def sentence(self, rng: RngStream, min_words: int = 8, max_words: int = 40) -> list[str]:
-        """Sample a sentence of roughly ``min_words``..``max_words`` words."""
+        """Sample a sentence of ``min_words``..``max_words`` words."""
         if min_words < 1 or max_words < min_words:
             raise ValueError(f"bad sentence length bounds ({min_words}, {max_words})")
         target = rng.integers(min_words, max_words + 1)
         words = self.clause(rng)
         while len(words) < target:
-            words.append(self._pick(rng, self.lexicon.conjunctions))
+            words.append(self._pick(rng, "CONJ"))
             words.extend(self.clause(rng))
         return words[:target] if len(words) > max_words else words

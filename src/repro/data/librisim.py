@@ -136,10 +136,11 @@ def _difficulty_profile(
     speaker_offset: float,
 ) -> list[float]:
     """Per-token difficulty: base + speaker + AR(1) drift + bursts."""
+    # One vectorised draw consumes the stream exactly like per-token scalars.
     drift = 0.0
     values: list[float] = []
-    for _ in range(length):
-        drift = 0.75 * drift + rng.normal(0.0, 0.03)
+    for noise in rng.numpy.normal(0.0, 0.03, size=length).tolist():
+        drift = 0.75 * drift + noise
         values.append(profile.base_difficulty + speaker_offset + drift)
     # Overlay short bursts of elevated difficulty (hard segments).
     expected_bursts = profile.burst_rate * length / 10.0

@@ -39,6 +39,13 @@ class TestCli:
     def test_decode_bad_index(self, capsys):
         assert main(["decode", "--index", "9999"]) == 1
 
+    def test_decode_rejects_unknown_split(self, capsys):
+        """A usage error (exit 2), not a KeyError traceback from the builder."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decode", "--split", "bogus"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

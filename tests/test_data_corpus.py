@@ -2,14 +2,20 @@
 
 import pytest
 
+from repro.data import librisim
 from repro.data.corpus import Dataset, Utterance, validate_datasets
 from repro.data.librisim import (
     SPLIT_PROFILES,
     SPLITS,
     LibriSimBuilder,
     LibriSimConfig,
+    SplitProfile,
     build_split,
 )
+from repro.utils.mathutil import clamp
+from repro.utils.rng import RngStream
+
+from tests.test_data_lexicon import ReferenceSampler
 
 
 def make_utterance(**overrides):
@@ -121,3 +127,46 @@ class TestLibriSim:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             LibriSimConfig(utterances_per_split=0)
+
+
+def scalar_difficulty_profile(
+    rng: RngStream, length: int, profile: SplitProfile, speaker_offset: float
+) -> list[float]:
+    """The per-token drift loop the vectorised draw replaced, kept as an oracle."""
+    drift = 0.0
+    values: list[float] = []
+    for _ in range(length):
+        drift = 0.75 * drift + rng.normal(0.0, 0.03)
+        values.append(profile.base_difficulty + speaker_offset + drift)
+    expected_bursts = profile.burst_rate * length / 10.0
+    n_bursts = int(expected_bursts)
+    if rng.uniform() < expected_bursts - n_bursts:
+        n_bursts += 1
+    for _ in range(n_bursts):
+        start = rng.integers(0, max(1, length))
+        width = rng.integers(1, 4)
+        strength = profile.burst_strength * (0.35 + 1.3 * rng.uniform())
+        for pos in range(start, min(length, start + width)):
+            values[pos] += strength
+    return [clamp(v, 0.0, 1.0) for v in values]
+
+
+class TestReferenceIdentity:
+    """Table-driven synthesis builds exactly the reference draws' corpora."""
+
+    @pytest.mark.parametrize("seed", [3, 2025, 7919])
+    def test_splits_match_reference_draws(self, vocab, monkeypatch, seed):
+        config = LibriSimConfig(seed=seed, utterances_per_split=32)
+        built = LibriSimBuilder(vocab, config).build_all()
+        monkeypatch.setattr(librisim, "_difficulty_profile", scalar_difficulty_profile)
+        reference = LibriSimBuilder(
+            vocab, config, sampler=ReferenceSampler()
+        ).build_all()
+        for split in SPLITS:
+            assert len(built[split]) == len(reference[split]) == 32
+            for got, want in zip(built[split], reference[split], strict=True):
+                assert got.utterance_id == want.utterance_id
+                assert got.words == want.words
+                assert got.tokens == want.tokens
+                assert got.difficulty == want.difficulty
+                assert got.duration_s == want.duration_s
