@@ -142,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inflight",
         type=_positive_int,
         default=8,
-        help="max concurrent decode sessions",
+        help="max runnable decode sessions (streams waiting for audio hold "
+        "no slot)",
     )
     serve_parser.add_argument("--queue-capacity", type=_positive_int, default=32)
     serve_parser.add_argument(

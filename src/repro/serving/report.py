@@ -342,7 +342,7 @@ class ServeReport:
             f"(completed {self.completed}, rejected {self.rejected}, "
             f"shed {self.shed})",
             f"  goodput   : {self.goodput_rps:.2f} req/s within deadline "
-            f"({self.goodput_ratio:.1%} of offered)",
+            f"({self.goodput_ratio:.1%} of arrivals)",
             f"  cluster   : {self.cluster_label()}, "
             f"{self.stats.device_utilisation:.1%} busy, "
             f"mean batch {self.stats.mean_batch_occupancy:.2f}, "

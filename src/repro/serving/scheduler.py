@@ -25,11 +25,15 @@ simulation) and hands it to the workload-aware pool planner.
 
 Each :meth:`ContinuousBatchScheduler.run` builds one private ``_ServeLoop``
 that owns all state of that run: pending arrivals, the admission queue,
-in-flight sessions, the heap of executing batches, the simulated clock
-``now``, the chaos counters, the dispatch log, KV memory, router and
-devices.  Its ``run`` method is the event loop: admit arrivals, dispatch
-waiting phases, move ``now`` to the next event, and settle every batch
-that has finished by then.  Admission, dispatch, launch, straggler
+in-flight sessions, parked streams, the heap of executing batches, the
+simulated clock ``now``, the chaos counters, the dispatch log, KV memory,
+router and devices.  Its ``run`` method is the event loop: wake parked
+streams that are due, admit arrivals, dispatch waiting phases, move ``now``
+to the next event, and settle every batch that has finished by then.
+``max_inflight`` bounds the *runnable* sessions: a streamed session the
+audio gate holds until its next chunk is parked outside the in-flight list,
+so it holds no slot and is no preemption victim (its KV stays resident
+until memory pressure evicts it).  Admission, dispatch, launch, straggler
 re-issue, settle and commit are the loop's methods, as are the shedding,
 memory and streaming helpers they share.  A committed phase computes the
 session's next phase on the spot.  Nothing survives from one run to the
@@ -103,7 +107,8 @@ independent ``decoder.decode()``.
 
 Run-to-completion FIFO serving — the baseline continuous batching is usually
 compared against — is the ``max_batch=1, max_inflight=1`` corner of the same
-scheduler on a 1-device colocated cluster.
+scheduler on a 1-device colocated cluster, for offline traces: a parked
+stream frees its slot, so streamed sessions interleave even there.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class SchedulerConfig:
     """Knobs of the serving loop."""
 
     max_batch: int = 4  # phases co-scheduled per device iteration
-    max_inflight: int = 8  # concurrent decode sessions held open
+    max_inflight: int = 8  # runnable sessions; parked streams hold no slot
     queue_capacity: int = 32  # admission queue bound (backpressure)
     overlap: float = 0.8  # batching efficiency in [0, 1]
     # -- failure handling / degradation (defaults keep all of it off) ------
@@ -225,7 +230,7 @@ class StreamSpec:
 class ScheduleStats:
     """Aggregate facts about one scheduler run."""
 
-    sim_end_ms: float  # when the last request finished
+    sim_end_ms: float  # last event or last finish, whichever is later
     device_busy_ms: float  # total occupancy summed over devices
     batches: int  # device iterations executed (all devices)
     rounds: int  # phases executed (sum of batch sizes, incl. re-executions)
@@ -510,6 +515,9 @@ class _ServeLoop:
         self.pending = deque(self.records)
         self.queue = AdmissionQueue(config.queue_capacity)
         self.inflight: list[_Active] = []
+        # Streamed sessions the audio gate holds until their next chunk:
+        # (wake_ms, request index, session).  They hold no in-flight slot.
+        self.parked: list[tuple[float, int, _Active]] = []
         self.preempted: dict[int, _Active] = {}  # request index -> saved session
         # Batches in flight: (end_ms, tiebreak, device index, entries,
         # aborted).  The counter keeps heap ordering total without comparing
@@ -535,8 +543,11 @@ class _ServeLoop:
         finished by then, until every request is terminal."""
         pending, queue, inflight = self.pending, self.queue, self.inflight
         executing, wakeups, settle = self.executing, self.wakeups, self.settle
+        parked = self.parked
         now = self.now
-        while pending or queue or inflight or executing:
+        while pending or queue or inflight or parked or executing:
+            while parked and parked[0][0] <= now:
+                inflight.append(heapq.heappop(parked)[2])
             self.admit()
             self.dispatch()
             next_times = []
@@ -544,6 +555,8 @@ class _ServeLoop:
                 next_times.append(executing[0][0])
             if pending:
                 next_times.append(pending[0].request.arrival_ms)
+            if parked:
+                next_times.append(parked[0][0])
             backoffs = [
                 active.ready_ms
                 for active in inflight
@@ -553,7 +566,7 @@ class _ServeLoop:
                 next_times.append(min(backoffs))
             while wakeups and wakeups[0] <= now:
                 wakeups.popleft()
-            if wakeups and (inflight or queue or pending):
+            if wakeups and (inflight or parked or queue or pending):
                 next_times.append(wakeups[0])
             if not next_times:
                 # Nothing will ever happen again.  Any remaining work is
@@ -575,6 +588,11 @@ class _ServeLoop:
     def stats(self) -> ScheduleStats:
         """Aggregate facts about the finished run."""
         devices, memory, plan, queue = self.devices, self.memory, self.plan, self.queue
+        # A streamed decode that ran ahead of its audio finishes when the
+        # audio ends, which can be after the last event.
+        end_ms = max(
+            [self.now] + [r.finish_ms for r in self.records if r.finish_ms is not None]
+        )
         memory_stats = {}
         if memory is not None:
             memory_stats = {
@@ -588,7 +606,7 @@ class _ServeLoop:
                 "memory_stalls": memory.stalls,
             }
         return ScheduleStats(
-            sim_end_ms=self.now,
+            sim_end_ms=end_ms,
             device_busy_ms=sum(device.busy_ms for device in devices),
             batches=sum(device.batches for device in devices),
             rounds=sum(device.phases for device in devices),
@@ -601,7 +619,7 @@ class _ServeLoop:
             draft_share=self.draft_share,
             displaced=queue.displaced,
             degraded_ms=(
-                plan.degraded_ms(len(devices), self.now) if plan is not None else 0.0
+                plan.degraded_ms(len(devices), end_ms) if plan is not None else 0.0
             ),
             wasted_busy_ms=sum(device.wasted_ms for device in devices),
             fault_events=len(plan.events) if plan is not None else 0,
@@ -735,6 +753,7 @@ class _ServeLoop:
         else:
             router.plan_round(now)
         waiting = []
+        gated = []
         gate_ms = self.stream_gate_ms
         for active in self.inflight:
             if active.running or active.ready_ms > now:
@@ -744,10 +763,17 @@ class _ServeLoop:
                 if gate is not None:
                     # Audio hasn't reached the positions the next round
                     # would decode: park the session until the cap-raising
-                    # chunk arrives (the backoff machinery wakes the loop).
+                    # chunk arrives.  Parked, it frees its in-flight slot
+                    # and keeps its KV until memory pressure evicts it.
                     active.ready_ms = gate
+                    gated.append(active)
                     continue
             waiting.append(active)
+        for active in gated:
+            self.inflight.remove(active)
+            heapq.heappush(
+                self.parked, (active.ready_ms, active.record.request.index, active)
+            )
         waiting.sort(
             key=lambda a: (
                 priority_rank(a.record.request.priority),

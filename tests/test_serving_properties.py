@@ -294,6 +294,73 @@ def fault_plans(draw):
     return FaultPlan(events=tuple(events), seed=draw(st.integers(0, 3)))
 
 
+def _check_chaos_run(
+    decoder, dataset, plan, arrival_gaps, priorities, max_batch, kv_blocks, rtf
+):
+    """Serve one chaos trace on the 4-device disaggregated cluster and
+    assert conservation, dead-device timelines and lossless completers."""
+    trace = []
+    now = 0.0
+    for index, gap in enumerate(arrival_gaps):
+        now += gap
+        trace.append(Arrival(index, index % len(dataset), now, priorities[index], rtf))
+    scheduler = ContinuousBatchScheduler(
+        decoder,
+        SchedulerConfig(max_batch=max_batch, max_inflight=max_batch + 2),
+        ClusterConfig(devices=CHAOS_DEVICES, router="disaggregated"),
+        faults=plan,
+        memory=MemorySpec(device_blocks=kv_blocks),
+    )
+    records = scheduler.run(trace, dataset)
+    stats = scheduler.last_stats
+
+    # conservation now includes shedding: every arrival is accounted for
+    by_status = {
+        status: sum(1 for r in records if r.status == status)
+        for status in (STATUS_COMPLETED, STATUS_REJECTED, STATUS_SHED)
+    }
+    assert sum(by_status.values()) == len(records)
+    assert stats.shed == by_status[STATUS_SHED]
+    for record in records:
+        if record.status == STATUS_SHED:
+            assert record.shed_reason in (
+                "deadline",
+                "retries",
+                "capacity",
+                "memory",
+            )
+
+    # no micro-batch ever starts on a dead or stalled device, and each
+    # device's dispatch timeline stays monotone across failure gaps
+    profiles = plan.profiles(CHAOS_DEVICES)
+    per_device_end = [0.0] * CHAOS_DEVICES
+    for device_index, start, end, phases, _aborted in scheduler.last_dispatch_log:
+        assert profiles[device_index].available(start)
+        assert phases >= 1
+        assert start >= per_device_end[device_index] - 1e-9
+        assert end >= start
+        per_device_end[device_index] = end
+
+    # completers' transcripts are bit-identical to the fault-free decode,
+    # and every request finishes inside the run's span
+    for record in records:
+        if record.status != STATUS_COMPLETED:
+            continue
+        reference = decoder.decode(record.request.utterance)
+        assert record.tokens == list(reference.tokens)
+        assert record.decode_ms == reference.total_ms
+        assert record.finish_ms <= stats.sim_end_ms
+
+    # wasted work only exists when batches were actually aborted
+    aborted = sum(1 for entry in scheduler.last_dispatch_log if entry[4])
+    if aborted == 0:
+        assert stats.wasted_busy_ms == 0.0
+    assert stats.fault_events == len(plan.events)
+
+
+priority_lists = st.lists(st.sampled_from(PRIORITY_CLASSES), min_size=10, max_size=10)
+
+
 class TestChaosInvariants:
     @given(
         plan=fault_plans(),
@@ -302,9 +369,7 @@ class TestChaosInvariants:
             min_size=2,
             max_size=10,
         ),
-        priorities=st.lists(
-            st.sampled_from(PRIORITY_CLASSES), min_size=10, max_size=10
-        ),
+        priorities=priority_lists,
         max_batch=st.integers(min_value=1, max_value=3),
         kv_blocks=st.one_of(st.none(), st.sampled_from((8, 12, 16, 24, 32, 48))),
         rtf=st.sampled_from((0.0, 1.0)),
@@ -321,69 +386,48 @@ class TestChaosInvariants:
         kv_blocks,
         rtf,
     ):
-        trace = []
-        now = 0.0
-        for index, gap in enumerate(arrival_gaps):
-            now += gap
-            trace.append(
-                Arrival(index, index % len(clean_dataset), now, priorities[index], rtf)
-            )
-        scheduler = ContinuousBatchScheduler(
+        _check_chaos_run(
             serving_decoder,
-            SchedulerConfig(max_batch=max_batch, max_inflight=max_batch + 2),
-            ClusterConfig(devices=CHAOS_DEVICES, router="disaggregated"),
-            faults=plan,
-            memory=MemorySpec(device_blocks=kv_blocks),
+            clean_dataset,
+            plan,
+            arrival_gaps,
+            priorities,
+            max_batch,
+            kv_blocks,
+            rtf,
         )
-        records = scheduler.run(trace, clean_dataset)
-        stats = scheduler.last_stats
 
-        # conservation now includes shedding: every arrival is accounted for
-        by_status = {
-            status: sum(1 for r in records if r.status == status)
-            for status in (STATUS_COMPLETED, STATUS_REJECTED, STATUS_SHED)
-        }
-        assert sum(by_status.values()) == len(records)
-        assert stats.shed == by_status[STATUS_SHED]
-        for record in records:
-            if record.status == STATUS_SHED:
-                assert record.shed_reason in (
-                    "deadline",
-                    "retries",
-                    "capacity",
-                    "memory",
-                )
-
-        # no micro-batch ever starts on a dead or stalled device, and each
-        # device's dispatch timeline stays monotone across failure gaps
-        profiles = plan.profiles(CHAOS_DEVICES)
-        per_device_end = [0.0] * CHAOS_DEVICES
-        for device_index, start, end, phases, _aborted in scheduler.last_dispatch_log:
-            assert profiles[device_index].available(start)
-            assert phases >= 1
-            assert start >= per_device_end[device_index] - 1e-9
-            assert end >= start
-            per_device_end[device_index] = end
-
-        # completers' transcripts are bit-identical to the fault-free decode
-        for record in records:
-            if record.status != STATUS_COMPLETED:
-                continue
-            utterance = record.request.utterance
-            reference = serving_decoder.decode(utterance)
-            assert record.tokens == list(reference.tokens)
-            assert record.decode_ms == reference.total_ms
-            finish_bound = stats.sim_end_ms
-            if rtf > 0.0:
-                # A streamed decode may run ahead of its audio; its last
-                # tokens then emit when the audio ends, after the last
-                # device event.
-                audio_ms = utterance.duration_s * 1e3 / rtf
-                finish_bound = max(finish_bound, record.request.arrival_ms + audio_ms)
-            assert record.finish_ms <= finish_bound + 1e-9
-
-        # wasted work only exists when batches were actually aborted
-        aborted = sum(1 for entry in scheduler.last_dispatch_log if entry[4])
-        if aborted == 0:
-            assert stats.wasted_busy_ms == 0.0
-        assert stats.fault_events == len(plan.events)
+    @given(
+        plan=fault_plans(),
+        arrival_gaps=st.lists(
+            st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+            min_size=6,
+            max_size=10,
+        ),
+        priorities=priority_lists,
+        max_batch=st.integers(min_value=1, max_value=3),
+        kv_blocks=st.integers(min_value=8, max_value=16),
+    )
+    @STABLE_SMALL
+    def test_streams_under_memory_pressure_hold_the_same_invariants(
+        self,
+        serving_decoder,
+        clean_dataset,
+        plan,
+        arrival_gaps,
+        priorities,
+        max_batch,
+        kv_blocks,
+    ):
+        """Streamed arrivals packed tight on 8-16 KV blocks per device, so
+        parked streams' KV is evicted and re-prefilled."""
+        _check_chaos_run(
+            serving_decoder,
+            clean_dataset,
+            plan,
+            arrival_gaps,
+            priorities,
+            max_batch,
+            kv_blocks,
+            1.0,
+        )

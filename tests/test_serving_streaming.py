@@ -240,6 +240,23 @@ class TestStreamingScheduler:
             for r in records
         )
 
+    def test_run_span_covers_a_finish_after_the_last_event(
+        self, serving_decoder, clean_dataset
+    ):
+        """A decode that ran ahead of its audio finishes when the audio
+        ends, after the last device event; the run's span must include it
+        (goodput and utilisation divide by it)."""
+        scheduler = ContinuousBatchScheduler(
+            serving_decoder,
+            SchedulerConfig(max_batch=1, max_inflight=1),
+            ClusterConfig(devices=1),
+            stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.0),
+        )
+        (record,) = scheduler.run([Arrival(0, 1, 0.0, rtf=1.0)], clean_dataset)
+        last_batch_end = max(end for _, _, end, _, _ in scheduler.last_dispatch_log)
+        assert record.finish_ms == record.audio_end_ms > last_batch_end
+        assert scheduler.last_stats.sim_end_ms == record.finish_ms
+
     def test_offline_requests_have_no_streaming_block(
         self, serving_decoder, clean_dataset
     ):
@@ -247,6 +264,64 @@ class TestStreamingScheduler:
         records, _ = _run(serving_decoder, trace, clean_dataset)
         assert all(not r.streaming for r in records)
         assert StreamingSummary.from_records(records) is None
+
+
+class TestParkedStreams:
+    """A session the audio gate holds between rounds is parked: it holds no
+    in-flight slot, so ``max_inflight`` bounds runnable sessions only."""
+
+    def _serve(self, decoder, dataset, *offline: Arrival):
+        # A batch-class stream parks at once: no audio is heard at t=0.
+        streamed = Arrival(0, 0, 0.0, "batch", rtf=1.0)
+        scheduler = ContinuousBatchScheduler(
+            decoder,
+            SchedulerConfig(max_batch=1, max_inflight=1),
+            ClusterConfig(devices=1),
+            stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
+        )
+        records = scheduler.run([streamed, *offline], dataset)
+        assert all(r.status == STATUS_COMPLETED for r in records)
+        return records, scheduler.last_stats
+
+    def test_parked_stream_frees_its_slot(self, serving_decoder, clean_dataset):
+        (streamed, offline), _ = self._serve(
+            serving_decoder, clean_dataset, Arrival(1, 1, 10.0, "batch")
+        )
+        assert offline.service_start_ms == 10.0
+        assert offline.finish_ms < streamed.audio_end_ms
+
+    def test_parked_stream_is_never_preempted(self, serving_decoder, clean_dataset):
+        # The first interactive arrival takes the free slot; the second
+        # finds it held by an interactive session and asks preempt() for a
+        # batch victim, which must not be the parked stream.
+        records, stats = self._serve(
+            serving_decoder,
+            clean_dataset,
+            Arrival(1, 1, 10.0, "interactive"),
+            Arrival(2, 2, 20.0, "interactive"),
+        )
+        assert records[1].service_start_ms == 10.0
+        assert records[2].service_start_ms > records[2].request.arrival_ms
+        assert records[2].finish_ms < records[0].audio_end_ms
+        assert stats.preemptions == 0
+        assert records[0].preemptions == 0
+
+    def test_loaded_stream_completes_every_request(self):
+        """At 3 qps the streams waiting for audio outnumber the eight
+        in-flight slots; if they held slots the queue would overflow (60/64
+        complete, goodput 0.703)."""
+        report = simulate(
+            ServeSimConfig(
+                method="specasr-asp",
+                qps=3.0,
+                num_requests=64,
+                seed=2025,
+                utterances=32,
+                stream=StreamSpec(enabled=True),
+            )
+        )
+        assert (report.completed, report.rejected, report.shed) == (64, 0, 0)
+        assert report.goodput_ratio == 1.0
 
 
 class TestStreamingPropertyGrid:

@@ -16,7 +16,8 @@ For each method in the suite this bench:
 * sweeps the **streaming grid** — chunked audio delivery at several
   chunk-size × lookahead × real-time-factor points — recording word-level
   TTFT / chunk-emission / final-latency percentiles and asserting each
-  point's transcripts bit-identical to the offline run of the same trace;
+  point's transcripts bit-identical to the offline run of the same trace,
+  plus one loaded streaming point whose goodput the smoke mode gates;
 * asserts the scheduler determinism contract: serial (batch=1) and batched
   configurations produce bit-identical transcripts and per-request decode
   times, re-running the batched simulation reproduces identical completion
@@ -128,6 +129,13 @@ STREAM_POINTS = (
     ("chunk2.0-look0.6-rtf1", 2.0, 0.6, 1.0),
     ("chunk1.0-look0.3-rtf2", 1.0, 0.3, 2.0),
 )
+#: Loaded streaming point (default chunking): at this load the streams
+#: waiting for audio outnumber the in-flight slots, so it meets the SLO
+#: only if a waiting stream frees its slot.  It has its own request count
+#: because a 24-request trace ends before the queue fills.  The smoke gate
+#: requires the SLO target.
+STREAM_LOADED_QPS = 3.0
+STREAM_LOADED_REQUESTS = 64
 #: Ceiling on p95 chunk-emission latency (ms) for the smoke gate.  The
 #: simulation is deterministic, so this is a correctness bound, not a noise
 #: tolerance: measured p95 across the grid is well under half of this.
@@ -406,7 +414,7 @@ def _streaming_entry(args, num_requests: int) -> dict:
     progress on heard audio) and once offline — and the per-request
     transcripts and decode times must match exactly.  The entry records the
     word-level TTFT / chunk-emission / final-latency percentiles of the
-    streamed leg.
+    streamed leg, and the SLO report summary of the loaded point.
     """
     from repro.harness.runner import load_split
     from repro.serving import (
@@ -469,12 +477,32 @@ def _streaming_entry(args, num_requests: int) -> dict:
                 summary.final_latency.to_dict() if summary.final_latency else None
             ),
         }
+    loaded = simulate(
+        replace(
+            base,
+            qps=STREAM_LOADED_QPS,
+            num_requests=STREAM_LOADED_REQUESTS,
+            stream=StreamSpec(enabled=True),
+        ),
+        decoder=decoder,
+    )
+    word_ttft = loaded.streaming.word_ttft if loaded.streaming else None
     return {
         "method": STREAM_METHOD,
         "qps": STREAM_QPS,
         "requests": num_requests,
         "emission_p95_bound_ms": STREAM_EMISSION_P95_BOUND_MS,
         "points": points,
+        "loaded": {
+            "qps": STREAM_LOADED_QPS,
+            "requests": STREAM_LOADED_REQUESTS,
+            "completed": loaded.completed,
+            "rejected": loaded.rejected,
+            "shed": loaded.shed,
+            "goodput_ratio": round(loaded.goodput_ratio, 4),
+            "peak_queue_depth": loaded.stats.peak_queue_depth,
+            "word_ttft_ms": word_ttft.to_dict() if word_ttft else None,
+        },
     }
 
 
@@ -778,12 +806,14 @@ def _memory_smoke(args) -> int:
 
 
 def _streaming_smoke(args) -> int:
-    """Streaming guard: the grid completes, parity holds, emission bounded.
+    """Streaming guard: the grid completes, parity holds, emission bounded,
+    and the loaded point sustains its load.
 
     Fails when any grid point leaves a stream uncompleted, when a streamed
     transcript or decode time differs from the offline run of the same
-    trace (``transcripts_identical``), or when p95 chunk-emission latency
-    exceeds ``STREAM_EMISSION_P95_BOUND_MS``.
+    trace (``transcripts_identical``), when p95 chunk-emission latency
+    exceeds ``STREAM_EMISSION_P95_BOUND_MS``, or when the loaded point's
+    goodput ratio falls below ``--slo-target``.
     """
     streaming = _streaming_entry(args, args.smoke_requests)
     for label, point in streaming["points"].items():
@@ -795,6 +825,12 @@ def _streaming_smoke(args) -> int:
             f"{point['chunks']} chunks, identical "
             f"{point['transcripts_identical']}, emission p95 {p95:.1f} ms"
         )
+    loaded = streaming["loaded"]
+    print(
+        f"streaming [{streaming['method']} @ {loaded['qps']} qps loaded]: "
+        f"{loaded['completed']}/{loaded['requests']} completed, "
+        f"goodput ratio {loaded['goodput_ratio']}"
+    )
     if args.smoke_output:
         out = Path(args.smoke_output)
         path = out.with_name(out.stem + "_streaming" + out.suffix)
@@ -824,6 +860,13 @@ def _streaming_smoke(args) -> int:
                 file=sys.stderr,
             )
             return 1
+    if loaded["goodput_ratio"] < args.slo_target:
+        print(
+            f"FAIL: loaded streaming point ({loaded['qps']} qps) reaches "
+            f"goodput ratio {loaded['goodput_ratio']} (< {args.slo_target})",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
