@@ -33,11 +33,14 @@ to the next event, and settle every batch that has finished by then.
 ``max_inflight`` bounds the *runnable* sessions: a streamed session the
 audio gate holds until its next chunk is parked outside the in-flight list,
 so it holds no slot and is no preemption victim (its KV stays resident
-until memory pressure evicts it).  Admission, dispatch, launch, straggler
-re-issue, settle and commit are the loop's methods, as are the shedding,
-memory and streaming helpers they share.  A committed phase computes the
-session's next phase on the spot.  Nothing survives from one run to the
-next, so one scheduler replays a trace identically however often it runs.
+until memory pressure evicts it).  A due stream wakes into a free slot
+ahead of the admission queue; while every slot is taken it stays parked,
+so the in-flight list never outgrows the bound.  Admission, dispatch,
+launch, straggler re-issue, settle and commit are the loop's methods, as
+are the shedding, memory and streaming helpers they share.  A committed
+phase computes the session's next phase on the spot.  Nothing survives
+from one run to the next, so one scheduler replays a trace identically
+however often it runs.
 
 Device time for one micro-batch is priced by
 :meth:`~repro.serving.devices.Device.batch_busy_ms`: the ``overlap``
@@ -543,10 +546,12 @@ class _ServeLoop:
         finished by then, until every request is terminal."""
         pending, queue, inflight = self.pending, self.queue, self.inflight
         executing, wakeups, settle = self.executing, self.wakeups, self.settle
-        parked = self.parked
+        parked, max_inflight = self.parked, self.config.max_inflight
         now = self.now
         while pending or queue or inflight or parked or executing:
-            while parked and parked[0][0] <= now:
+            # Due streams resume in wake order ahead of the queue, but only
+            # into free slots; the rest stay parked until one frees.
+            while parked and parked[0][0] <= now and len(inflight) < max_inflight:
                 inflight.append(heapq.heappop(parked)[2])
             self.admit()
             self.dispatch()
@@ -555,7 +560,9 @@ class _ServeLoop:
                 next_times.append(executing[0][0])
             if pending:
                 next_times.append(pending[0].request.arrival_ms)
-            if parked:
+            if parked and len(inflight) < max_inflight:
+                # A full list frees a slot only at some other event; a free
+                # slot and an overdue head loop back at ``now``.
                 next_times.append(parked[0][0])
             backoffs = [
                 active.ready_ms
@@ -572,12 +579,13 @@ class _ServeLoop:
                 # Nothing will ever happen again.  Any remaining work is
                 # unservable (every device its phases could use is dead with
                 # no restart pending): shed it so the run terminates and
-                # conservation still holds.
+                # conservation still holds.  Due parked streams then take
+                # the freed slots and get their own chance.
                 for active in list(inflight):
                     self.shed_active(active, SHED_CAPACITY)
                 while queue:
                     self.shed_record(queue.pop(), SHED_CAPACITY)
-                break
+                continue
             now = self.now = max(now, min(next_times))
             while executing and executing[0][0] <= now:
                 end, _, device_index, entries, aborted = heapq.heappop(executing)

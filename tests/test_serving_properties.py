@@ -232,11 +232,14 @@ class TestRequestConservation:
         assert len(completed) + len(rejected) == len(records)
         assert stats.rejected == len(rejected)
 
-        # per-request timeline sanity for everything that ran
+        # per-request timeline sanity for everything that ran: an offline
+        # request finishes at the end of its last batch
+        last_end = max((entry[2] for entry in scheduler.last_dispatch_log), default=0.0)
         for record in completed:
             assert record.service_start_ms >= record.request.arrival_ms
             assert record.first_token_ms >= record.service_start_ms
             assert record.finish_ms >= record.first_token_ms
+            assert record.finish_ms <= last_end
             assert record.finish_ms <= stats.sim_end_ms + 1e-9
         for record in rejected:
             assert record.finish_ms is None and not record.tokens
@@ -341,14 +344,17 @@ def _check_chaos_run(
         assert end >= start
         per_device_end[device_index] = end
 
-    # completers' transcripts are bit-identical to the fault-free decode,
-    # and every request finishes inside the run's span
+    # completers' transcripts are bit-identical to the fault-free decode;
+    # each finishes by the last batch end or, streamed, by its audio end,
+    # and so inside the run's span
+    last_end = max((entry[2] for entry in scheduler.last_dispatch_log), default=0.0)
     for record in records:
         if record.status != STATUS_COMPLETED:
             continue
         reference = decoder.decode(record.request.utterance)
         assert record.tokens == list(reference.tokens)
         assert record.decode_ms == reference.total_ms
+        assert record.finish_ms <= max(last_end, record.audio_end_ms or 0.0) + 1e-9
         assert record.finish_ms <= stats.sim_end_ms
 
     # wasted work only exists when batches were actually aborted

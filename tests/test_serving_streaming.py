@@ -34,12 +34,19 @@ from repro.serving import (
     chunk_schedule,
     load_trace,
     offered_qps,
+    parse_fault_spec,
     poisson_trace,
     positions_available,
     save_trace,
     simulate,
 )
-from repro.serving.request import STATUS_COMPLETED, RequestRecord, ServeRequest
+from repro.serving.request import (
+    STATUS_COMPLETED,
+    STATUS_SHED,
+    RequestRecord,
+    ServeRequest,
+)
+from repro.serving.scheduler import _ServeLoop
 
 STABLE = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -270,7 +277,7 @@ class TestParkedStreams:
     """A session the audio gate holds between rounds is parked: it holds no
     in-flight slot, so ``max_inflight`` bounds runnable sessions only."""
 
-    def _serve(self, decoder, dataset, *offline: Arrival):
+    def _serve(self, decoder, dataset, *others: Arrival):
         # A batch-class stream parks at once: no audio is heard at t=0.
         streamed = Arrival(0, 0, 0.0, "batch", rtf=1.0)
         scheduler = ContinuousBatchScheduler(
@@ -279,7 +286,7 @@ class TestParkedStreams:
             ClusterConfig(devices=1),
             stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
         )
-        records = scheduler.run([streamed, *offline], dataset)
+        records = scheduler.run([streamed, *others], dataset)
         assert all(r.status == STATUS_COMPLETED for r in records)
         return records, scheduler.last_stats
 
@@ -305,6 +312,72 @@ class TestParkedStreams:
         assert records[2].finish_ms < records[0].audio_end_ms
         assert stats.preemptions == 0
         assert records[0].preemptions == 0
+
+    def test_due_streams_wake_only_into_free_slots(
+        self, serving_decoder, clean_dataset, monkeypatch
+    ):
+        # Both batch streams park at once and fall due at their first chunk
+        # (1 s), while the first interactive session holds the only slot
+        # and the second waits.  Woken regardless of slots, each stream
+        # would overflow the bound and be bounced in turn by the waiting
+        # request, which would still not get in.
+        sizes = []
+        admit = _ServeLoop.admit
+
+        def sized_admit(loop):
+            sizes.append(len(loop.inflight))
+            admit(loop)
+            sizes.append(len(loop.inflight))
+
+        monkeypatch.setattr(_ServeLoop, "admit", sized_admit)
+        records, stats = self._serve(
+            serving_decoder,
+            clean_dataset,
+            Arrival(1, 3, 1.0, "batch", rtf=1.0),
+            Arrival(2, 1, 900.0, "interactive"),
+            Arrival(3, 2, 950.0, "interactive"),
+        )
+        assert max(sizes) == 1
+        assert records[2].finish_ms > 1000.0  # the streams fell due meanwhile
+        assert records[3].service_start_ms == records[2].finish_ms
+        assert stats.preemptions <= 1
+        assert records[1].preemptions == 0
+
+    def test_due_stream_takes_the_slot_a_parking_session_frees(
+        self, serving_decoder, clean_dataset
+    ):
+        # The second stream falls due at 1001 ms while the first holds the
+        # only slot; the first parks at the end of its round (~1157 ms,
+        # ahead of its next chunk at 2000 ms).  The freed slot goes to the
+        # due stream at once, not at the next arrival (3000 ms).
+        records, _ = self._serve(
+            serving_decoder,
+            clean_dataset,
+            Arrival(1, 3, 1.0, "batch", rtf=1.0),
+            Arrival(2, 1, 3000.0, "batch"),
+        )
+        assert records[1].first_token_ms < 2000.0
+
+    def test_unservable_parked_stream_is_shed(self, serving_decoder, clean_dataset):
+        # The only device dies for good mid-round: the running stream is
+        # stuck, and the parked one, due meanwhile, must still end shed.
+        scheduler = ContinuousBatchScheduler(
+            serving_decoder,
+            SchedulerConfig(max_batch=1, max_inflight=1),
+            ClusterConfig(devices=1),
+            faults=parse_fault_spec("crash@1100:dev0"),
+            stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
+        )
+        records = scheduler.run(
+            [
+                Arrival(0, 0, 0.0, "batch", rtf=1.0),
+                Arrival(1, 3, 1.0, "batch", rtf=1.0),
+            ],
+            clean_dataset,
+        )
+        assert [(r.status, r.shed_reason) for r in records] == [
+            (STATUS_SHED, "capacity")
+        ] * 2
 
     def test_loaded_stream_completes_every_request(self):
         """At 3 qps the streams waiting for audio outnumber the eight
