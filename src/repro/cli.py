@@ -65,7 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments")
 
     run_parser = sub.add_parser("run", help="run experiment(s)")
-    run_parser.add_argument("experiment", help="experiment id or 'all'")
+    run_parser.add_argument(
+        "experiment",
+        choices=["all", *list_experiments()],
+        help="experiment id or 'all'",
+    )
     run_parser.add_argument("--utterances", type=_positive_int, default=32)
     run_parser.add_argument("--seed", type=int, default=2025)
     run_parser.add_argument(

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.utils.hashing import stable_uniform
+from repro.utils.hashing import hash_prefix, stable_hash_ints
 
 #: Fault event kind tags (mirrored in the spec grammar).
 FAULT_CRASH = "crash"
@@ -226,7 +227,7 @@ class FaultPlan:
         return bool(self.events)
 
     # -- per-kind views ----------------------------------------------------
-    @property
+    @cached_property
     def phase_error_rate(self) -> float:
         """Combined transient phase-error probability (independent events)."""
         survive = 1.0
@@ -234,6 +235,11 @@ class FaultPlan:
             if isinstance(event, PhaseErrorRate):
                 survive *= 1.0 - event.rate
         return 1.0 - survive
+
+    @cached_property
+    def _phase_error_prefix(self) -> bytes:
+        # The fixed head of every phase-error draw's hash payload.
+        return hash_prefix(self.seed, "fault-phase-error")
 
     def device_events(self) -> list[DeviceCrash | DeviceStall | DeviceSlowdown]:
         return [e for e in self.events if not isinstance(e, PhaseErrorRate)]
@@ -315,10 +321,12 @@ class FaultPlan:
         rate = self.phase_error_rate
         if rate <= 0.0:
             return False
-        draw = stable_uniform(
-            self.seed, "fault-phase-error", request_index, phase_index, attempt
+        # stable_uniform(seed, "fault-phase-error", request, phase, attempt),
+        # finished from the plan's precomputed payload head.
+        digest = stable_hash_ints(
+            self._phase_error_prefix, request_index, phase_index, attempt
         )
-        return draw < rate
+        return digest / float(1 << 64) < rate
 
     def degraded_ms(self, num_devices: int, horizon_ms: float) -> float:
         """Sim time within ``[0, horizon]`` with >= 1 device dead or stalled."""

@@ -147,17 +147,19 @@ class ClusterKVMemory:
     """Cluster-wide paged KV allocator driven by the scheduler's event loop.
 
     One instance per scheduler run.  ``capacities`` holds the per-device
-    block budgets (``None`` = unbounded); holdings are keyed per
-    ``(request index, model)`` — a speculative session holds draft-model
-    and target-model residencies independently, and a straggler re-issue
-    may briefly hold the same phase's blocks on two devices.
+    block budgets (``None`` = unbounded); holdings are keyed by request
+    index, then model, then device — a speculative session holds
+    draft-model and target-model residencies independently, a straggler
+    re-issue may briefly hold the same phase's blocks on two devices, and
+    completion, preemption or eviction reaches one request's residencies
+    without scanning anyone else's.
     """
 
     def __init__(self, spec: MemorySpec, capacities: Sequence[int | None]) -> None:
         self.spec = spec
         self.pools = [_BlockPool(capacity) for capacity in capacities]
-        # (request, model) -> device index -> holding
-        self._holdings: dict[tuple[int, str], dict[int, _Holding]] = {}
+        # request -> model -> device index -> holding
+        self._holdings: dict[int, dict[str, dict[int, _Holding]]] = {}
         # (request, model) -> copy-on-write prompt key its shared blocks use
         self._prompt_keys: dict[tuple[int, str], str] = {}
         # Residencies dropped without a surviving copy (evicted / crashed /
@@ -209,15 +211,16 @@ class ClusterKVMemory:
         """
         pool = self.pools[device]
         hkey = (request, model)
-        hmap = self._holdings.setdefault(hkey, {})
+        hmap = self._holdings.setdefault(request, {}).setdefault(model, {})
         self._prompt_keys.setdefault(hkey, prompt_key)
         # Free migration: the routers already move sessions between pool
         # peers, so an idle residency left on another device follows the
         # phase (simulated KV transfer is free — part of the parity
         # contract with the memory-disabled scheduler).
-        for other, other_holding in list(hmap.items()):
-            if other != device and other_holding.inflight == 0:
-                self._release_full(hkey, hmap, other, other_holding)
+        if hmap and (len(hmap) > 1 or device not in hmap):
+            for other, other_holding in list(hmap.items()):
+                if other != device and other_holding.inflight == 0:
+                    self._release_full(hkey, hmap, other, other_holding)
         holding = hmap.get(device)
         current_shared = holding.shared if holding is not None else 0
         current_private = holding.private if holding is not None else 0
@@ -229,11 +232,10 @@ class ClusterKVMemory:
             shared_target = current_shared  # never demote already-shared blocks
         private_target = max(demand - shared_target, 0)
         freed = max(current_private - private_target, 0)
-
-        def plan() -> tuple[int, int]:
-            # (new physical blocks, shared blocks reused) against the pool's
-            # *current* table — eviction can free a block this admission
-            # meant to reuse, so the plan recomputes after every round.
+        while True:
+            # New physical blocks and shared blocks reused, against the
+            # pool's *current* table: eviction can free a block this
+            # admission meant to reuse, so the plan recomputes every round.
             new_physical = max(private_target - current_private, 0)
             reused = 0
             for index in range(current_shared, shared_target):
@@ -241,10 +243,6 @@ class ClusterKVMemory:
                     new_physical += 1
                 else:
                     reused += 1
-            return new_physical, reused
-
-        while True:
-            new_physical, reused_now = plan()
             needed = new_physical - freed
             if pool.capacity is None or pool.used + needed <= pool.capacity:
                 break
@@ -260,7 +258,7 @@ class ClusterKVMemory:
             if refs == 0:
                 pool.charge(1)
             pool.shared[key] = refs + 1
-        self.reuse_hits += reused_now
+        self.reuse_hits += reused
         if private_target > current_private:
             pool.charge(private_target - current_private)
         elif private_target < current_private:
@@ -301,7 +299,7 @@ class ClusterKVMemory:
         residency is gone (crash semantics) and the next admission pays
         the re-prefill penalty.
         """
-        hmap = self._holdings.get((request, model))
+        hmap = self._holdings.get(request, {}).get(model)
         holding = hmap.get(device) if hmap is not None else None
         if hmap is None or holding is None:
             return  # released wholesale (request completed/shed) before settle
@@ -344,7 +342,12 @@ class ClusterKVMemory:
     # -- eviction / release ------------------------------------------------
     def _forget(self, key: tuple[int, str], evicted: bool) -> None:
         """Drop an emptied (request, model) entry and record its fate."""
-        self._holdings.pop(key, None)
+        request, model = key
+        models = self._holdings.get(request)
+        if models is not None:
+            models.pop(model, None)
+            if not models:
+                del self._holdings[request]
         self._prompt_keys.pop(key, None)
         if evicted:
             self._evicted.add(key)
@@ -360,8 +363,8 @@ class ClusterKVMemory:
         pays re-prefill on its next dispatch.
         """
         freed = 0
-        for key in [k for k in self._holdings if k[0] == request]:
-            hmap = self._holdings[key]
+        for model, hmap in list(self._holdings.get(request, {}).items()):
+            key = (request, model)
             for device, holding in list(hmap.items()):
                 if holding.inflight == 0:
                     freed += self._release_full(key, hmap, device, holding)
@@ -411,12 +414,13 @@ class ClusterKVMemory:
             return
         busy: set[int] = set()
         present: set[int] = set()
-        for (request, _model), hmap in self._holdings.items():
-            for dev, holding in hmap.items():
-                if holding.inflight > 0:
-                    busy.add(request)
-                if dev == device and holding.blocks > 0:
-                    present.add(request)
+        for request, models in self._holdings.items():
+            for hmap in models.values():
+                for dev, holding in hmap.items():
+                    if holding.inflight > 0:
+                        busy.add(request)
+                    if dev == device and holding.blocks > 0:
+                        present.add(request)
         candidates = sorted(
             (r for r in present if r != protect and r not in busy),
             key=lambda r: (self._lru.get(r, -1), r),
@@ -426,8 +430,8 @@ class ClusterKVMemory:
             if freed >= shortfall:
                 break
             victim_freed = 0
-            for key in [k for k in self._holdings if k[0] == victim]:
-                hmap = self._holdings[key]
+            for model, hmap in list(self._holdings[victim].items()):
+                key = (victim, model)
                 holding = hmap.get(device)
                 if holding is not None:
                     victim_freed += self._release_full(key, hmap, device, holding)
@@ -460,7 +464,8 @@ class ClusterKVMemory:
         for device, pool in enumerate(self.pools):
             private = sum(
                 holding.private
-                for hmap in self._holdings.values()
+                for models in self._holdings.values()
+                for hmap in models.values()
                 for dev, holding in hmap.items()
                 if dev == device
             )

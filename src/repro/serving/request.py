@@ -151,8 +151,12 @@ class RequestRecord:
     # -- streaming-derived latencies ---------------------------------------
     @property
     def streaming(self) -> bool:
-        """True when this request's audio arrived in timed chunks."""
-        return self.audio_end_ms is not None
+        """True when this request's audio streams in timed chunks.
+
+        A property of the request itself (``rtf > 0``), so a streamed
+        arrival the queue rejected still counts as a stream.
+        """
+        return self.request.rtf > 0
 
     @property
     def word_ttft_ms(self) -> float | None:

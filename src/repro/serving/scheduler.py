@@ -63,6 +63,9 @@ threads injected chaos through the loop:
   request (reason ``"retries"``).
 * The router's projections **exclude dead and stalled devices**, and the
   pool planner re-plans on every membership change (crash, warm restart).
+  Device fault state (alive set, available set, effective speeds) changes
+  only at the plan's wake-up times, so the loop recomputes it only when
+  ``now`` crosses one of them and reuses it for every event in between.
 * A **straggler detector** re-issues a running phase whose projected
   completion exceeds ``straggler_factor`` × its pool's median on the
   fastest idle pool peer; the first copy to finish commits and the other
@@ -118,8 +121,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.data.corpus import Dataset
@@ -299,13 +303,14 @@ class _Active:
     and ``prompt_key`` identifies the utterance for cross-request prefix
     sharing.
 
-    For a streaming request (``rtf > 0``), ``chunk_caps`` holds the
-    precomputed audio timeline — ``(at_ms, cap)`` per chunk event, where
-    ``cap`` is how many transcript positions the audio heard by ``at_ms``
-    supports — ``audio_end_ms`` the arrival of the last chunk, ``emitted``
-    the committed-token count, and ``new_round`` whether the pending phase
+    For a streaming request (``rtf > 0``), ``chunk_ms`` and ``chunk_caps``
+    hold the precomputed audio timeline — per chunk event its arrival time
+    and how many transcript positions the audio heard by then supports,
+    both non-decreasing, so the audio gate answers by bisection —
+    ``audio_end_ms`` the arrival of the last chunk, ``emitted`` the
+    committed-token count, and ``new_round`` whether the pending phase
     starts a fresh draft→verify round (the only point the chunk gate may
-    hold it back).
+    hold it back).  Offline sessions keep ``chunk_ms`` at None.
     """
 
     __slots__ = (
@@ -324,6 +329,7 @@ class _Active:
         "committed",
         "prefilled",
         "prompt_key",
+        "chunk_ms",
         "chunk_caps",
         "audio_end_ms",
         "emitted",
@@ -348,7 +354,8 @@ class _Active:
         self.committed = 0  # committed tokens (memory billing)
         self.prefilled: set[str] = set()  # models with resident KV
         self.prompt_key = ""  # prefix-sharing identity
-        self.chunk_caps: tuple[tuple[float, int], ...] | None = None
+        self.chunk_ms: list[float] | None = None  # chunk arrivals (streaming)
+        self.chunk_caps: list[int] = []  # positions heard by each chunk
         self.audio_end_ms = 0.0  # last chunk arrival (streaming only)
         self.emitted = 0  # committed tokens recorded as emissions
         self.new_round = True  # pending phase begins a new round
@@ -527,9 +534,14 @@ class _ServeLoop:
         # entries.
         self.executing: list[tuple[float, int, int, list[_Entry], bool]] = []
         self.order = itertools.count()
-        self.wakeups = deque(plan.wakeup_times()) if plan is not None else deque()
+        self.wakeup_times = plan.wakeup_times() if plan is not None else ()
         self.now = 0.0
-        self.last_alive: tuple[int, ...] | None = None
+        # Device fault state of the current fault epoch (the span between
+        # two wake-up times): recomputed only when ``now`` enters another.
+        self.epoch = -1
+        self.alive: tuple[int, ...] | None = None
+        self.available = tuple(device.index for device in self.devices)
+        self.speeds: dict[int, float] = {}
         # Chaos counters, keyed by their ScheduleStats field names.
         self.tally = {
             "retries": 0,
@@ -545,7 +557,7 @@ class _ServeLoop:
         """Admit, dispatch, move ``now`` to the next event and settle what
         finished by then, until every request is terminal."""
         pending, queue, inflight = self.pending, self.queue, self.inflight
-        executing, wakeups, settle = self.executing, self.wakeups, self.settle
+        executing, wakeups, settle = self.executing, self.wakeup_times, self.settle
         parked, max_inflight = self.parked, self.config.max_inflight
         now = self.now
         while pending or queue or inflight or parked or executing:
@@ -571,10 +583,9 @@ class _ServeLoop:
             ]
             if backoffs:
                 next_times.append(min(backoffs))
-            while wakeups and wakeups[0] <= now:
-                wakeups.popleft()
-            if wakeups and (inflight or parked or queue or pending):
-                next_times.append(wakeups[0])
+            upcoming = bisect_right(wakeups, now)  # first wake-up after now
+            if upcoming < len(wakeups) and (inflight or parked or queue or pending):
+                next_times.append(wakeups[upcoming])
             if not next_times:
                 # Nothing will ever happen again.  Any remaining work is
                 # unservable (every device its phases could use is dead with
@@ -744,29 +755,32 @@ class _ServeLoop:
         Waiting phases route in class-then-FIFO order (priority rank, ready
         time, request index) so least-loaded routers see them in a
         deterministic sequence; each free device then takes up to
-        ``max_batch`` of the phases routed to it, still in that order.
+        ``max_batch`` of the phases routed to it, still in that order.  With
+        no device free, the audio gate still parks sessions (that frees
+        slots) but nothing routes: every placement would be thrown away.
         """
         now = self.now
-        router, devices = self.router, self.devices
+        router = self.router
         if self.plan is not None:
-            alive = tuple(device.index for device in devices if not device.is_dead(now))
-            if alive != self.last_alive:
-                # Membership changed (crash or warm restart): the pool
-                # planner re-plans over the survivors.
-                router.on_membership_change(alive)
-                self.last_alive = alive
-            available = [device.index for device in devices if device.available(now)]
-            speeds = {device.index: device.effective_speed(now) for device in devices}
-            router.plan_round(now, available=available, speeds=speeds)
+            epoch = bisect_right(self.wakeup_times, now)
+            if epoch != self.epoch:
+                self.enter_fault_epoch(epoch)
+            router.plan_round(now, available=self.available, speeds=self.speeds)
         else:
             router.plan_round(now)
+        available = self.available
+        free = [
+            device
+            for device in self.devices
+            if device.free_at <= now and device.index in available
+        ]
         waiting = []
         gated = []
         gate_ms = self.stream_gate_ms
         for active in self.inflight:
             if active.running or active.ready_ms > now:
                 continue
-            if active.chunk_caps is not None:
+            if active.chunk_ms is not None:
                 gate = gate_ms(active, now)
                 if gate is not None:
                     # Audio hasn't reached the positions the next round
@@ -782,6 +796,34 @@ class _ServeLoop:
             heapq.heappush(
                 self.parked, (active.ready_ms, active.record.request.index, active)
             )
+        if free:
+            self.route_and_launch(free, waiting)
+        if self.config.straggler_factor > 0:
+            self.reissue_stragglers()
+
+    def enter_fault_epoch(self, epoch: int) -> None:
+        """Recompute device fault state for the epoch ``now`` lies in.
+
+        Crashes, restarts, stalls and slowdowns change state only at the
+        plan's wake-up times (every window is half-open), so the alive set,
+        available set and effective speeds hold until ``now`` crosses the
+        next one.
+        """
+        now, router, devices = self.now, self.router, self.devices
+        self.epoch = epoch
+        alive = tuple(device.index for device in devices if not device.is_dead(now))
+        if alive != self.alive:
+            # Membership changed (crash or warm restart): the pool planner
+            # re-plans over the survivors.
+            router.on_membership_change(alive)
+            self.alive = alive
+        self.available = tuple(
+            device.index for device in devices if device.available(now)
+        )
+        self.speeds = {device.index: device.effective_speed(now) for device in devices}
+
+    def route_and_launch(self, free: list[Device], waiting: list[_Active]) -> None:
+        """Route the waiting phases, then launch on each ``free`` device."""
         waiting.sort(
             key=lambda a: (
                 priority_rank(a.record.request.priority),
@@ -789,7 +831,7 @@ class _ServeLoop:
                 a.record.request.index,
             )
         )
-        route = router.route
+        route = self.router.route
         waiting_at: dict[int, list[_Active]] = {}
         for active in waiting:
             device = route(active.record.request.index, active.phase)
@@ -797,9 +839,7 @@ class _ServeLoop:
                 continue  # whole pool dead/stalled; the phase waits
             waiting_at.setdefault(device.index, []).append(active)
         memory, launch, max_batch = self.memory, self.launch, self.config.max_batch
-        for device in devices:
-            if device.free_at > now or not device.available(now):
-                continue
+        for device in free:
             routed = waiting_at.get(device.index)
             if not routed:
                 continue
@@ -822,8 +862,6 @@ class _ServeLoop:
                 penalties.append(grant)
             if batch:
                 launch(device, batch, penalties)
-        if self.config.straggler_factor > 0:
-            self.reissue_stragglers()
 
     def reissue_stragglers(self) -> None:
         """Hedge stragglers: a running phase whose projected completion
@@ -877,7 +915,17 @@ class _ServeLoop:
             # execution only; the phase object on the active stays pristine,
             # so transcripts and decode_ms never see it.
             phases = [
-                replace(phase, ms=phase.ms + penalty) if penalty else phase
+                PhaseOutcome(
+                    phase=phase.phase,
+                    model=phase.model,
+                    ms=phase.ms + penalty,
+                    new_tokens=phase.new_tokens,
+                    round_done=phase.round_done,
+                    done=phase.done,
+                    kv_peak=phase.kv_peak,
+                )
+                if penalty
+                else phase
                 for phase, penalty in zip(phases, penalties, strict=True)
             ]
         crash = None
@@ -971,7 +1019,7 @@ class _ServeLoop:
         active.new_round = outcome.round_done
         if outcome.round_done:
             record.rounds += 1
-        if active.chunk_caps is not None and outcome.new_tokens:
+        if active.chunk_ms is not None and outcome.new_tokens:
             # A committed token becomes *final* (client-visible) only once
             # its supporting audio has arrived: emission time is
             # max(commit, audio ready).  Tokens the round decoded ahead of
@@ -984,7 +1032,7 @@ class _ServeLoop:
             active.emitted += len(outcome.new_tokens)
         if outcome.new_tokens and record.first_token_ms is None:
             record.first_token_ms = (
-                record.emission_ms[0] if active.chunk_caps is not None else end_ms
+                record.emission_ms[0] if active.chunk_ms is not None else end_ms
             )
         if not outcome.done:
             active.phase = active.stepper.step_phase()
@@ -996,7 +1044,7 @@ class _ServeLoop:
         record.decode_ms = result.total_ms
         if record.first_token_ms is None:
             record.first_token_ms = end_ms  # empty transcript
-        if active.chunk_caps is not None:
+        if active.chunk_ms is not None:
             self.finalize_streaming(active, end_ms)
         self.inflight.remove(active)
         if memory is not None:
@@ -1043,15 +1091,17 @@ class _ServeLoop:
         utterance = request.utterance
         stream = self.stream
         events = chunk_schedule(request, utterance.duration_s, stream.chunk_s)
-        active.chunk_caps = tuple(
-            (at_ms, positions_available(utterance, heard_s, stream.lookahead_s))
-            for at_ms, heard_s in events
-        )
+        active.chunk_ms = [at_ms for at_ms, _heard_s in events]
+        active.chunk_caps = [
+            positions_available(utterance, heard_s, stream.lookahead_s)
+            for _at_ms, heard_s in events
+        ]
         active.audio_end_ms = events[-1][0]
         active.record.audio_end_ms = active.audio_end_ms
         active.record.stream_chunks = len(events)
 
-    def stream_gate_ms(self, active: _Active, now_ms: float) -> float | None:
+    @staticmethod
+    def stream_gate_ms(active: _Active, now_ms: float) -> float | None:
         """When the audio cap next allows a new round; None = ungated.
 
         A round only holds at its *boundary* (``new_round``): once the draft
@@ -1059,28 +1109,25 @@ class _ServeLoop:
         decode content — and with it transcripts and ``decode_ms`` — is
         bit-identical to the offline run.  The gate releases entirely once
         all audio has arrived (nothing left to wait for, including the final
-        EOS round).
+        EOS round).  Otherwise a session that has emitted as many positions
+        as the chunks heard by ``now_ms`` support waits for the first later
+        chunk that raises the cap.
         """
         if not active.new_round or now_ms >= active.audio_end_ms:
             return None
-        caps = active.chunk_caps  # dispatch only asks for streamed sessions
-        current = 0
-        for at_ms, cap in caps:
-            if at_ms > now_ms:
-                break
-            current = cap
-        if active.emitted < current:
+        times, caps = active.chunk_ms, active.chunk_caps  # streamed sessions only
+        heard = bisect_right(times, now_ms)  # chunks arrived by now_ms
+        if heard and active.emitted < caps[heard - 1]:
             return None
-        for at_ms, cap in caps:
-            if at_ms > now_ms and cap > active.emitted:
-                return at_ms
-        return active.audio_end_ms
+        raising = bisect_right(caps, active.emitted, heard)
+        return times[raising] if raising < len(times) else active.audio_end_ms
 
-    def audio_ready_ms(self, active: _Active, position: int) -> float:
+    @staticmethod
+    def audio_ready_ms(active: _Active, position: int) -> float:
         """Arrival of the first chunk supporting ``position`` tokens."""
-        for at_ms, cap in active.chunk_caps:
-            if cap >= position:
-                return at_ms
+        index = bisect_left(active.chunk_caps, position)
+        if index < len(active.chunk_caps):
+            return active.chunk_ms[index]
         return active.audio_end_ms  # lookahead tail: final only at end
 
     def finalize_streaming(self, active: _Active, end_ms: float) -> None:
@@ -1112,7 +1159,7 @@ class _ServeLoop:
         # the chunk's own arrival; the lookahead tail is charged against
         # end-of-audio.
         prev = 0
-        for at_ms, cap in active.chunk_caps:
+        for at_ms, cap in zip(active.chunk_ms, active.chunk_caps, strict=True):
             cap = min(cap, n)
             if cap > prev:
                 record.chunk_latencies_ms.append(record.emission_ms[cap - 1] - at_ms)

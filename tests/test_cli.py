@@ -25,9 +25,13 @@ class TestCli:
         assert "fig13b" in out
         assert "paper" in out
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
+    def test_run_unknown_experiment(self, capsys):
+        """A usage error (exit 2), not a KeyError traceback from the runner."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig99"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "fig99" in err
 
     def test_decode(self, capsys):
         assert main(["decode", "--pairing", "whisper", "--index", "0"]) == 0

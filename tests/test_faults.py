@@ -24,6 +24,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decoding.base import PHASE_DRAFT, PhaseOutcome
 from repro.harness.executor import CorpusExecutor
@@ -66,6 +68,8 @@ from repro.serving.request import (
     RequestRecord,
     ServeRequest,
 )
+from repro.serving.router import DisaggregatedRouter
+from repro.utils.hashing import stable_uniform
 
 TERMINAL = (STATUS_COMPLETED, STATUS_REJECTED, STATUS_SHED)
 
@@ -181,6 +185,30 @@ class TestFaultPlanViews:
         assert verdicts != [
             other.phase_fails(3, 5, attempt) for attempt in range(1, 30)
         ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**40),
+        rates=st.lists(
+            st.floats(min_value=0.0, max_value=0.9), min_size=0, max_size=2
+        ),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_phase_fails_matches_stable_uniform_draw(self, seed, rates):
+        """The verdict is the documented draw: a uniform over (seed, tag,
+        request, phase, attempt) below the combined rate."""
+        plan = FaultPlan(tuple(PhaseErrorRate(rate) for rate in rates), seed=seed)
+        survive = 1.0
+        for rate in rates:
+            survive *= 1.0 - rate
+        assert plan.phase_error_rate == 1.0 - survive
+        for request in (0, 1, 7, 255, 10_007):
+            for phase in (0, 1, 2, 40):
+                for attempt in (1, 2, 3):
+                    draw = stable_uniform(
+                        seed, "fault-phase-error", request, phase, attempt
+                    )
+                    expected = draw < plan.phase_error_rate
+                    assert plan.phase_fails(request, phase, attempt) == expected
 
     def test_degraded_ms_merges_overlapping_windows(self):
         plan = parse_fault_spec(
@@ -494,6 +522,53 @@ class TestCrashRecovery:
         assert stats.retries > 0 and stats.requeues > 0
         assert stats.block_size == 0  # no KV accounting
         assert not any(emissions for *_, emissions in outcomes)
+
+
+class TestFaultEpochs:
+    """Device fault state changes only at plan wake-up times, so the loop
+    recomputes it only when ``now`` crosses one; whatever it hands the
+    router must equal fresh per-device queries at that instant."""
+
+    SPEC = (
+        "slow@200+900:dev2:x0.5;stall@350+300:dev1;"
+        "crash@500:dev3:restart=400;crash@1300:dev0"
+    )
+
+    def test_router_sees_fresh_fault_state_at_every_dispatch(
+        self, chaos_decoder, clean_dataset, monkeypatch
+    ):
+        seen: list[float] = []
+        plan_round = DisaggregatedRouter.plan_round
+
+        def checked_plan_round(router, now_ms, available=None, speeds=None):
+            devices = router.devices
+            assert tuple(available) == tuple(
+                d.index for d in devices if d.available(now_ms)
+            )
+            assert speeds == {d.index: d.effective_speed(now_ms) for d in devices}
+            # the pools span exactly the devices alive now
+            members = {d.index for d in (*router.draft_pool, *router.target_pool)}
+            assert members == {d.index for d in devices if not d.is_dead(now_ms)}
+            seen.append(now_ms)
+            plan_round(router, now_ms, available, speeds)
+
+        monkeypatch.setattr(DisaggregatedRouter, "plan_round", checked_plan_round)
+        plan = parse_fault_spec(self.SPEC, seed=3)
+        trace = [Arrival(i, i % len(clean_dataset), 60.0 * i) for i in range(24)]
+        records, scheduler = _run(
+            chaos_decoder,
+            clean_dataset,
+            trace,
+            cluster=ClusterConfig(devices=4, router="merged"),
+            faults=plan,
+        )
+        _assert_conservation(records, scheduler.last_stats)
+        # The run dispatched exactly at every wake-up time and again inside
+        # every epoch, so a stale epoch anywhere would have been caught.
+        times = plan.wakeup_times()
+        assert set(times) <= set(seen)
+        for start, end in zip(times, (*times[1:], math.inf), strict=True):
+            assert any(start < now_ms < end for now_ms in seen)
 
 
 class TestDegradation:

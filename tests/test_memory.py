@@ -21,6 +21,7 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
@@ -89,6 +90,15 @@ class TestMemorySpec:
 # ---------------------------------------------------------------------------
 
 
+def _flat_holdings(memory):
+    """``(request, model) -> device -> holding`` over every residency."""
+    return {
+        (request, model): hmap
+        for request, models in memory._holdings.items()
+        for model, hmap in models.items()
+    }
+
+
 class _AllocatorHarness:
     """Interprets an op tape against ClusterKVMemory + a mirror of copies."""
 
@@ -102,15 +112,16 @@ class _AllocatorHarness:
 
     def busy_snapshot(self):
         """Holdings of every session with a copy executing somewhere."""
+        holdings = _flat_holdings(self.memory)
         busy = {
             request
-            for (request, _m), hmap in self.memory._holdings.items()
+            for (request, _m), hmap in holdings.items()
             for holding in hmap.values()
             if holding.inflight > 0
         }
         return {
             key: {dev: (h.shared, h.private) for dev, h in hmap.items()}
-            for key, hmap in self.memory._holdings.items()
+            for key, hmap in holdings.items()
             if key[0] in busy
         }
 
@@ -129,7 +140,7 @@ class _AllocatorHarness:
             device, request, model, f"utt-{request % 3}", peak, resident
         )
         # Eviction (inside admit) must never have touched a running session.
-        after_holdings = self.memory._holdings
+        after_holdings = _flat_holdings(self.memory)
         for key_b, devmap in before.items():
             if key_b[0] == request:
                 continue  # the admitted request may migrate its own blocks
@@ -242,6 +253,135 @@ class TestAllocatorProperties:
         harness.drain()
 
 
+def _scan_release(memory, request, evicted=False):
+    """Reference ``release_request``: find the request's residencies by
+    scanning every holding."""
+    freed = 0
+    for (owner, model), hmap in list(_flat_holdings(memory).items()):
+        if owner != request:
+            continue
+        for device, holding in list(hmap.items()):
+            if holding.inflight == 0:
+                freed += memory._release_full((owner, model), hmap, device, holding)
+        if not hmap:
+            memory._forget((owner, model), evicted)
+    if not evicted:
+        memory._lru.pop(request, None)
+    return freed
+
+
+def _scan_evict(memory, device, shortfall, protect):
+    """Reference ``_evict_until``: candidates and each victim's residencies
+    found by scanning every holding."""
+    if shortfall <= 0:
+        return
+    holdings = _flat_holdings(memory)
+    busy = {
+        owner
+        for (owner, _m), hmap in holdings.items()
+        for holding in hmap.values()
+        if holding.inflight > 0
+    }
+    present = {
+        owner
+        for (owner, _m), hmap in holdings.items()
+        for dev, holding in hmap.items()
+        if dev == device and holding.blocks > 0
+    }
+    candidates = sorted(
+        (owner for owner in present if owner != protect and owner not in busy),
+        key=lambda owner: (memory._lru.get(owner, -1), owner),
+    )
+    freed = 0
+    for victim in candidates:
+        if freed >= shortfall:
+            break
+        victim_freed = 0
+        for (owner, model), hmap in list(_flat_holdings(memory).items()):
+            if owner != victim:
+                continue
+            holding = hmap.get(device)
+            if holding is not None:
+                victim_freed += memory._release_full(
+                    (owner, model), hmap, device, holding
+                )
+            if not hmap:
+                memory._forget((owner, model), evicted=True)
+        if victim_freed:
+            freed += victim_freed
+            memory.evictions += 1
+            memory.evicted_blocks += victim_freed
+
+
+def _allocator_state(memory):
+    """Everything release and eviction may change, in comparable form."""
+    return (
+        [(pool.used, pool.peak, dict(pool.shared)) for pool in memory.pools],
+        {
+            key: {dev: (h.shared, h.private, h.inflight) for dev, h in hmap.items()}
+            for key, hmap in _flat_holdings(memory).items()
+        },
+        dict(memory._prompt_keys),
+        set(memory._evicted),
+        dict(memory._lru),
+        memory.evictions,
+        memory.evicted_blocks,
+    )
+
+
+class TestResidencyLookup:
+    """``release_request`` and eviction reach a request's residencies through
+    the request-keyed map; from every state an op tape reaches, they must
+    free exactly what a scan of every holding frees, and leave the ledgers
+    balanced."""
+
+    @given(
+        tape=st.lists(
+            st.tuples(
+                # mostly executed phases, so idle sessions are there to evict
+                st.sampled_from(["serve"] * 3 + ["admit", "commit", "fail", "release"]),
+                st.integers(min_value=0, max_value=3),  # request
+                st.integers(min_value=0, max_value=1),  # model index
+                st.integers(min_value=0, max_value=1),  # device
+                st.integers(min_value=1, max_value=60),  # peak tokens
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        capacity=st.integers(min_value=4, max_value=16),
+    )
+    @STABLE
+    def test_release_and_eviction_match_whole_map_scan(self, tape, capacity):
+        spec = MemorySpec(device_blocks=capacity, block_size=4)
+        harness = _AllocatorHarness([capacity, capacity], spec)
+        memory = harness.memory
+        for op, request, model_idx, device, peak in tape:
+            model = MODELS[model_idx]
+            if op in ("admit", "serve"):
+                harness.admit(request, model, device, peak)
+                if op == "serve":  # an executed phase: the session goes idle
+                    harness.settle(request, model, True, peak // 4)
+            elif op in ("commit", "fail"):
+                harness.settle(request, model, op == "commit", peak // 4)
+            else:
+                harness.release(request)
+            for target in range(4):
+                for evicted in (False, True):
+                    actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
+                    freed = actual.release_request(target, evicted=evicted)
+                    assert freed == _scan_release(reference, target, evicted)
+                    assert _allocator_state(actual) == _allocator_state(reference)
+                    actual.audit()
+            for target_device in (0, 1):
+                for shortfall in (1, capacity):
+                    actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
+                    actual._evict_until(target_device, shortfall, protect=request)
+                    _scan_evict(reference, target_device, shortfall, protect=request)
+                    assert _allocator_state(actual) == _allocator_state(reference)
+                    actual.audit()
+        harness.drain()
+
+
 class TestAllocatorUnit:
     def test_prefix_sharing_dedupes_physical_blocks(self):
         spec = MemorySpec(device_blocks=64, block_size=4)
@@ -282,6 +422,25 @@ class TestAllocatorUnit:
         penalty = memory.admit(0, 0, "m", "a", 12, 12)
         assert penalty == pytest.approx(2.0 * 3)
         assert memory.reprefill_ms == pytest.approx(penalty)
+        memory.audit()
+
+    def test_eviction_frees_every_model_of_a_victim(self):
+        spec = MemorySpec(device_blocks=12, block_size=4)
+        memory = ClusterKVMemory(spec, [12, 12])
+        for request, device in ((0, 0), (1, 0), (2, 1)):
+            for model in MODELS:
+                memory.admit(device, request, model, f"utt-{request}", 8, 0)
+                memory.settle(device, request, model, f"utt-{request}", 8, True)
+        # Request 0 is the least recently used: a one-block shortfall on
+        # device 0 evicts both of its models there, and nothing else.
+        memory._evict_until(0, 1, protect=-1)
+        assert memory.evictions == 1
+        remaining = {
+            (request, model, device)
+            for (request, model), hmap in _flat_holdings(memory).items()
+            for device in hmap
+        }
+        assert remaining == {(r, m, d) for r, d in ((1, 0), (2, 1)) for m in MODELS}
         memory.audit()
 
     def test_running_session_never_evicted_even_under_pressure(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from repro.serving import (
 )
 from repro.serving.request import (
     STATUS_COMPLETED,
+    STATUS_REJECTED,
     STATUS_SHED,
     RequestRecord,
     ServeRequest,
@@ -397,6 +399,78 @@ class TestParkedStreams:
         assert report.goodput_ratio == 1.0
 
 
+def _linear_gate_ms(caps, audio_end_ms, emitted, new_round, now_ms):
+    """Reference audio gate: a linear scan of ``(at_ms, cap)`` chunk pairs."""
+    if not new_round or now_ms >= audio_end_ms:
+        return None
+    current = 0
+    for at_ms, cap in caps:
+        if at_ms > now_ms:
+            break
+        current = cap
+    if emitted < current:
+        return None
+    for at_ms, cap in caps:
+        if at_ms > now_ms and cap > emitted:
+            return at_ms
+    return audio_end_ms
+
+
+def _linear_audio_ready_ms(caps, audio_end_ms, position):
+    """Reference emission time: the first chunk supporting ``position``."""
+    for at_ms, cap in caps:
+        if cap >= position:
+            return at_ms
+    return audio_end_ms
+
+
+class TestAudioGateBisection:
+    """The scheduler's bisected audio gate answers exactly like a linear
+    scan of the chunk timeline, for any timeline, emitted count and time."""
+
+    @given(
+        duration_s=st.floats(min_value=0.05, max_value=8.0),
+        num_tokens=st.integers(min_value=0, max_value=40),
+        chunk_s=st.floats(min_value=0.25, max_value=3.0),
+        lookahead_s=st.floats(min_value=0.0, max_value=1.5),
+        rtf=st.floats(min_value=0.25, max_value=4.0),
+        arrival_ms=st.floats(min_value=0.0, max_value=1e5),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_gate_and_ready_times_match_linear_scan(
+        self, duration_s, num_tokens, chunk_s, lookahead_s, rtf, arrival_ms
+    ):
+        utterance = SimpleNamespace(duration_s=duration_s, num_tokens=num_tokens)
+        arrival = Arrival(0, 0, arrival_ms, rtf=rtf)
+        events = chunk_schedule(arrival, duration_s, chunk_s)
+        caps = [
+            (at_ms, positions_available(utterance, heard_s, lookahead_s))
+            for at_ms, heard_s in events
+        ]
+        audio_end_ms = events[-1][0]
+        times = [at_ms for at_ms, _cap in caps]
+        session = SimpleNamespace(
+            chunk_ms=times,
+            chunk_caps=[cap for _at_ms, cap in caps],
+            audio_end_ms=audio_end_ms,
+        )
+        # now at every chunk time, between each pair, before the first and
+        # after the last
+        probes = {arrival_ms, times[0] - 1.0, audio_end_ms + 1.0, *times}
+        probes.update((a + b) / 2 for a, b in zip(times, times[1:], strict=False))
+        for emitted in range(num_tokens + 2):  # the final commit adds EOS
+            for new_round in (True, False):
+                session.emitted, session.new_round = emitted, new_round
+                for now_ms in sorted(probes):
+                    expected = _linear_gate_ms(
+                        caps, audio_end_ms, emitted, new_round, now_ms
+                    )
+                    assert _ServeLoop.stream_gate_ms(session, now_ms) == expected
+        for position in range(num_tokens + 3):
+            expected = _linear_audio_ready_ms(caps, audio_end_ms, position)
+            assert _ServeLoop.audio_ready_ms(session, position) == expected
+
+
 class TestStreamingPropertyGrid:
     @given(
         chunk_s=st.sampled_from((0.4, 1.0, 2.5)),
@@ -446,6 +520,23 @@ class TestStreamingReport:
         assert payload["streaming"]["partial_stability"] == 0.0
         assert "word_ttft_ms" in payload["streaming"]
         assert "streaming :" in report.render()
+
+    def test_rejected_streams_count_as_streams(self, serving_decoder, clean_dataset):
+        """A streamed arrival the queue bounces still counts as a stream."""
+        trace = [Arrival(i, i % len(clean_dataset), 0.0, rtf=1.0) for i in range(6)]
+        scheduler = ContinuousBatchScheduler(
+            serving_decoder,
+            SchedulerConfig(max_batch=1, max_inflight=1, queue_capacity=1),
+            ClusterConfig(devices=1),
+            stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
+        )
+        records = scheduler.run(trace, clean_dataset)
+        assert sum(r.status == STATUS_REJECTED for r in records) > 0
+        assert all(r.streaming for r in records)
+        summary = StreamingSummary.from_records(records)
+        assert summary is not None
+        assert summary.requests == len(trace)
+        assert summary.completed == sum(r.status == STATUS_COMPLETED for r in records)
 
     def test_offline_simulate_has_no_streaming_block(self):
         report = simulate(ServeSimConfig(num_requests=4, utterances=4, qps=2.0))

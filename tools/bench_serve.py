@@ -16,13 +16,15 @@ For each method in the suite this bench:
 * sweeps the **streaming grid** — chunked audio delivery at several
   chunk-size × lookahead × real-time-factor points — recording word-level
   TTFT / chunk-emission / final-latency percentiles and asserting each
-  point's transcripts bit-identical to the offline run of the same trace,
-  plus one loaded streaming point whose goodput the smoke mode gates;
+  point's transcripts bit-identical to the offline run of the same trace
+  and to a fresh ``decoder.decode()`` of each utterance, plus one loaded
+  streaming point whose goodput the smoke mode gates;
 * asserts the scheduler determinism contract: serial (batch=1) and batched
   configurations produce bit-identical transcripts and per-request decode
   times, re-running the batched simulation reproduces identical completion
   latencies, and transcripts/decode times are identical across device
-  counts, device specs, split policies and router policies.
+  counts, device specs, split policies and router policies — and equal to
+  a fresh decode, since every serve replays the same decode tape.
 
 Wall-clock throughput (simulated requests per second of host time) is also
 measured, and ``--smoke`` compares it against the checked-in
@@ -182,13 +184,59 @@ def _base_config(args, num_requests: int) -> ServeSimConfig:
     )
 
 
-def _check_determinism(config: ServeSimConfig) -> None:
+class _ReferenceDecodes:
+    """A fresh ``decoder.decode()`` per distinct utterance.
+
+    Every serve replays the decoder's one decode tape per utterance, so
+    serves compared only with one another share any defect of that tape.
+    ``decoder.decode`` never reads a tape, which makes it an independent
+    reference for served transcripts and decode times.  Each utterance is
+    decoded once; the counters say how much was compared.
+    """
+
+    def __init__(self, decoder) -> None:
+        self.decoder = decoder
+        self.outputs: dict[str, tuple[list[int], float]] = {}
+        self.records = 0  # completed records compared
+        self.utterances: set[str] = set()  # distinct utterances compared
+
+    def matches(self, records) -> bool:
+        """True when every completed record's tokens and decode time equal
+        the reference decode of its utterance."""
+        identical = True
+        for record in records:
+            if record.status != "completed":
+                continue
+            utterance = record.request.utterance
+            key = utterance.utterance_id
+            if key not in self.outputs:
+                result = self.decoder.decode(utterance)
+                self.outputs[key] = (list(result.tokens), result.total_ms)
+            self.records += 1
+            self.utterances.add(key)
+            if (record.tokens, record.decode_ms) != self.outputs[key]:
+                identical = False
+        return identical
+
+    def counts(self) -> dict:
+        return {
+            "records_compared": self.records,
+            "utterances_compared": len(self.utterances),
+        }
+
+
+def _check_determinism(config: ServeSimConfig) -> dict:
     """Serial vs batched vs clustered: identical per-request transcripts
-    and decode times; batched twice: identical completion latencies."""
+    and decode times, each cluster point's and the ample-memory run's equal
+    to a fresh decode; batched twice: identical completion latencies.
+
+    Returns how many records and utterances met the fresh-decode reference.
+    """
     from repro.harness.runner import load_split
     from repro.serving import ContinuousBatchScheduler, make_trace
 
     decoder = build_decoder(config)
+    fresh = _ReferenceDecodes(decoder)
     serial = replace(config, max_batch=1, max_inflight=1)
     reports = {
         "serial": simulate(serial, decoder=decoder),
@@ -217,6 +265,11 @@ def _check_determinism(config: ServeSimConfig) -> None:
             decoder, config.scheduler_config(), point.cluster_config()
         )
         records = scheduler.run(trace, dataset)
+        if not fresh.matches(records):
+            raise AssertionError(
+                "served transcripts or decode times differ from a fresh "
+                f"decode on {_point_key(devices, router, split, device_spec)}"
+            )
         outputs = [(r.tokens, r.decode_ms) for r in records]
         if reference is None:
             reference = outputs
@@ -234,7 +287,13 @@ def _check_determinism(config: ServeSimConfig) -> None:
         config.cluster_config(),
         memory=MemorySpec(device_blocks=1_000_000),
     )
-    outputs = [(r.tokens, r.decode_ms) for r in ample.run(trace, dataset)]
+    records = ample.run(trace, dataset)
+    if not fresh.matches(records):
+        raise AssertionError(
+            "ample-capacity memory accounting served transcripts or decode "
+            "times that differ from a fresh decode"
+        )
+    outputs = [(r.tokens, r.decode_ms) for r in records]
     if outputs != reference:
         raise AssertionError(
             "ample-capacity memory accounting changed transcripts or decode "
@@ -279,6 +338,7 @@ def _check_determinism(config: ServeSimConfig) -> None:
                 )
     if runs[0] != runs[1]:
         raise AssertionError("re-running the chaos simulation diverged")
+    return fresh.counts()
 
 
 def _cluster_entry(
@@ -414,7 +474,9 @@ def _streaming_entry(args, num_requests: int) -> dict:
     progress on heard audio) and once offline — and the per-request
     transcripts and decode times must match exactly.  The entry records the
     word-level TTFT / chunk-emission / final-latency percentiles of the
-    streamed leg, and the SLO report summary of the loaded point.
+    streamed leg, and the SLO report summary of the loaded point.  A point
+    is ``transcripts_identical`` only if the streamed leg also equals a
+    fresh decode of every utterance it completed.
     """
     from repro.harness.runner import load_split
     from repro.serving import (
@@ -429,6 +491,7 @@ def _streaming_entry(args, num_requests: int) -> dict:
         _base_config(args, num_requests), method=STREAM_METHOD, qps=STREAM_QPS
     )
     decoder = build_decoder(base)
+    fresh = _ReferenceDecodes(decoder)
     dataset = load_split(base.split, base.experiment_config())
     points = {}
     for label, chunk_s, lookahead_s, rtf in STREAM_POINTS:
@@ -448,11 +511,15 @@ def _streaming_entry(args, num_requests: int) -> dict:
         offline = ContinuousBatchScheduler(
             decoder, base.scheduler_config(), base.cluster_config()
         ).run(offline_trace, dataset)
-        identical = len(streamed) == len(offline) and all(
-            s.status == o.status
-            and s.tokens == o.tokens
-            and s.decode_ms == o.decode_ms
-            for s, o in zip(streamed, offline, strict=True)
+        identical = (
+            len(streamed) == len(offline)
+            and all(
+                s.status == o.status
+                and s.tokens == o.tokens
+                and s.decode_ms == o.decode_ms
+                for s, o in zip(streamed, offline, strict=True)
+            )
+            and fresh.matches(streamed)
         )
         summary = StreamingSummary.from_records(streamed)
         assert summary is not None  # every arrival in the trace streams
@@ -552,7 +619,7 @@ def _wall_ab_entry(args, num_requests: int, reps: int = WALL_AB_REPS) -> dict:
 
 def run_bench(args) -> dict:
     config = _base_config(args, args.requests)
-    _check_determinism(replace(config, method="specasr-asp"))
+    determinism = _check_determinism(replace(config, method="specasr-asp"))
 
     start = time.perf_counter()
     methods = {}
@@ -609,15 +676,7 @@ def run_bench(args) -> dict:
         "chaos": chaos,
         "memory": memory,
         "streaming": streaming,
-        "determinism": {
-            "serial_vs_batched_decode_identical": True,
-            "batched_rerun_identical": True,
-            "cluster_transcripts_and_decode_identical": True,
-            "memory_ample_capacity_parity": True,
-            "chaos_rerun_identical": True,
-            "chaos_surviving_transcripts_identical": True,
-            "chaos_request_conservation": True,
-        },
+        "determinism": determinism,
         "wall": {
             "wall_s": round(wall_s, 4),
             "sim_requests_per_s": round(simulated / wall_s, 2),
@@ -811,9 +870,9 @@ def _streaming_smoke(args) -> int:
 
     Fails when any grid point leaves a stream uncompleted, when a streamed
     transcript or decode time differs from the offline run of the same
-    trace (``transcripts_identical``), when p95 chunk-emission latency
-    exceeds ``STREAM_EMISSION_P95_BOUND_MS``, or when the loaded point's
-    goodput ratio falls below ``--slo-target``.
+    trace or from a fresh decode (``transcripts_identical``), when p95
+    chunk-emission latency exceeds ``STREAM_EMISSION_P95_BOUND_MS``, or
+    when the loaded point's goodput ratio falls below ``--slo-target``.
     """
     streaming = _streaming_entry(args, args.smoke_requests)
     for label, point in streaming["points"].items():
@@ -847,7 +906,8 @@ def _streaming_smoke(args) -> int:
         if not point["transcripts_identical"]:
             print(
                 f"FAIL: streaming point {label} diverged from the offline "
-                "run — streaming parity contract violated",
+                "run or from a fresh decode — streaming parity contract "
+                "violated",
                 file=sys.stderr,
             )
             return 1
