@@ -914,20 +914,19 @@ class _ServeLoop:
             # Re-prefill after an eviction inflates *device* time for this
             # execution only; the phase object on the active stays pristine,
             # so transcripts and decode_ms never see it.
-            phases = [
-                PhaseOutcome(
-                    phase=phase.phase,
-                    model=phase.model,
-                    ms=phase.ms + penalty,
-                    new_tokens=phase.new_tokens,
-                    round_done=phase.round_done,
-                    done=phase.done,
-                    kv_peak=phase.kv_peak,
-                )
-                if penalty
-                else phase
-                for phase, penalty in zip(phases, penalties, strict=True)
-            ]
+            for index, (phase, penalty) in enumerate(
+                zip(phases, penalties, strict=True)
+            ):
+                if penalty:
+                    phases[index] = PhaseOutcome(
+                        phase=phase.phase,
+                        model=phase.model,
+                        ms=phase.ms + penalty,
+                        new_tokens=phase.new_tokens,
+                        round_done=phase.round_done,
+                        done=phase.done,
+                        kv_peak=phase.kv_peak,
+                    )
         crash = None
         if plan is not None and device.faults.crash_ms is not None:
             busy = device.batch_busy_ms(phases, merge_verify=merge_verify, at_ms=start)
