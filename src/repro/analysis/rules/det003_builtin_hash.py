@@ -29,7 +29,6 @@ _ORDERING_CALLS = frozenset({"sorted", "min", "max"})
 _HASH_SINKS = frozenset(
     {
         "stable_hash",
-        "stable_hash_with",
         "stable_hash_ints",
         "stable_uniform",
         "hash_prefix",

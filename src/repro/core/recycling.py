@@ -210,22 +210,3 @@ def draft_with_recycling(
         fresh_tokens=fresh,
         recycled_tokens=len(retained),
     )
-
-
-def suffix_alignment_rate(
-    suffix_tokens: list[int], verification_tokens: list[int]
-) -> float:
-    """Fraction of retained-suffix tokens that re-appear, in order, in the
-    target's verification sequence (paper Fig. 6b analysis helper)."""
-    if not suffix_tokens:
-        return 0.0
-    matched = 0
-    cursor = 0
-    for token in suffix_tokens:
-        while cursor < len(verification_tokens):
-            if verification_tokens[cursor] == token:
-                matched += 1
-                cursor += 1
-                break
-            cursor += 1
-    return matched / len(suffix_tokens)

@@ -3,17 +3,16 @@
 An :class:`Utterance` carries everything the simulation needs about one
 speech segment: the reference transcript (as words and token ids), a
 duration, and a per-token *acoustic difficulty profile* in ``[0, 1]``.  The
-difficulty profile is the hinge between the audio substrate and the model
-substrate: it is either synthesised directly with LibriSpeech-like
-statistics, or measured from synthetic waveforms via
-:mod:`repro.audio.difficulty`.
+difficulty profile stands in for the audio: LibriSim draws it with
+LibriSpeech-like statistics (:mod:`repro.data.librisim`), and the simulated
+models condition their recognition errors on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.utils.hashing import stable_hash
 
@@ -112,25 +111,8 @@ class Dataset:
     def total_tokens(self) -> int:
         return sum(utt.num_tokens for utt in self.utterances)
 
-    def subset(self, count: int) -> "Dataset":
-        """The first ``count`` utterances as a new dataset."""
-        return Dataset(self.name, self.utterances[:count])
-
     def summary(self) -> str:
         return (
             f"{self.name}: {len(self)} utterances, "
             f"{self.total_duration_s:.1f}s audio, {self.total_tokens} tokens"
         )
-
-
-def validate_datasets(datasets: Sequence[Dataset]) -> None:
-    """Raise if any two datasets share an utterance id."""
-    seen: dict[str, str] = {}
-    for ds in datasets:
-        for utt in ds:
-            if utt.utterance_id in seen:
-                raise ValueError(
-                    f"duplicate utterance id {utt.utterance_id} in "
-                    f"{ds.name} and {seen[utt.utterance_id]}"
-                )
-            seen[utt.utterance_id] = ds.name

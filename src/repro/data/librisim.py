@@ -14,10 +14,6 @@ whose statistics differ between clean and other splits:
   attributes low-acceptance rounds to "variations in pronunciation and
   acoustic quality across specific speech segments", i.e. localized error
   regions, which is exactly what the bursts produce.
-
-Alternatively, the builder can synthesise actual waveforms and *measure*
-difficulty from per-token SNR (see :mod:`repro.audio.difficulty`); the
-statistics agree, the direct path is just much faster for large sweeps.
 """
 
 from __future__ import annotations

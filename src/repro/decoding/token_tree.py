@@ -1,18 +1,15 @@
-"""Draft token trees with SpecInfer-style 2-D attention masks.
+"""Draft token trees: candidate draft sequences that share prefixes.
 
 A token tree holds multiple candidate draft sequences sharing common
-prefixes.  For verification the tree is flattened into a node list and a 2-D
-attention mask lets the target model evaluate every branch independently in
-one forward pass (paper Fig. 4): node *i* may attend to node *j* iff *j* is
-an ancestor of *i* (or *i* itself), plus the committed prefix.
+prefixes (paper Fig. 4).  Nodes are kept in topological order with parent
+links; :func:`~repro.decoding.verifier.verify_tree` evaluates every node in
+one target pass, billed as a SpecInfer-style tree-attention forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 ROOT_PARENT = -1
 
@@ -117,24 +114,10 @@ class TokenTree:
     def max_depth(self) -> int:
         return max((self.depth_of(leaf) for leaf in self.leaves()), default=0)
 
-    def num_branches(self) -> int:
-        return len(self.leaves())
-
     def recycled_count(self) -> int:
         return sum(1 for node in self.nodes if node.recycled)
 
     # -- verification support ------------------------------------------------
-    def attention_mask(self) -> np.ndarray:
-        """Boolean mask ``(n, n)``: entry [i, j] is True iff node ``i`` may
-        attend to node ``j`` (ancestor-or-self).  The committed prefix is
-        implicitly visible to every node."""
-        n = len(self.nodes)
-        mask = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in self.ancestors(i):
-                mask[i, j] = True
-        return mask
-
     def validate(self) -> None:
         """Raise if parent links or children lists are inconsistent."""
         for index, node in enumerate(self.nodes):

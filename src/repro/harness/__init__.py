@@ -1,6 +1,6 @@
 """Experiment harness: method registry, corpus runner, per-figure experiments."""
 
-from repro.harness.executor import CorpusExecutor, default_worker_count
+from repro.harness.executor import CorpusExecutor
 from repro.harness.figures import ascii_bars, ascii_table, format_value
 from repro.harness.methods import build_method, standard_methods
 from repro.harness.runner import ExperimentConfig, MethodRun, run_method, run_methods
@@ -9,7 +9,6 @@ __all__ = [
     "CorpusExecutor",
     "ExperimentConfig",
     "MethodRun",
-    "default_worker_count",
     "ascii_bars",
     "ascii_table",
     "build_method",

@@ -63,11 +63,6 @@ _WORKER_METHODS: dict[str, object] | None = None
 _WORKER_DATASET: Dataset | None = None
 
 
-def default_worker_count() -> int:
-    """A sensible worker count for this machine (bounded small)."""
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
 def _init_worker(methods_or_factory, dataset: Dataset) -> None:
     """Build this worker's decoders once; tasks reference them by name."""
     global _WORKER_METHODS, _WORKER_DATASET

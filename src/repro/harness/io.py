@@ -1,8 +1,7 @@
 """Serialization of experiment reports to JSON artifacts.
 
-Benches and the CLI can persist every report for later comparison (e.g.
-tracking calibration drift across versions, or diffing against the paper's
-values programmatically).
+``repro run --json-dir DIR`` writes one file per experiment, so a run's
+reports can be kept and compared outside the simulator.
 """
 
 from __future__ import annotations
@@ -34,24 +33,3 @@ def save_report(report: ExperimentReport, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
     return path
-
-
-def load_report(path: str | Path) -> dict[str, Any]:
-    """Load a previously saved report dict."""
-    return json.loads(Path(path).read_text())
-
-
-def diff_metrics(
-    old: dict[str, Any], new: dict[str, Any], tolerance: float = 0.05
-) -> dict[str, tuple[float, float]]:
-    """Metrics whose relative change between two saved reports exceeds
-    ``tolerance``; keyed by metric name with (old, new) values."""
-    drifted: dict[str, tuple[float, float]] = {}
-    old_metrics = old.get("metrics", {})
-    new_metrics = new.get("metrics", {})
-    for key in sorted(set(old_metrics) & set(new_metrics)):
-        a, b = float(old_metrics[key]), float(new_metrics[key])
-        scale = max(abs(a), abs(b), 1e-12)
-        if abs(a - b) / scale > tolerance:
-            drifted[key] = (a, b)
-    return drifted

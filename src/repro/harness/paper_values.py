@@ -1,10 +1,11 @@
 """Values the paper reports, used for paper-vs-measured comparison.
 
 Each entry records the quantity, where it appears in the paper, and the
-published value(s).  Benches print these next to measured values;
-EXPERIMENTS.md summarises both.  Absolute milliseconds are calibration
-anchors (our latency model is tuned toward Table II); speedup *ratios* and
-qualitative orderings are the reproduction targets.
+published value(s).  Every experiment report prints its entries under the
+measured values, so ``repro run all`` shows both side by side.  Absolute
+milliseconds are calibration anchors (our latency model is tuned toward
+Table II); speedup *ratios* and qualitative orderings are the reproduction
+targets.
 """
 
 from __future__ import annotations

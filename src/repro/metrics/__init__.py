@@ -1,10 +1,8 @@
-"""Evaluation metrics: WER, acceptance statistics, latency, speedups."""
+"""Evaluation metrics: WER, acceptance analyses, latency reports."""
 
 from repro.metrics.acceptance import (
-    AcceptanceStats,
     accept_at_topk,
     acceptance_histogram,
-    collect_acceptance,
     rank_distribution_on_failure,
     suffix_alignment_curve,
 )
@@ -14,22 +12,17 @@ from repro.metrics.latency_report import (
     aggregate_latency,
     percentile,
 )
-from repro.metrics.speedup import SpeedupRow, speedup_table
 from repro.metrics.wer import corpus_wer, wer
 
 __all__ = [
-    "AcceptanceStats",
     "LatencyBreakdown",
     "PercentileSummary",
-    "SpeedupRow",
     "accept_at_topk",
     "acceptance_histogram",
     "aggregate_latency",
-    "collect_acceptance",
     "corpus_wer",
     "percentile",
     "rank_distribution_on_failure",
-    "speedup_table",
     "suffix_alignment_curve",
     "wer",
 ]

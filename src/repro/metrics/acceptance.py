@@ -10,47 +10,9 @@ analysis never perturbs the latency results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.decoding.base import DecodeTrace
 from repro.models.latency import SimClock
-
-
-@dataclass
-class AcceptanceStats:
-    """Pooled acceptance counters over a corpus."""
-
-    rounds: int = 0
-    submitted: int = 0
-    accepted: int = 0
-    per_round_ratios: list[float] = field(default_factory=list)
-    per_round_accepted: list[int] = field(default_factory=list)
-
-    @property
-    def mean_ratio(self) -> float:
-        if not self.per_round_ratios:
-            return 0.0
-        return sum(self.per_round_ratios) / len(self.per_round_ratios)
-
-    @property
-    def mean_accepted(self) -> float:
-        if not self.per_round_accepted:
-            return 0.0
-        return sum(self.per_round_accepted) / len(self.per_round_accepted)
-
-
-def collect_acceptance(traces: Sequence[DecodeTrace]) -> AcceptanceStats:
-    """Pool round-level acceptance statistics from decode traces."""
-    stats = AcceptanceStats()
-    for trace in traces:
-        for round_stats in trace.rounds:
-            stats.rounds += 1
-            stats.submitted += round_stats.submitted_tokens
-            stats.accepted += round_stats.accepted_tokens
-            stats.per_round_ratios.append(round_stats.acceptance_ratio)
-            stats.per_round_accepted.append(round_stats.accepted_tokens)
-    return stats
 
 
 def acceptance_histogram(

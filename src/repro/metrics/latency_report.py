@@ -89,11 +89,6 @@ class LatencyBreakdown:
             return 0.0
         return self.total_ms * 10.0 / self.total_duration_s
 
-    def model_ms_per_10s(self, model: str) -> float:
-        if self.total_duration_s <= 0:
-            return 0.0
-        return self.by_model_ms.get(model, 0.0) * 10.0 / self.total_duration_s
-
     def model_share(self, model: str) -> float:
         if self.total_ms <= 0:
             return 0.0

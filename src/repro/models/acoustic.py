@@ -41,7 +41,7 @@ import numpy as np
 from repro.data.corpus import Utterance
 from repro.models.vocab import Vocabulary
 from repro.utils.cache import LRUCache
-from repro.utils.hashing import hash_prefix, stable_hash_ints, stable_hash_with
+from repro.utils.hashing import hash_prefix, stable_hash_ints
 from repro.utils.mathutil import softmax_array, softmax_block
 from repro.utils.rng import batched_generators as _batched_rngs
 from repro.utils.rng import fast_generator as _fast_rng

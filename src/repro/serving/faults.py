@@ -301,16 +301,6 @@ class FaultPlan:
                 times.add(event.end_ms)
         return tuple(sorted(times))
 
-    def membership_times(self) -> tuple[float, ...]:
-        """Sorted times the *alive* device set changes (crashes, restarts)."""
-        times: set[float] = set()
-        for event in self.events:
-            if isinstance(event, DeviceCrash):
-                times.add(event.at_ms)
-                if event.restart_ms is not None:
-                    times.add(event.restart_ms)
-        return tuple(sorted(times))
-
     def phase_fails(self, request_index: int, phase_index: int, attempt: int) -> bool:
         """Deterministic transient-error verdict for one phase execution.
 
@@ -352,10 +342,6 @@ class FaultPlan:
                 cur_end = max(cur_end, end)
         total += cur_end - cur_start
         return total
-
-    def describe(self) -> str:
-        """Canonical spec-grammar rendering (parse/format round-trips)."""
-        return format_fault_plan(self)
 
 
 def _parse_device(text: str, item: str, spec: str) -> int:

@@ -757,17 +757,14 @@ class _ServeLoop:
         deterministic sequence; each free device then takes up to
         ``max_batch`` of the phases routed to it, still in that order.  With
         no device free, the audio gate still parks sessions (that frees
-        slots) but nothing routes: every placement would be thrown away.
+        slots) but nothing is planned or routed: every placement would be
+        thrown away, and no idle peer exists to hedge a straggler on.
         """
         now = self.now
-        router = self.router
         if self.plan is not None:
             epoch = bisect_right(self.wakeup_times, now)
             if epoch != self.epoch:
                 self.enter_fault_epoch(epoch)
-            router.plan_round(now, available=self.available, speeds=self.speeds)
-        else:
-            router.plan_round(now)
         available = self.available
         free = [
             device
@@ -796,8 +793,13 @@ class _ServeLoop:
             heapq.heappush(
                 self.parked, (active.ready_ms, active.record.request.index, active)
             )
-        if free:
-            self.route_and_launch(free, waiting)
+        if not free:
+            return
+        if self.plan is not None:
+            self.router.plan_round(now, available=available, speeds=self.speeds)
+        else:
+            self.router.plan_round(now)
+        self.route_and_launch(free, waiting)
         if self.config.straggler_factor > 0:
             self.reissue_stragglers()
 

@@ -2,7 +2,7 @@
 
 from repro.utils.editdist import AlignmentOp, align, edit_distance, wer_counts
 from repro.utils.hashing import stable_hash, stable_uniform
-from repro.utils.mathutil import clamp, sigmoid, softmax
+from repro.utils.mathutil import clamp, softmax
 from repro.utils.rng import RngStream, derive_seed
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "clamp",
     "derive_seed",
     "edit_distance",
-    "sigmoid",
     "softmax",
     "stable_hash",
     "stable_uniform",

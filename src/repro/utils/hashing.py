@@ -66,33 +66,22 @@ def hash_prefix(*parts: Any) -> bytes:
 
     Hot loops that hash a fixed scope plus a varying tail (e.g. a seed, a
     tag string, then a position) can encode the fixed scope once and finish
-    each hash with :func:`stable_hash_with`.
+    each hash with :func:`stable_hash_ints`.
     """
     return b"|".join([_encode(p) for p in parts])
 
 
-def stable_hash_with(prefix: bytes, *parts: Any) -> int:
-    """``stable_hash(*prefix_parts, *parts)`` given an encoded prefix.
+def stable_hash_ints(prefix: bytes, *parts: int) -> int:
+    """``stable_hash(*prefix_parts, *parts)`` given the encoded prefix of
+    one or more parts and one or more ``int`` parts.
 
     Bit-identical to calling :func:`stable_hash` with the full argument
-    list: the payload bytes are assembled identically.
-    """
-    if parts:
-        payload = prefix + b"|" + b"|".join([_encode(p) for p in parts])
-    else:
-        payload = prefix
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little") & _MASK_64
-
-
-def stable_hash_ints(prefix: bytes, *parts: int) -> int:
-    """:func:`stable_hash_with` specialised to an all-``int`` tail.
-
-    The emission hot path finishes tens of thousands of hashes per corpus
-    decode with one to three integer parts (position, perturb level,
-    context digest); formatting the tail directly skips the generic
-    per-part encode/join machinery.  Callers must pass real ints — a bool
-    would encode differently under :func:`_encode`.
+    list: the payload bytes are assembled identically.  The emission hot
+    path finishes tens of thousands of hashes per corpus decode with one to
+    three integer parts (position, perturb level, context digest);
+    formatting the tail directly skips the generic per-part encode/join
+    machinery.  Callers must pass real ints — a bool would encode
+    differently under :func:`_encode`.
     """
     count = len(parts)
     if count == 1:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -13,15 +12,6 @@ def clamp(value: float, low: float, high: float) -> float:
     if low > high:
         raise ValueError(f"clamp bounds inverted: low={low} > high={high}")
     return max(low, min(high, value))
-
-
-def sigmoid(x: float) -> float:
-    """Numerically-stable logistic function."""
-    if x >= 0:
-        z = math.exp(-x)
-        return 1.0 / (1.0 + z)
-    z = math.exp(x)
-    return z / (1.0 + z)
 
 
 def softmax_array(scores: Sequence[float], temperature: float = 1.0) -> np.ndarray:

@@ -7,7 +7,6 @@ from repro.core.recycling import (
     DraftedToken,
     RecycledSuffix,
     draft_with_recycling,
-    suffix_alignment_rate,
 )
 from repro.models.latency import SimClock
 
@@ -163,15 +162,3 @@ class TestTruncationInteraction:
         result = draft_with_recycling(session, [5], suffix, config, EOS, truncate=False)
         points = result.uncertain_points(0.4, EOS)
         assert any(p.top_prob == pytest.approx(0.1) for p in points)
-
-
-class TestAlignmentRate:
-    def test_full_alignment(self):
-        assert suffix_alignment_rate([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_partial_alignment_in_order(self):
-        assert suffix_alignment_rate([1, 2, 3], [1, 9, 2, 9, 3]) == 1.0
-        assert suffix_alignment_rate([1, 2, 3], [3, 2, 1]) < 1.0
-
-    def test_empty_suffix(self):
-        assert suffix_alignment_rate([], [1, 2]) == 0.0

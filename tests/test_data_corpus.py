@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data import librisim
-from repro.data.corpus import Dataset, Utterance, validate_datasets
+from repro.data.corpus import Dataset, Utterance
 from repro.data.librisim import (
     SPLIT_PROFILES,
     SPLITS,
@@ -74,24 +74,14 @@ class TestDataset:
         assert ds.total_tokens == 3
         assert ds.total_duration_s == pytest.approx(1.5)
 
-    def test_subset(self):
-        utts = [make_utterance(utterance_id=f"t/s/{i}") for i in range(5)]
-        ds = Dataset("x", utts)
-        assert len(ds.subset(2)) == 2
-
-    def test_validate_datasets_catches_duplicates(self):
-        a = Dataset("a", [make_utterance()])
-        b = Dataset("b", [make_utterance()])
-        with pytest.raises(ValueError):
-            validate_datasets([a, b])
-
 
 class TestLibriSim:
     def test_all_splits_build(self, vocab):
         config = LibriSimConfig(seed=1, utterances_per_split=4)
         datasets = LibriSimBuilder(vocab, config).build_all()
         assert set(datasets) == set(SPLITS)
-        validate_datasets(list(datasets.values()))
+        ids = [utt.utterance_id for ds in datasets.values() for utt in ds]
+        assert len(ids) == len(set(ids)) == 4 * len(SPLITS)
 
     def test_deterministic(self, vocab):
         a = build_split("dev-clean", vocab, seed=5, utterances=4)

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.harness.executor import CorpusExecutor, default_worker_count
+from repro.harness.executor import CorpusExecutor
 from repro.harness.methods import standard_methods
 from repro.harness.runner import run_method, run_methods
 from repro.models.acoustic import EmissionOracle
@@ -166,9 +166,6 @@ class TestExecutorValidation:
             clean_dataset,
         )
         assert executor.last_stats.backend == "serial"
-
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
 
 
 class TestIterResults:

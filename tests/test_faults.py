@@ -69,6 +69,7 @@ from repro.serving.request import (
     ServeRequest,
 )
 from repro.serving.router import DisaggregatedRouter
+from repro.serving.scheduler import _ServeLoop
 from repro.utils.hashing import stable_uniform
 
 TERMINAL = (STATUS_COMPLETED, STATUS_REJECTED, STATUS_SHED)
@@ -82,7 +83,6 @@ class TestFaultSpecGrammar:
         )
         plan = parse_fault_spec(spec, seed=7)
         assert format_fault_plan(plan) == spec
-        assert plan.describe() == spec
         assert parse_fault_spec(format_fault_plan(plan), seed=7) == plan
 
     def test_empty_spec_is_fault_free(self):
@@ -160,12 +160,11 @@ class TestFaultPlanViews:
         assert healthy.slowdowns == ((0.0, math.inf, 0.5),)
         assert crashed.crash_ms == 100.0 and crashed.restart_ms == 150.0
 
-    def test_wakeup_and_membership_times(self):
+    def test_wakeup_times(self):
         plan = parse_fault_spec(
             "crash@100:dev0:restart=50;stall@10+5:dev1;slow@20+30:dev1:x0.5"
         )
         assert plan.wakeup_times() == (10.0, 15.0, 20.0, 50.0, 100.0, 150.0)
-        assert plan.membership_times() == (100.0, 150.0)
         # an unbounded slowdown contributes only its start
         assert parse_fault_spec("slow:dev0:x0.5").wakeup_times() == (0.0,)
 
@@ -538,7 +537,16 @@ class TestFaultEpochs:
         self, chaos_decoder, clean_dataset, monkeypatch
     ):
         seen: list[float] = []
+        planned: list[float] = []
+        dispatch = _ServeLoop.dispatch
         plan_round = DisaggregatedRouter.plan_round
+
+        def recorded_dispatch(loop):
+            seen.append(loop.now)
+            dispatch(loop)
+            # free devices are picked from this, planned or not
+            fresh = tuple(d.index for d in loop.devices if d.available(loop.now))
+            assert loop.available == fresh
 
         def checked_plan_round(router, now_ms, available=None, speeds=None):
             devices = router.devices
@@ -549,9 +557,10 @@ class TestFaultEpochs:
             # the pools span exactly the devices alive now
             members = {d.index for d in (*router.draft_pool, *router.target_pool)}
             assert members == {d.index for d in devices if not d.is_dead(now_ms)}
-            seen.append(now_ms)
+            planned.append(now_ms)
             plan_round(router, now_ms, available, speeds)
 
+        monkeypatch.setattr(_ServeLoop, "dispatch", recorded_dispatch)
         monkeypatch.setattr(DisaggregatedRouter, "plan_round", checked_plan_round)
         plan = parse_fault_spec(self.SPEC, seed=3)
         trace = [Arrival(i, i % len(clean_dataset), 60.0 * i) for i in range(24)]
@@ -563,6 +572,9 @@ class TestFaultEpochs:
             faults=plan,
         )
         _assert_conservation(records, scheduler.last_stats)
+        # Routing is planned only when a device is free, so at a subset of
+        # the dispatches, and always with fresh state.
+        assert planned and set(planned) <= set(seen)
         # The run dispatched exactly at every wake-up time and again inside
         # every epoch, so a stale epoch anywhere would have been caught.
         times = plan.wakeup_times()

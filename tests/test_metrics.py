@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.decoding.base import DecodeTrace, RoundStats
 from repro.metrics.acceptance import (
     accept_at_topk,
     acceptance_histogram,
-    collect_acceptance,
     rank_distribution_on_failure,
     suffix_alignment_curve,
 )
 from repro.metrics.latency_report import aggregate_latency
-from repro.metrics.speedup import speedup_table
 from repro.metrics.wer import corpus_wer, model_wer, wer
 
 
@@ -43,22 +40,6 @@ class TestWer:
 
 
 class TestAcceptanceStats:
-    def _trace(self, rounds):
-        trace = DecodeTrace()
-        for submitted, accepted in rounds:
-            trace.rounds.append(
-                RoundStats(submitted_tokens=submitted, accepted_tokens=accepted)
-            )
-        return trace
-
-    def test_collect(self):
-        stats = collect_acceptance([self._trace([(8, 4), (8, 8)])])
-        assert stats.rounds == 2
-        assert stats.submitted == 16
-        assert stats.accepted == 12
-        assert stats.mean_ratio == pytest.approx(0.75)
-        assert stats.mean_accepted == pytest.approx(6.0)
-
     def test_histogram_buckets(self):
         rows = acceptance_histogram([0.0, 0.5, 1.0, 1.0], bins=5)
         assert rows[0][1] == pytest.approx(0.25)
@@ -129,27 +110,3 @@ class TestLatencyAggregation:
             target.name
         )
         assert total_share == pytest.approx(1.0)
-
-
-class TestSpeedup:
-    def test_table(self, whisper_pair, clean_dataset):
-        from repro.decoding.autoregressive import AutoregressiveDecoder
-        from repro.decoding.speculative import SpeculativeDecoder
-
-        draft, target = whisper_pair
-        units = list(clean_dataset)[:3]
-        breakdowns = []
-        for name, decoder in (
-            ("ar", AutoregressiveDecoder(target)),
-            ("spec", SpeculativeDecoder(draft, target)),
-        ):
-            results = [decoder.decode(u) for u in units]
-            breakdowns.append(aggregate_latency(name, results, units))
-        rows = speedup_table(breakdowns, ["ar"])
-        by_name = {r.method: r for r in rows}
-        assert by_name["ar"].over("ar") == pytest.approx(1.0)
-        assert by_name["spec"].over("ar") > 1.0
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(KeyError):
-            speedup_table([], ["ar"])

@@ -1,6 +1,5 @@
-"""Tests for the draft token tree and its 2-D attention mask."""
+"""Tests for the draft token tree."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,7 +48,6 @@ class TestConstruction:
         tree, (a, b, a1, a2, b1) = build_sample_tree()
         assert set(tree.roots()) == {a, b}
         assert set(tree.leaves()) == {a2, b1}
-        assert tree.num_branches() == 2
 
     def test_depth_and_ancestors(self):
         tree, (a, b, a1, a2, b1) = build_sample_tree()
@@ -63,45 +61,6 @@ class TestConstruction:
         tree.add(2)
         assert tree.recycled_count() == 1
 
-
-class TestAttentionMask:
-    def test_mask_matches_ancestor_relation(self):
-        tree, nodes = build_sample_tree()
-        mask = tree.attention_mask()
-        n = len(tree)
-        for i in range(n):
-            ancestors = set(tree.ancestors(i))
-            for j in range(n):
-                assert mask[i, j] == (j in ancestors)
-
-    def test_mask_blocks_cross_branch(self):
-        tree, (a, b, a1, a2, b1) = build_sample_tree()
-        mask = tree.attention_mask()
-        assert not mask[b1, a]
-        assert not mask[a2, b]
-
-    def test_mask_diagonal_true(self):
-        tree, _ = build_sample_tree()
-        assert np.all(np.diag(tree.attention_mask()))
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 3), min_size=1, max_size=6),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_mask_property_random_tries(self, sequences):
-        """For any trie: mask[i][j] iff j is an ancestor-or-self of i, and
-        the mask is lower-triangular (topological node order)."""
-        tree = TokenTree.from_sequences(sequences)
-        tree.validate()
-        mask = tree.attention_mask()
-        for i in range(len(tree)):
-            ancestors = set(tree.ancestors(i))
-            assert {j for j in range(len(tree)) if mask[i, j]} == ancestors
-            assert all(j <= i for j in ancestors)
-
     @given(
         st.lists(
             st.lists(st.integers(0, 3), min_size=1, max_size=6),
@@ -110,8 +69,13 @@ class TestAttentionMask:
         )
     )
     def test_paths_roundtrip(self, sequences):
+        """For any trie: links are consistent, nodes are in topological
+        order (the verifier evaluates parents first), and every input
+        sequence is a prefix of some leaf path."""
         tree = TokenTree.from_sequences(sequences)
+        tree.validate()
+        for i in range(len(tree)):
+            assert all(j <= i for j in tree.ancestors(i))
         leaf_paths = {tuple(tree.path_tokens(leaf)) for leaf in tree.leaves()}
-        # every input sequence is a prefix of some leaf path
         for sequence in sequences:
             assert any(tuple(sequence) == path[: len(sequence)] for path in leaf_paths)

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.hashing import stable_hash, stable_uniform
+from repro.utils.hashing import (
+    hash_prefix,
+    stable_hash,
+    stable_hash_ints,
+    stable_uniform,
+)
 
 
 class TestStableHash:
@@ -59,3 +64,13 @@ class TestStableUniform:
     def test_spreads(self):
         values = {stable_uniform("spread", i) for i in range(100)}
         assert len(values) == 100
+
+
+class TestHashPrefix:
+    @given(
+        st.lists(st.integers() | st.text(max_size=4) | st.floats(), min_size=1),
+        st.lists(st.integers(), min_size=1, max_size=4),
+    )
+    def test_int_tail_matches_stable_hash(self, scope, tail):
+        prefix = hash_prefix(*scope)
+        assert stable_hash_ints(prefix, *tail) == stable_hash(*scope, *tail)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.mathutil import clamp, mean, percentile, sigmoid, softmax
+from repro.utils.mathutil import clamp, mean, percentile, softmax
 
 
 class TestClamp:
@@ -20,18 +20,6 @@ class TestClamp:
     def test_inverted_bounds_raise(self):
         with pytest.raises(ValueError):
             clamp(0.5, 1.0, 0.0)
-
-
-class TestSigmoid:
-    def test_midpoint(self):
-        assert sigmoid(0.0) == pytest.approx(0.5)
-
-    def test_symmetry(self):
-        assert sigmoid(2.0) == pytest.approx(1.0 - sigmoid(-2.0))
-
-    def test_extreme_values_stable(self):
-        assert sigmoid(1000.0) == pytest.approx(1.0)
-        assert sigmoid(-1000.0) == pytest.approx(0.0)
 
 
 class TestSoftmax:
