@@ -6,13 +6,13 @@ ample-memory parity, scalar↔vector oracle parity — that runtime suites can
 only sample.  This engine turns those contracts into named, statically
 checkable rules: each rule walks one module's AST and reports
 :class:`Finding` records; the engine handles file discovery, inline
-suppressions, baselines, parallel execution and output formatting.
+suppressions, baselines and output formatting.
 
 Design points:
 
 * **Deterministic output.**  Files are analysed in sorted path order and
   findings are sorted by ``(path, line, rule, message)``, so two runs over
-  the same tree — serial or parallel — emit byte-identical reports.
+  the same tree emit byte-identical reports.
 * **Inline suppressions.**  A ``# repro: ignore[RULE]`` comment (multiple
   ids comma-separated) silences exactly the named rules on exactly that
   line.  Suppressions are deliberate, grep-able contracts; there is no
@@ -22,9 +22,8 @@ Design points:
   drift with unrelated edits and are ignored.  The repo itself ships with
   an *empty* baseline; the flag exists for downstream forks.
 * **Stdlib-only leaf.**  The engine imports nothing outside the standard
-  library; the optional worker-pool fan-out borrows
-  :meth:`repro.harness.executor.CorpusExecutor.map_jobs` via a lazy import
-  so ``repro.analysis`` stays importable (and strictly typed) on its own.
+  library, so ``repro.analysis`` stays importable (and strictly typed) on
+  its own.
 """
 
 from __future__ import annotations
@@ -208,21 +207,14 @@ def analyze_file(
     return analyze_source(source, rel, rules, root=root)
 
 
-def _analyze_job(job: tuple[str, str]) -> list[Finding]:
-    """Picklable per-file unit for :meth:`CorpusExecutor.map_jobs`."""
-    path_text, root_text = job
-    return analyze_file(Path(path_text), Path(root_text))
-
-
 # -- file discovery ----------------------------------------------------------
 
 
 def collect_files(paths: Sequence[str | Path], root: Path) -> list[Path]:
     """Expand files/directories into a sorted, de-duplicated ``.py`` list.
 
-    Sorting is by repo-relative POSIX path, which fixes both the job order
-    handed to the worker pool and (together with per-file sorting) the
-    final report order.
+    Sorting is by repo-relative POSIX path, which (together with per-file
+    sorting) fixes the report order.
     """
     seen: set[Path] = set()
     for entry in paths:
@@ -270,27 +262,11 @@ class LintResult:
 def run_lint(
     paths: Sequence[str | Path],
     root: Path,
-    workers: int = 1,
     baseline: set[tuple[str, str, str]] | None = None,
 ) -> LintResult:
-    """Lint ``paths`` (files or directories) under repo ``root``.
-
-    ``workers > 1`` fans per-file analysis out across a
-    :class:`~repro.harness.executor.CorpusExecutor` worker pool; results
-    come back in job order, so the report is identical to the serial run.
-    """
+    """Lint ``paths`` (files or directories) under repo ``root``."""
     files = collect_files(paths, root)
-    jobs = [(str(path), str(root)) for path in files]
-    if workers > 1:
-        # Lazy import: the executor pulls in the (numpy-backed) decode
-        # stack, which the analysis leaf itself must not depend on.
-        from repro.harness.executor import CorpusExecutor
-
-        executor = CorpusExecutor(workers=workers, backend="auto")
-        per_file = executor.map_jobs(_analyze_job, jobs)
-    else:
-        per_file = [_analyze_job(job) for job in jobs]
-    findings = sorted(finding for batch in per_file for finding in batch)
+    findings = sorted(finding for path in files for finding in analyze_file(path, root))
     baselined = 0
     if baseline:
         kept = [finding for finding in findings if finding.key not in baseline]

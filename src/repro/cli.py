@@ -73,13 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--utterances", type=_positive_int, default=32)
     run_parser.add_argument("--seed", type=int, default=2025)
     run_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="decode corpora with N parallel workers (results are identical "
-        "to the serial runner; see repro.harness.executor)",
-    )
-    run_parser.add_argument(
         "--json-dir",
         default=None,
         help="also save each report as JSON under this directory",
@@ -233,9 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--batch-fraction",
-        type=float,
+        type=_unit_interval,
         default=0.0,
-        help="fraction of synthetic arrivals tagged batch-class (seeded)",
+        help="share in [0, 1] of synthetic arrivals tagged batch-class (seeded)",
     )
     serve_parser.add_argument(
         "--memory-blocks",
@@ -294,9 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--slo-target",
-        type=float,
+        type=_unit_interval,
         default=0.95,
-        help="goodput ratio defining 'sustainable'",
+        help="goodput ratio in [0, 1] defining 'sustainable'",
     )
     serve_parser.add_argument(
         "--json",
@@ -344,13 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record the current findings as the new baseline and exit 0",
     )
     lint_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="analyse files with N parallel workers (identical output; "
-        "see repro.harness.executor)",
-    )
-    lint_parser.add_argument(
         "--rules",
         action="store_true",
         help="list the registered rules and exit",
@@ -382,9 +368,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        seed=args.seed, utterances=args.utterances, workers=args.workers
-    )
+    config = ExperimentConfig(seed=args.seed, utterances=args.utterances)
     targets = list_experiments() if args.experiment == "all" else [args.experiment]
     for exp_id in targets:
         report = run_experiment(exp_id, config)
@@ -483,10 +467,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         plan = config.fault_plan()
         if plan is not None:
             plan.validate_for(cluster.devices)
-        if not 0.0 <= args.batch_fraction <= 1.0:
-            raise ValueError(
-                f"batch_fraction must be in [0, 1], got {args.batch_fraction}"
-            )
     except ValueError as error:
         raise SystemExit(f"specasr serve-sim: error: {error}") from None
     trace = load_trace(args.trace) if args.trace else None
@@ -538,7 +518,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
         baseline = load_baseline(baseline_path)
     try:
-        result = run_lint(args.paths, root, workers=args.workers, baseline=baseline)
+        result = run_lint(args.paths, root, baseline=baseline)
     except FileNotFoundError as error:
         raise SystemExit(f"specasr lint: error: {error}") from None
     if args.write_baseline:

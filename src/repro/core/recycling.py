@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.adaptive import UncertainPoint
 from repro.core.config import SpecASRConfig
 from repro.decoding.base import SessionLike, as_cursor
 from repro.models.latency import KIND_DRAFT
@@ -87,18 +86,6 @@ class RecyclingDraft:
     draft_steps: int
     fresh_tokens: int
     recycled_tokens: int
-
-    def uncertain_points(self, threshold: float, eos_id: int) -> list[UncertainPoint]:
-        """Low-confidence positions along the main path (for TSP pass 2)."""
-        points = []
-        for offset, item in enumerate(self.main):
-            if item.token != eos_id and item.prob < threshold:
-                points.append(
-                    UncertainPoint(
-                        offset=offset, top_prob=item.prob, alternatives=item.topk
-                    )
-                )
-        return points
 
 
 def _match_offset(

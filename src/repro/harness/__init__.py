@@ -1,12 +1,10 @@
 """Experiment harness: method registry, corpus runner, per-figure experiments."""
 
-from repro.harness.executor import CorpusExecutor
 from repro.harness.figures import ascii_bars, ascii_table, format_value
 from repro.harness.methods import build_method, standard_methods
 from repro.harness.runner import ExperimentConfig, MethodRun, run_method, run_methods
 
 __all__ = [
-    "CorpusExecutor",
     "ExperimentConfig",
     "MethodRun",
     "ascii_bars",

@@ -47,8 +47,7 @@ def run_adaptive(config: ExperimentConfig = ExperimentConfig()) -> ExperimentRep
         label: SpecASREngine(draft, target, cfg, name=label)
         for label, cfg in variants.items()
     }
-    # One batched corpus run (one worker pool) instead of one per variant.
-    runs = run_methods(engines, dataset, check_lossless=False, workers=config.workers)
+    runs = run_methods(engines, dataset, check_lossless=False)
     for label, run in runs.items():
         report.rows.append(
             [label, run.breakdown.ms_per_10s, run.mean_draft_steps, run.mean_rounds]
@@ -71,7 +70,7 @@ def run_sampling(config: ExperimentConfig = ExperimentConfig()) -> ExperimentRep
         decoder = SpeculativeSamplingDecoder(
             draft, target, SamplingConfig(seed=config.seed, draft_len=8)
         )
-        run = run_method(decoder, dataset, workers=config.workers)
+        run = run_method(decoder, dataset)
         report.rows.append(
             [
                 pairing,

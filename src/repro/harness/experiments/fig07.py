@@ -24,16 +24,13 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
     gammas = (4, 8, 16, 24)
     for pairing in PAIRINGS:
         draft, target = model_pair(pairing, vocab)
-        # One batched corpus run (one worker pool) across the gamma sweep.
         decoders = {
             f"gamma{gamma}": SpeculativeDecoder(
                 draft, target, SpeculativeConfig(draft_len=gamma)
             )
             for gamma in gammas
         }
-        runs = run_methods(
-            decoders, dataset, check_lossless=False, workers=config.workers
-        )
+        runs = run_methods(decoders, dataset, check_lossless=False)
         for gamma in gammas:
             breakdown = runs[f"gamma{gamma}"].breakdown
             draft_share = 100.0 * breakdown.model_share(draft.name)

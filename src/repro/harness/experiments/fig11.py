@@ -32,9 +32,7 @@ def run(
         draft, target = model_pair(pairing, vocab)
         for split in splits:
             dataset = load_split(split, config)
-            runs = run_methods(
-                standard_methods(draft, target), dataset, workers=config.workers
-            )
+            runs = run_methods(standard_methods(draft, target), dataset)
             ar_ms = runs["autoregressive"].breakdown.total_ms
             spec_names = [n for n in runs if n.startswith("spec(")]
             best_spec_ms = min(runs[n].breakdown.total_ms for n in spec_names)

@@ -32,7 +32,7 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
     draft, target = model_pair("whisper", vocab)
     methods = standard_methods(draft, target)
     methods.pop("autoregressive")  # no speculation rounds to report
-    runs = run_methods(methods, dataset, check_lossless=True, workers=config.workers)
+    runs = run_methods(methods, dataset, check_lossless=True)
 
     baseline = runs["spec(8,1)"]
     base_ineffective = (

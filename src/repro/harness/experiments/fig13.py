@@ -33,14 +33,13 @@ def run_threshold(
     draft, target = model_pair("whisper", vocab)
     base = SpecASRConfig(recycling=False)
     best_threshold, best_ms = None, float("inf")
-    # One batched corpus run (one worker pool) across all thresholds.
     engines = {
         f"asp@{threshold}": SpecASREngine(
             draft, target, replace(base, threshold=threshold), name="asp"
         )
         for threshold in THRESHOLDS
     }
-    runs = run_methods(engines, dataset, check_lossless=False, workers=config.workers)
+    runs = run_methods(engines, dataset, check_lossless=False)
     for threshold in THRESHOLDS:
         run_result = runs[f"asp@{threshold}"]
         ms = run_result.breakdown.ms_per_10s

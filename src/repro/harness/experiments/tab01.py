@@ -44,7 +44,7 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
         family: build_method(method_name, draft, target)
         for family, method_name in FAMILY_METHODS.items()
     }
-    runs = run_methods(methods, dataset, check_lossless=True, workers=config.workers)
+    runs = run_methods(methods, dataset, check_lossless=True)
     for family_info in table1_families():
         run_result = runs[family_info.family]
         drafted = sum(r.trace.total_drafted for r in run_result.results)

@@ -65,12 +65,7 @@ def run(config: ExperimentConfig = ExperimentConfig()) -> ExperimentReport:
     vocab = shared_vocabulary()
     dataset = load_split("test-clean", config)
     draft, target = model_pair("whisper", vocab)
-    runs = run_methods(
-        ablation_ladder(draft, target),
-        dataset,
-        check_lossless=True,
-        workers=config.workers,
-    )
+    runs = run_methods(ablation_ladder(draft, target), dataset, check_lossless=True)
     duration = dataset.total_duration_s
     for name, run_result in runs.items():
         draft_ms = target_ms = 0.0

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from repro.data.corpus import Dataset
 from repro.data.librisim import LibriSimBuilder, LibriSimConfig
 from repro.decoding.base import DecodeResult
-from repro.harness.executor import CorpusExecutor
 from repro.metrics.latency_report import LatencyBreakdown, aggregate_latency
 from repro.models.vocab import Vocabulary, build_default_vocabulary
 
@@ -18,16 +17,13 @@ class ExperimentConfig:
 
     Defaults are sized so every bench finishes in seconds while utterance
     lengths span the LibriSpeech range (short queries to long read
-    sentences).  ``workers > 1`` fans corpus decoding out across a worker
-    pool (see :mod:`repro.harness.executor`); results are bit-identical to
-    the serial runner.
+    sentences).
     """
 
     seed: int = 2025
     utterances: int = 32
     min_words: int = 12
     max_words: int = 56
-    workers: int = 1
 
     def librisim(self) -> LibriSimConfig:
         return LibriSimConfig(
@@ -103,39 +99,35 @@ class MethodRun:
         return sum(r.trace.total_recycled for r in self.results) / len(self.results)
 
 
-def run_method(
-    decoder,
-    dataset: Dataset,
-    workers: int = 1,
-    executor: "CorpusExecutor | None" = None,
-) -> MethodRun:
+def run_method(decoder, dataset: Dataset) -> MethodRun:
     """Decode every utterance of ``dataset`` with ``decoder``: a one-method
     :func:`run_methods` grid."""
-    methods = {decoder.name: decoder}
-    runs = run_methods(methods, dataset, workers=workers, executor=executor)
-    return runs[decoder.name]
+    return run_methods({decoder.name: decoder}, dataset)[decoder.name]
 
 
 def run_methods(
     methods: dict[str, object],
     dataset: Dataset,
     check_lossless: bool = True,
-    workers: int = 1,
-    executor: "CorpusExecutor | None" = None,
 ) -> dict[str, MethodRun]:
     """Run several methods over one corpus.
 
-    With ``check_lossless`` every method's transcripts are asserted equal to
-    the first method's (conventionally autoregressive target decoding) —
-    the paper's iso-accuracy guarantee.  The grid decodes through
-    :meth:`CorpusExecutor.map_decode` (serial for one worker) in its
-    utterance-major order, with identical results for every backend.
+    The grid is utterance-major: every method decodes an utterance before
+    the next one starts.  The methods share models that keep a bounded LRU
+    of per-utterance oracles and tries (``DEFAULT_ORACLE_CACHE``), so each
+    (model, utterance) oracle is built once per grid however large the
+    corpus.  With ``check_lossless`` every method's transcripts are asserted
+    equal to the first method's (conventionally autoregressive target
+    decoding) — the paper's iso-accuracy guarantee.
     """
-    grids = (executor or CorpusExecutor(workers=workers)).map_decode(methods, dataset)
+    grid: dict[str, list[DecodeResult]] = {name: [] for name in methods}
+    for utterance in dataset:
+        for name, decoder in methods.items():
+            grid[name].append(decoder.decode(utterance))
     runs: dict[str, MethodRun] = {}
     reference_tokens: list[list[int]] | None = None
     for name, decoder in methods.items():
-        results = grids[name]
+        results = grid[name]
         run = MethodRun(method=decoder.name, results=results)
         run.breakdown = aggregate_latency(decoder.name, results, list(dataset))
         if check_lossless:

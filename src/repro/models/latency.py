@@ -25,7 +25,7 @@ twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,3 @@ class SimClock:
 
     def merge(self, other: "SimClock") -> None:
         self.events.extend(other.events)
-
-
-def summarize_events(events: Iterable[LatencyEvent]) -> dict[str, float]:
-    """Total milliseconds keyed by ``model/kind``."""
-    totals: dict[str, float] = {}
-    for event in events:
-        key = f"{event.model}/{event.kind}"
-        totals[key] = totals.get(key, 0.0) + event.ms
-    return totals

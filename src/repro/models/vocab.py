@@ -81,14 +81,6 @@ class Vocabulary:
         return len(self.words) + len(_SPECIALS)
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def bos_id(self) -> int:
-        return 1
-
-    @property
     def eos_id(self) -> int:
         return 2
 
@@ -117,9 +109,6 @@ class Vocabulary:
                 continue
             tokens.append(token)
         return tokens
-
-    def is_special(self, token_id: int) -> bool:
-        return 0 <= token_id < len(_SPECIALS)
 
     # -- confusion pools ------------------------------------------------------
     def _build_confusion_pools(self) -> dict[int, tuple[int, ...]]:

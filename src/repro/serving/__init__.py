@@ -99,7 +99,6 @@ from repro.serving.simulator import (
     build_decoder,
     max_sustainable_qps,
     simulate,
-    sweep_qps,
 )
 
 __all__ = [
@@ -168,6 +167,5 @@ __all__ = [
     "priority_rank",
     "save_trace",
     "simulate",
-    "sweep_qps",
     "uniform_trace",
 ]

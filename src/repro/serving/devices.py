@@ -39,10 +39,10 @@ batches — everything a dedicated pool device ever runs — are unaffected.
 **Heterogeneous clusters.** A :class:`DeviceSpec` describes one
 accelerator: its relative ``speed`` (phase costs are divided by it — a
 ``speed=0.5`` part takes twice the simulated time per phase) and optional
-per-device ``overlap``/``switch_cost`` overrides.  ``parse_device_specs``
-turns the CLI shorthand ``"2x1.0,2x0.5"`` (two full-speed + two half-speed
-accelerators) into a spec list, which is what makes pool placement a real
-optimisation problem (see :mod:`repro.serving.router`).
+KV-cache capacity.  ``parse_device_specs`` turns the CLI shorthand
+``"2x1.0,2x0.5"`` (two full-speed + two half-speed accelerators) into a
+spec list, which is what makes pool placement a real optimisation problem
+(see :mod:`repro.serving.router`).
 """
 
 from __future__ import annotations
@@ -67,18 +67,13 @@ class DeviceSpec:
     """Static description of one simulated accelerator.
 
     ``speed`` is relative throughput: a phase whose nominal cost is ``c``
-    occupies the device for ``c / speed`` ms.  ``overlap`` and
-    ``switch_cost`` override the cluster-wide defaults when set (``None``
-    inherits them), so a cluster can mix well-batching parts with ones
-    whose batching efficiency or residency-interference penalty differs.
-    ``memory_blocks`` is the device's KV-cache capacity in blocks (see
-    :mod:`repro.serving.memory`); ``None`` inherits the cluster-wide
-    default from :class:`~repro.serving.memory.MemorySpec`.
+    occupies the device for ``c / speed`` ms.  ``memory_blocks`` is the
+    device's KV-cache capacity in blocks (see :mod:`repro.serving.memory`);
+    ``None`` inherits the cluster-wide default from
+    :class:`~repro.serving.memory.MemorySpec`.
     """
 
     speed: float = 1.0
-    overlap: float | None = None
-    switch_cost: float | None = None
     memory_blocks: int | None = None
 
     def __post_init__(self) -> None:
@@ -91,14 +86,6 @@ class DeviceSpec:
         # and hang the scheduler's event loop.
         if not math.isfinite(self.speed) or self.speed <= 0:
             raise ValueError(f"device speed must be finite and > 0, got {self.speed}")
-        if self.overlap is not None and not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must be in [0, 1], got {self.overlap}")
-        if self.switch_cost is not None and (
-            not math.isfinite(self.switch_cost) or self.switch_cost < 0
-        ):
-            raise ValueError(
-                f"switch_cost must be finite and >= 0, got {self.switch_cost}"
-            )
 
 
 def parse_device_specs(text: str) -> tuple[DeviceSpec, ...]:
@@ -159,12 +146,11 @@ def parse_device_specs(text: str) -> tuple[DeviceSpec, ...]:
 
 
 def format_device_specs(specs: Sequence[DeviceSpec]) -> str:
-    """Canonical ``COUNTxSPEED`` rendering of the spec list's *speeds*.
+    """Canonical ``COUNTxSPEED[@BLOCKS]`` rendering of a spec list.
 
-    The parser's inverse for speed/memory specs; per-spec ``overlap``/
-    ``switch_cost`` overrides are display-irrelevant here and not encoded.
-    Adjacent equal specs group (``"2x1,2x0.5@32"``); non-adjacent runs stay
-    separate so device order — which tie-breaks key on — remains visible.
+    The parser's inverse.  Adjacent equal specs group (``"2x1,2x0.5@32"``);
+    non-adjacent runs stay separate so device order — which tie-breaks key
+    on — remains visible.
     """
     groups: list[tuple[float, int | None, int]] = []
     for spec in specs:
@@ -198,7 +184,6 @@ class Device:
         "speed",
         "overlap",
         "switch_cost",
-        "memory_blocks",
         "free_at",
         "busy_ms",
         "batches",
@@ -214,7 +199,6 @@ class Device:
         overlap: float,
         switch_cost: float = MODEL_SWITCH_COST,
         speed: float = 1.0,
-        memory_blocks: int | None = None,
     ) -> None:
         if not 0.0 <= overlap <= 1.0:
             raise ValueError(f"overlap must be in [0, 1], got {overlap}")
@@ -222,16 +206,11 @@ class Device:
             raise ValueError(f"switch_cost must be finite and >= 0, got {switch_cost}")
         if not math.isfinite(speed) or speed <= 0:
             raise ValueError(f"speed must be finite and > 0, got {speed}")
-        if memory_blocks is not None and memory_blocks < 1:
-            raise ValueError(
-                f"memory_blocks must be >= 1 when set, got {memory_blocks}"
-            )
         self.index = index
         self.device_id = f"dev{index}"
         self.speed = speed
         self.overlap = overlap
         self.switch_cost = switch_cost
-        self.memory_blocks = memory_blocks  # KV capacity; None = no override
         self.free_at = 0.0  # sim time the device next goes idle
         self.busy_ms = 0.0  # total occupancy
         self.batches = 0  # device iterations executed
@@ -327,12 +306,6 @@ class Device:
         self.phases += len(phases)
         return end
 
-    def utilisation(self, sim_end_ms: float) -> float:
-        """Busy fraction of this device over the simulated span."""
-        if sim_end_ms <= 0:
-            return 0.0
-        return self.busy_ms / sim_end_ms
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Device({self.device_id}, speed={self.speed:g}, "
@@ -343,32 +316,22 @@ class Device:
 def make_devices(
     count: int,
     overlap: float,
-    switch_cost: float = MODEL_SWITCH_COST,
     specs: Sequence[DeviceSpec] | None = None,
 ) -> list[Device]:
-    """A fresh cluster of ``count`` devices.
+    """A fresh cluster of ``count`` devices sharing ``overlap``.
 
-    Homogeneous by default (every device shares ``overlap``/``switch_cost``
-    at speed 1.0); passing ``specs`` builds a heterogeneous cluster —
-    ``len(specs)`` must equal ``count``, and per-spec ``overlap``/
-    ``switch_cost`` overrides beat the shared defaults.
+    Every device runs at speed 1.0 by default; passing ``specs`` builds a
+    heterogeneous cluster, and ``len(specs)`` must equal ``count``.
     """
     if count < 1:
         raise ValueError(f"need at least one device, got {count}")
     if specs is None:
-        return [Device(index, overlap, switch_cost) for index in range(count)]
+        return [Device(index, overlap) for index in range(count)]
     if len(specs) != count:
         raise ValueError(
             f"device spec list has {len(specs)} entries for a "
             f"{count}-device cluster"
         )
     return [
-        Device(
-            index,
-            overlap if spec.overlap is None else spec.overlap,
-            switch_cost if spec.switch_cost is None else spec.switch_cost,
-            speed=spec.speed,
-            memory_blocks=spec.memory_blocks,
-        )
-        for index, spec in enumerate(specs)
+        Device(index, overlap, speed=spec.speed) for index, spec in enumerate(specs)
     ]

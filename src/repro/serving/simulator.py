@@ -1,12 +1,10 @@
 """End-to-end serve simulation: corpus + arrivals + scheduler + SLO report.
 
 :func:`simulate` runs one (method, arrival-trace) simulation and returns a
-:class:`~repro.serving.report.ServeReport`.  :func:`sweep_qps` evaluates a
-load grid — optionally fanning the points out across a
-:class:`~repro.harness.executor.CorpusExecutor` worker pool — and
-:func:`max_sustainable_qps` searches for the highest offered load whose
-goodput still meets the SLO target, the headline serving metric: *how much
-live traffic does speculative decoding buy at a fixed deadline?*
+:class:`~repro.serving.report.ServeReport`, and :func:`max_sustainable_qps`
+searches for the highest offered load whose goodput still meets the SLO
+target, the headline serving metric: *how much live traffic does
+speculative decoding buy at a fixed deadline?*
 """
 
 from __future__ import annotations
@@ -154,7 +152,7 @@ def simulate(
 
     ``trace`` overrides the synthetic arrival process (trace-driven replay);
     ``decoder`` lets callers reuse one decoder across many simulations (load
-    searches, sweeps): each utterance is then decoded once, on its first
+    searches): each utterance is then decoded once, on its first
     request, and replayed from the decoder's decode tape at every load
     (:func:`~repro.decoding.base.begin_decode`).
     """
@@ -192,31 +190,6 @@ def simulate(
         offered,
         batch_deadline_ms=config.chaos.batch_deadline_ms,
     )
-
-
-def _sweep_job(config: ServeSimConfig) -> ServeReport:
-    """Module-level job for worker pools (must be picklable)."""
-    return simulate(config)
-
-
-def sweep_qps(
-    config: ServeSimConfig,
-    qps_values: Sequence[float],
-    executor=None,
-) -> dict[float, ServeReport]:
-    """Evaluate a grid of offered loads; keys follow ``qps_values`` order.
-
-    ``executor`` (a :class:`~repro.harness.executor.CorpusExecutor`) fans the
-    points out across its worker pool via :meth:`map_jobs`; results are
-    identical to the serial loop.
-    """
-    configs = [config.with_qps(q) for q in qps_values]
-    if executor is not None:
-        reports = executor.map_jobs(_sweep_job, configs)
-    else:
-        decoder = build_decoder(config)
-        reports = [simulate(c, decoder=decoder) for c in configs]
-    return dict(zip(qps_values, reports, strict=True))
 
 
 def max_sustainable_qps(

@@ -8,7 +8,6 @@ seen many distinct utterances.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Generic, Hashable, KeysView, TypeVar
 
@@ -19,53 +18,36 @@ V = TypeVar("V")
 class LRUCache(Generic[K, V]):
     """A bounded mapping evicting the least-recently-used entry.
 
-    ``maxsize <= 0`` disables the bound (unbounded cache).  Reads and
-    writes are guarded by a lock: model- and module-level caches are shared
-    across the corpus executor's thread backend, where an unguarded
-    get/move_to_end pair could race a concurrent eviction.
+    ``maxsize <= 0`` disables the bound (unbounded cache).
     """
 
-    __slots__ = ("maxsize", "_data", "_lock", "hits", "misses", "evictions")
+    __slots__ = ("maxsize", "_data", "hits", "misses", "evictions")
 
     def __init__(self, maxsize: int = 64) -> None:
         self.maxsize = maxsize
         self._data: OrderedDict[K, V] = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get(self, key: K) -> V | None:
         data = self._data
-        with self._lock:
-            value = data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            data.move_to_end(key)
-            self.hits += 1
-            return value
+        value = data.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        data.move_to_end(key)
+        self.hits += 1
+        return value
 
     def put(self, key: K, value: V) -> None:
         data = self._data
-        with self._lock:
-            data[key] = value
-            data.move_to_end(key)
-            if self.maxsize > 0:
-                while len(data) > self.maxsize:
-                    data.popitem(last=False)
-                    self.evictions += 1
-
-    def __getstate__(self) -> dict[str, object]:
-        # Locks don't pickle; process-pool workers get their own.
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_lock"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._lock = threading.Lock()
+        data[key] = value
+        data.move_to_end(key)
+        if self.maxsize > 0:
+            while len(data) > self.maxsize:
+                data.popitem(last=False)
+                self.evictions += 1
 
     def __len__(self) -> int:
         return len(self._data)

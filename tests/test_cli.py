@@ -58,8 +58,7 @@ class TestCli:
         "argv",
         [
             ["run", "tab01", "--utterances", "0"],
-            ["run", "tab01", "--workers", "0"],
-            ["run", "tab01", "--workers", "-3"],
+            ["run", "tab01", "--utterances", "-3"],
         ],
     )
     def test_run_rejects_nonpositive_counts(self, capsys, argv):
@@ -192,9 +191,21 @@ class TestServeSimValidation:
                 ]
             )
 
-    def test_rejects_out_of_range_batch_fraction(self, capsys):
-        with pytest.raises(SystemExit, match=r"batch_fraction must be in \[0, 1\]"):
-            main(["serve-sim", "--batch-fraction", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-sim", "--batch-fraction", "1.5"],
+            ["serve-sim", "--slo-target", "2"],
+            ["serve-sim", "--slo-target", "-1"],
+        ],
+        ids=["batch-fraction-1.5", "slo-target-2", "slo-target--1"],
+    )
+    def test_rejects_out_of_range_batch_fraction(self, capsys, argv):
+        """A usage error (exit 2), not a silent max-QPS of 0 or 64."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "in [0, 1]" in self._error_text(capsys)
 
     def test_rejects_bad_straggler_factor(self, capsys):
         with pytest.raises(SystemExit, match="straggler_factor"):

@@ -153,12 +153,3 @@ class TestTruncationInteraction:
         result = draft_with_recycling(session, [5], suffix, config, EOS, truncate=False)
         assert result.merged
         assert len(result.main) == 5  # ran to the cap
-
-    def test_uncertain_points_reported(self):
-        stream = [5, 6, 7, 8, 9, 10, EOS]
-        session = session_for(stream, probs={3: 0.1})
-        suffix = suffix_of([6, 7])
-        config = SpecASRConfig(threshold=0.4, max_draft_len=5)
-        result = draft_with_recycling(session, [5], suffix, config, EOS, truncate=False)
-        points = result.uncertain_points(0.4, EOS)
-        assert any(p.top_prob == pytest.approx(0.1) for p in points)

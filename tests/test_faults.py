@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.decoding.base import PHASE_DRAFT, PhaseOutcome
-from repro.harness.executor import CorpusExecutor
 from repro.harness.methods import build_method
 from repro.serving import (
     ChaosSpec,
@@ -48,10 +47,10 @@ from repro.serving import (
     ScheduleStats,
     ServeSimConfig,
     StreamSpec,
+    build_decoder,
     format_fault_plan,
     parse_fault_spec,
     simulate,
-    sweep_qps,
 )
 from repro.serving.arrivals import Arrival, make_trace
 from repro.serving.faults import HEALTHY_PROFILE
@@ -719,14 +718,14 @@ class TestRequeueDeterminism:
         assert chaos["fault_events"] == 2
         assert chaos["retries"] >= chaos["requeues"] >= 0
 
-    def test_worker_pool_matches_serial_sweep(self):
-        qps_values = (4.0, 8.0)
-        serial = sweep_qps(self.CONFIG, qps_values)
-        executor = CorpusExecutor(workers=2, backend="thread")
-        pooled = sweep_qps(self.CONFIG, qps_values, executor=executor)
-        assert {q: r.to_dict() for q, r in serial.items()} == {
-            q: r.to_dict() for q, r in pooled.items()
-        }
+    def test_tape_replay_matches_fresh_decoder(self):
+        """A chaos run served from a shared decoder's decode tapes equals
+        one served by a fresh decoder, at every load."""
+        shared = build_decoder(self.CONFIG)
+        for qps in (4.0, 8.0):
+            config = self.CONFIG.with_qps(qps)
+            replayed = simulate(config, decoder=shared)
+            assert replayed.to_dict() == simulate(config).to_dict()
 
     def test_fault_seed_changes_transient_errors(self):
         base = simulate(self.CONFIG)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data.corpus import Dataset
 from repro.harness.figures import ascii_bars, ascii_table, format_value
 from repro.harness.methods import STANDARD_METHODS, build_method, standard_methods
 from repro.harness.paper_values import PAPER_VALUES, paper_notes
@@ -12,6 +13,9 @@ from repro.harness.runner import (
     run_methods,
     shared_vocabulary,
 )
+from repro.models.acoustic import EmissionOracle
+from repro.models.registry import PAIRINGS, get_spec
+from repro.models.simulated import SimulatedASRModel
 
 
 class TestFigures:
@@ -113,8 +117,52 @@ class TestRunner:
                 dataset,
             )
 
+    def test_run_methods_on_empty_corpus(self, whisper_pair):
+        """An empty corpus still yields one empty run per method."""
+        methods = standard_methods(*whisper_pair)
+        runs = run_methods(methods, Dataset("empty"))
+        assert list(runs) == list(methods)
+        for run in runs.values():
+            assert run.results == []
+            assert run.breakdown.total_ms == 0.0
+
     def test_shared_vocabulary_singleton(self):
         assert shared_vocabulary() is shared_vocabulary()
+
+
+class TestGridOrder:
+    CACHE = 2  # oracles per model: fewer than the corpus has utterances
+
+    def _model(self, name, vocab):
+        spec = get_spec(name)
+        return SimulatedASRModel(
+            name=spec.name,
+            capacity=spec.capacity,
+            latency=spec.latency,
+            vocab=vocab,
+            encoder_latency_ms_per_10s=spec.encoder_latency_ms_per_10s,
+            oracle_cache_size=self.CACHE,
+        )
+
+    def test_each_oracle_built_once_past_the_cache(
+        self, vocab, clean_dataset, monkeypatch
+    ):
+        """Every method decodes an utterance before the next one starts, so
+        each (model, utterance) oracle is built once per grid even when the
+        corpus outgrows the models' oracle cache."""
+        assert len(clean_dataset) > self.CACHE
+        draft, target = (self._model(name, vocab) for name in PAIRINGS["whisper"])
+        builds = []
+        init = EmissionOracle.__init__
+
+        def counting_init(oracle, *args, **kwargs):
+            init(oracle, *args, **kwargs)
+            builds.append((oracle.model_name, oracle.utterance.content_key))
+
+        monkeypatch.setattr(EmissionOracle, "__init__", counting_init)
+        run_methods(standard_methods(draft, target), clean_dataset)
+        assert len(builds) == 2 * len(clean_dataset)
+        assert len(set(builds)) == len(builds)
 
 
 class TestPaperValues:

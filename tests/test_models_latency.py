@@ -3,12 +3,10 @@
 import pytest
 
 from repro.models.latency import (
-    LatencyEvent,
     LatencyProfile,
     SimClock,
     forward_ms,
     prefill_ms,
-    summarize_events,
 )
 
 PROFILE = LatencyProfile(
@@ -71,10 +69,3 @@ class TestSimClock:
         b.record("y", "verify", 1, 0, 2.0)
         a.merge(b)
         assert a.total_ms() == pytest.approx(3.0)
-
-    def test_summarize(self):
-        events = [
-            LatencyEvent("a", "draft", 1, 0, 1.0),
-            LatencyEvent("a", "draft", 1, 0, 2.0),
-        ]
-        assert summarize_events(events) == {"a/draft": 3.0}

