@@ -40,7 +40,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value <= 0:
+    if not value > 0:  # NaN fails every comparison
         raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
     return value
 
@@ -416,10 +416,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     )
 
     try:
-        # Construction validates the memory spec; the calls below do the
-        # cross-argument validation (e.g. disaggregation needs >= 2 devices,
-        # max_inflight >= max_batch, fault events naming absent devices) —
-        # fail with a clean message, not a traceback.
+        # Construction validates the memory and stream specs; the calls
+        # below do the cross-argument validation (e.g. disaggregation needs
+        # >= 2 devices, max_inflight >= max_batch, fault events naming absent
+        # devices) and load the replayed trace — fail with a clean message,
+        # not a traceback.
         config = ServeSimConfig(
             method=args.method,
             pairing=args.pairing,
@@ -467,9 +468,9 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         plan = config.fault_plan()
         if plan is not None:
             plan.validate_for(cluster.devices)
+        trace = load_trace(args.trace) if args.trace else None
     except ValueError as error:
         raise SystemExit(f"specasr serve-sim: error: {error}") from None
-    trace = load_trace(args.trace) if args.trace else None
     decoder = build_decoder(config)
     report = simulate(config, trace=trace, decoder=decoder)
     if not args.no_max_qps and trace is None:

@@ -12,7 +12,6 @@ from repro.decoding.base import (
     PhaseOutcome,
     PrefixCursor,
     RoundStats,
-    StepOutcome,
     as_cursor,
     begin_decode,
     is_cursor,
@@ -49,7 +48,6 @@ __all__ = [
     "PhasedDecodeStepper",
     "PrefixCursor",
     "RoundStats",
-    "StepOutcome",
     "as_cursor",
     "begin_decode",
     "is_cursor",

@@ -23,8 +23,7 @@ shares is :func:`repro.decoding.speculative.draft_verify_phases`.
 ``step_phase()`` returns a :class:`PhaseOutcome` per phase, which is what
 lets a multi-device scheduler place the two halves of a round on
 *different* simulated accelerators (draft/target disaggregation) and
-coalesce verification passes across requests.  The atomic ``step()`` drains
-the phases of one round, so round-level callers are unchanged.
+coalesce verification passes across requests.
 
 **Decode tapes.**  Decoding is audio-conditioned: for one decoder, every
 phase and the final result are a pure function of the unit's content, never
@@ -124,20 +123,6 @@ class DecodeResult:
         return self.total_ms * 10.0 / duration_s
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one resumable decode step (one draft→verify round).
-
-    ``ms`` is the simulated model time charged during the step — the SimClock
-    delta — which is what a serving scheduler bills to device time.  The
-    first step of a decode also carries its prefill/encode cost.
-    """
-
-    new_tokens: tuple[int, ...]
-    ms: float
-    done: bool
-
-
 #: Phase kinds of one speculative round.
 PHASE_DRAFT = "draft"
 PHASE_VERIFY = "verify"
@@ -192,9 +177,9 @@ PhaseGenerator = Generator[
 class DecodeStepper:
     """Step-resumable decode: one phase per :meth:`step_phase` call.
 
-    ``step()`` runs one whole draft→verify round and ``drain()`` runs the
-    decode to completion, both composed from :meth:`step_phase`, so every
-    granularity a caller picks produces the same result.
+    ``drain()`` runs the decode to completion through :meth:`step_phase`,
+    so a phase-by-phase caller and a drained decode produce the same
+    result.
     """
 
     def __init__(self) -> None:
@@ -207,23 +192,12 @@ class DecodeStepper:
     @property
     def result(self) -> DecodeResult:
         if self._result is None:
-            raise RuntimeError("decode not finished; call step() until done")
+            raise RuntimeError("decode not finished; call step_phase() until done")
         return self._result
 
     def step_phase(self) -> PhaseOutcome:
         """Run one phase; raises if the decode already finished."""
         raise NotImplementedError
-
-    def step(self) -> StepOutcome:
-        """One atomic draft→verify round, composed from its phases."""
-        tokens: list[int] = []
-        ms = 0.0
-        while True:
-            outcome = self.step_phase()
-            tokens.extend(outcome.new_tokens)
-            ms += outcome.ms
-            if outcome.round_done:
-                return StepOutcome(tuple(tokens), ms, outcome.done)
 
     def drain(self) -> DecodeResult:
         """Run all remaining phases and return the final result."""

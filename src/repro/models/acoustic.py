@@ -198,8 +198,8 @@ class EmissionOracle:
         self.params = params or OracleParams()
         self.block_size = int(block_size)
         # The step cache: the only memo of finished distributions.  An entry
-        # never changes once step()/step_many() has returned it, so
-        # decode-session trie nodes point into it.
+        # never changes once step() has returned it, so decode-session trie
+        # nodes point into it.
         self._cache: dict[tuple[int, int, int], StepResult] = {}
         # Per-position pre-perturbation state: (candidates, candidate array,
         # base scores).  Perturbed variants of a position share it, so
@@ -327,95 +327,10 @@ class EmissionOracle:
                         break
         return picked
 
-    def step_many(
-        self, queries: "list[tuple[int, int, int]]"
-    ) -> list[StepResult]:
-        """Batched :meth:`step` over ``(position, perturb_level, context_key)``
-        triples.
-
-        On the vectorised path this materialises every touched base block
-        (one grouped numpy pass per block, anchored distributions included)
-        and then scores all remaining cache misses — perturbed variants and
-        positions past the EOS region — in one grouped softmax/lexsort pass
-        (:meth:`_compute_steps_batch`).  Results are bit-identical to
-        calling :meth:`step` per query, in order.  ``block_size <= 1``
-        falls back to the scalar reference loop.
-        """
-        if self.block_size <= 1 or len(queries) == 1:
-            # Scalar reference path, and the common single-miss call from a
-            # mostly-cached frontier: per-query step() is cheaper than the
-            # batch setup (blocks still materialise lazily via _base_for).
-            return [
-                self.step(position, level, ctx) for position, level, ctx in queries
-            ]
-        cache = self._cache
-        block_size = self.block_size
-        ceiling = self.max_positions
-        keys: list[tuple[int, int, int]] = []
-        for position, level, ctx in queries:
-            if position < 0:
-                raise ValueError(f"negative position {position}")
-            keys.append((position, 0, 0) if level == 0 else (position, level, ctx))
-        touched = {
-            key[0] - key[0] % block_size for key in keys if key[0] < ceiling
-        }
-        for start in sorted(touched):
-            self._block_for(start)
-        misses = [key for key in dict.fromkeys(keys) if key not in cache]
-        if len(misses) > 1:
-            self._compute_steps_batch(misses)
-        elif misses:
-            key = misses[0]
-            cache[key] = self._compute_step(*key)
-        return [cache[key] for key in keys]
-
-    def _compute_steps_batch(self, keys: "list[tuple[int, int, int]]") -> None:
-        """Score several missing step queries in one grouped numpy pass.
-
-        Each row's scores are produced by the exact scalar arithmetic of
-        :meth:`_compute_step` — per-query RNG streams, same operand order —
-        and only the softmax, the lexsort and the top-k extraction are
-        batched across rows of equal candidate count (both are row-wise
-        independent, so every row keeps the scalar reduction tree).
-        Results land in the step cache.
-        """
-        p = self.params
-        window = max(p.perturb_window, 1)
-        perturb_noise = p.perturb_noise
-        rows: list[tuple[tuple[int, int, int], list[int], np.ndarray, np.ndarray]]
-        rows = []
-        for key in keys:
-            position, level, ctx = key
-            candidates, cand_arr, scores = self._base_for(position)
-            if level > 0:
-                level_frac = level / window
-                # Model-specific seed: these draws are never shared across
-                # models, so skip the cross-model memo and draw directly.
-                perturb = perturb_noise * level_frac * _fast_rng(
-                    stable_hash_ints(self._h_perturb, position, level, ctx)
-                ).standard_normal(len(candidates))
-                scores = scores + perturb
-            rows.append((key, candidates, cand_arr, scores))
-        groups: dict[int, list] = {}
-        for row in rows:
-            groups.setdefault(len(row[1]), []).append(row)
-        cache = self._cache
-        topk_n = p.topk
-        for group in groups.values():
-            scores2 = np.stack([scores for _k, _c, _a, scores in group])
-            cand2 = np.stack([cand_arr for _k, _c, cand_arr, _s in group])
-            prob2 = softmax_block(scores2, temperature=p.temperature)
-            order2 = np.lexsort((cand2, -prob2), axis=-1)
-            for row_index, (key, candidates, _arr, _scores) in enumerate(group):
-                probs = prob2[row_index].tolist()
-                top = order2[row_index, :topk_n].tolist()
-                topk = tuple((candidates[i], probs[i]) for i in top)
-                cache[key] = StepResult(
-                    position=key[0],
-                    token=topk[0][0],
-                    top_prob=topk[0][1],
-                    topk=topk,
-                )
+    def step_many(self, queries: "list[tuple[int, int, int]]") -> list[StepResult]:
+        """:meth:`step` over ``(position, perturb_level, context_key)``
+        triples, in order."""
+        return [self.step(position, level, ctx) for position, level, ctx in queries]
 
     def _base_for(self, position: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Base state for one position, via the block or scalar cache."""
@@ -446,7 +361,8 @@ class EmissionOracle:
 
         if perturb_level > 0:
             level_frac = perturb_level / max(p.perturb_window, 1)
-            # Model-specific seed (see _compute_steps_batch): no memo.
+            # Model-specific seed: these draws are never shared across
+            # models, so skip the cross-model memo and draw directly.
             perturb = p.perturb_noise * level_frac * _fast_rng(
                 stable_hash_ints(self._h_perturb, position, perturb_level, context_key)
             ).standard_normal(n)

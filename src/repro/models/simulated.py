@@ -121,24 +121,6 @@ def prewarm_models(
     )
 
 
-def _resolve_pending_steps(oracle: EmissionOracle, nodes: "list[_TrieNode]") -> None:
-    """Point every node's ``step`` at the oracle's cached distribution, via
-    one batched oracle pass.
-
-    ``nodes`` may span several sessions as long as they share ``oracle``.
-    The batched pass is bit-identical to resolving each node through the
-    scalar ``_node_step`` path.
-    """
-    steps = oracle.step_many(
-        [
-            (node.depth, node.state, _context_key(node.last3) if node.state else 0)
-            for node in nodes
-        ]
-    )
-    for node, step in zip(nodes, steps, strict=True):
-        node.step = step
-
-
 class SimulatedASRModel:
     """One simulated cascaded ASR model (audio encoder + LLM decoder)."""
 
@@ -187,59 +169,24 @@ class SimulatedASRModel:
 
     def score_batch(
         self,
-        requests: "Sequence[tuple]",
+        requests: "Sequence[tuple[DecodeSession, Sequence]]",
         kind: str = KIND_VERIFY,
     ) -> "list[list[StepResult]]":
-        """One cross-session batched scoring pass.
+        """Score several sessions' frontiers, one session at a time.
 
-        ``requests`` is a sequence of ``(session, prefixes)`` or
-        ``(session, prefixes, billed_tokens)`` entries; each ``prefixes``
-        is the frontier of one :class:`DecodeSession` (token sequences or
-        cursors).  Per session the pass bills **exactly** the latency record
-        the equivalent solo call would write — ``verify_eval`` semantics for
-        ``kind=KIND_VERIFY`` (billed tokens default to the frontier size,
-        context at the shallowest node), ``step_frontier`` semantics
-        otherwise — so SimClock totals are bit-identical to looping the
-        per-session calls.  All uncached distributions across every request
-        are then resolved with one grouped array pass per distinct
-        utterance oracle, instead of a python loop per session.
-
-        Returns one list of StepResults per request, in request order.
+        Each ``(session, prefixes)`` entry is one
+        :meth:`DecodeSession.verify_eval` call for ``kind=KIND_VERIFY`` and
+        one :meth:`DecodeSession.step_frontier` call otherwise, billed
+        exactly as that call bills.  Returns one list of StepResults per
+        entry, in entry order.
         """
-        prepared: list[tuple[DecodeSession, list[_TrieNode]]] = []
-        for entry in requests:
-            session, prefixes = entry[0], entry[1]
-            billed_tokens = entry[2] if len(entry) > 2 else None
-            session._require_prefill()
-            nodes = [session._resolve(p) for p in prefixes]
-            if not nodes:
-                raise ValueError("score_batch needs at least one prefix per entry")
+        results: list[list[StepResult]] = []
+        for session, prefixes in requests:
             if kind == KIND_VERIFY:
-                billed = billed_tokens if billed_tokens is not None else len(nodes)
-                if billed < 1:
-                    raise ValueError(f"billed_tokens must be >= 1, got {billed}")
-                depth = min(node.depth for node in nodes)
+                results.append(session.verify_eval(prefixes))
             else:
-                billed = len(nodes)
-                depth = max(node.depth for node in nodes)
-            cached = session._prompt_tokens + depth
-            ms = forward_ms(session.model.latency, billed, cached)
-            session.clock.record(session.model.name, kind, billed, cached, ms)
-            prepared.append((session, nodes))
-        # Group uncached nodes by oracle: sessions over the same utterance
-        # share one grouped pass.
-        buckets: dict[int, tuple[EmissionOracle, list[_TrieNode]]] = {}
-        for session, nodes in prepared:
-            oracle = session._oracle
-            for node in nodes:
-                if node.step is None:
-                    bucket = buckets.get(id(oracle))
-                    if bucket is None:
-                        bucket = buckets[id(oracle)] = (oracle, [])
-                    bucket[1].append(node)
-        for oracle, pending in buckets.values():
-            _resolve_pending_steps(oracle, pending)
-        return [[node.step for node in nodes] for _session, nodes in prepared]
+                results.append(session.step_frontier(prefixes, kind=kind))
+        return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedASRModel({self.name!r}, capacity={self.capacity})"
@@ -388,16 +335,6 @@ class DecodeSession:
             step = node.step = self._oracle.step(node.depth, node.state, context)
         return step
 
-    def _node_steps(self, nodes: "list[_TrieNode]") -> list[StepResult]:
-        """Batched :meth:`_node_step`: every uncached distribution in
-        ``nodes`` is resolved through one grouped oracle pass
-        (:meth:`EmissionOracle.step_many`), bit-identical to the scalar
-        per-node path."""
-        pending = [node for node in nodes if node.step is None]
-        if pending:
-            _resolve_pending_steps(self._oracle, pending)
-        return [node.step for node in nodes]
-
     def _child(self, node: _TrieNode, token: int) -> _TrieNode:
         child = node.children.get(token)
         if child is None:
@@ -478,7 +415,7 @@ class DecodeSession:
         cached = self._prompt_tokens + max(node.depth for node in nodes)
         ms = forward_ms(self.model.latency, len(nodes), cached)
         self.clock.record(self.model.name, kind, len(nodes), cached, ms)
-        return self._node_steps(nodes)
+        return [self._node_step(node) for node in nodes]
 
     def verify_eval(
         self, prefixes, billed_tokens: int | None = None
@@ -500,7 +437,7 @@ class DecodeSession:
         cached = self._prompt_tokens + min(node.depth for node in nodes)
         ms = forward_ms(self.model.latency, billed, cached)
         self.clock.record(self.model.name, KIND_VERIFY, billed, cached, ms)
-        return self._node_steps(nodes)
+        return [self._node_step(node) for node in nodes]
 
     def rollback(self, kept_prefix_len: int, keep: SessionCursor | None = None) -> None:
         """Commit a prefix of ``kept_prefix_len`` tokens: prune dead branches.

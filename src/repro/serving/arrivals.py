@@ -49,12 +49,16 @@ class Arrival:
     rtf: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_ms < 0:
-            raise ValueError(f"arrival {self.index}: negative arrival time")
+        # NaN fails every comparison: each check is written to reject it.
+        if not self.arrival_ms >= 0:
+            raise ValueError(
+                f"arrival {self.index}: arrival_ms must be >= 0, got "
+                f"{self.arrival_ms}"
+            )
         if self.utterance_index < 0:
             raise ValueError(f"arrival {self.index}: negative utterance index")
-        if self.rtf < 0:
-            raise ValueError(f"arrival {self.index}: rtf must be >= 0")
+        if not self.rtf >= 0:
+            raise ValueError(f"arrival {self.index}: rtf must be >= 0, got {self.rtf}")
         priority_rank(self.priority)  # validates the class name
 
 
@@ -99,7 +103,7 @@ def poisson_trace(
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if qps <= 0:
+    if not qps > 0:
         raise ValueError(f"qps must be positive, got {qps}")
     gaps = RngStream(seed, "serve-arrivals", "gaps")
     mean_gap_ms = 1000.0 / qps
@@ -128,7 +132,7 @@ def uniform_trace(
     """Evenly paced arrivals at ``qps`` requests/second (a paced load test)."""
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if qps <= 0:
+    if not qps > 0:
         raise ValueError(f"qps must be positive, got {qps}")
     gap_ms = 1000.0 / qps
     utterances = _assign_utterances(

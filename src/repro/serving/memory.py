@@ -70,7 +70,7 @@ class MemorySpec:
             )
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if self.reprefill_ms_per_block < 0:
+        if not self.reprefill_ms_per_block >= 0:  # NaN fails every comparison
             raise ValueError(
                 "reprefill_ms_per_block must be >= 0, got "
                 f"{self.reprefill_ms_per_block}"

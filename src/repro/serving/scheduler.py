@@ -121,6 +121,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -186,18 +187,20 @@ class SchedulerConfig:
             raise ValueError(f"overlap must be in [0, 1], got {self.overlap}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_ms < 0:
+        if not math.isfinite(self.retry_backoff_ms) or self.retry_backoff_ms < 0:
             raise ValueError(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
+                "retry_backoff_ms must be finite and >= 0, got "
+                f"{self.retry_backoff_ms}"
             )
-        if self.straggler_factor != 0.0 and self.straggler_factor < 1.0:
+        # NaN fails every comparison: each check is written to reject it.
+        if self.straggler_factor != 0.0 and not self.straggler_factor >= 1.0:
             raise ValueError(
                 "straggler_factor must be 0 (off) or >= 1, got "
                 f"{self.straggler_factor}"
             )
         for name in ("admission_deadline_ms", "batch_deadline_ms"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0 when set, got {value}")
 
     def retry_policy(self) -> RetryPolicy:
@@ -225,11 +228,12 @@ class StreamSpec:
     lookahead_s: float = 0.3  # audio margin held back from the decoder
 
     def __post_init__(self) -> None:
-        if self.rtf <= 0:
+        # NaN fails every comparison: each check is written to reject it.
+        if not self.rtf > 0:
             raise ValueError(f"rtf must be positive, got {self.rtf}")
-        if self.chunk_s <= 0:
+        if not self.chunk_s > 0:
             raise ValueError(f"chunk_s must be positive, got {self.chunk_s}")
-        if self.lookahead_s < 0:
+        if not self.lookahead_s >= 0:
             raise ValueError(f"lookahead_s must be >= 0, got {self.lookahead_s}")
 
 

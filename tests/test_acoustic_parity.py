@@ -1,22 +1,21 @@
 """Bit-identity parity suite: vectorised oracle scoring == scalar reference.
 
 The block-vectorised emission path (grouped array passes over position
-blocks, cross-session batched scoring, cross-oracle prewarm) carries a hard
-contract: every number it produces is **bit-identical** to the scalar
-per-position reference (``oracle_block_size=1``) — same tokens, same
-float probabilities, same SimClock records.  This suite pins that contract
-at each seam:
+blocks, cross-oracle prewarm) carries a hard contract: every number it
+produces is **bit-identical** to the scalar per-position reference
+(``oracle_block_size=1``) — same tokens, same float probabilities, same
+SimClock records.  This suite pins that contract at each seam:
 
 * anchored + perturbed + EOS-region + overflow positions, across
   utterances, capacities, model seeds and block sizes (hypothesis-driven);
 * block boundaries (first/last position of a block, the ragged final
   block, positions past ``max_positions``);
-* ``step_many`` / ``_compute_steps_batch`` (the batched query path);
+* ``step_many`` (a loop over ``step``) against the scalar reference;
 * ``prewarm_oracles`` / ``prewarm_models`` / ``_prewarm_candidates`` (the
   grouped cross-oracle passes) — warming must never change a value;
-* ``score_batch`` / ``_node_steps`` (cross-session batched verification)
-  against solo ``verify_eval`` / ``step_frontier`` calls, latency billing
-  included;
+* ``score_batch`` (a per-session loop over ``verify_eval`` /
+  ``step_frontier``) on the block path against solo calls on the scalar
+  path, latency billing included;
 * a whole serve run on the ``merged`` router: records and ``ScheduleStats``
   match between the two oracle paths;
 * ``batched_generators`` / ``batched_seed_states`` (the vectorised
@@ -171,7 +170,7 @@ class TestScalarVectorParity:
 
 
 class TestSessionBatchParity:
-    """``score_batch`` / ``_node_steps`` vs solo per-session calls."""
+    """``score_batch`` vs solo per-session calls."""
 
     def _frontiers(self, model, units):
         """Per-unit (session, prefixes) pairs over fresh clocks: the empty

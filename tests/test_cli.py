@@ -86,6 +86,10 @@ class TestServeSimValidation:
             (["serve-sim", "--requests", "0"], "positive integer"),
             (["serve-sim", "--overlap", "1.5"], "in [0, 1]"),
             (["serve-sim", "--overlap", "-0.1"], "in [0, 1]"),
+            (["serve-sim", "--qps", "nan"], "positive number"),
+            (["serve-sim", "--deadline-ms", "nan"], "positive number"),
+            (["serve-sim", "--rtf", "nan"], "positive number"),
+            (["serve-sim", "--chunk-s", "nan"], "positive number"),
         ],
     )
     def test_rejects_out_of_range_values(self, capsys, argv, fragment):
@@ -93,6 +97,36 @@ class TestServeSimValidation:
             main(argv)
         assert excinfo.value.code == 2
         assert fragment in self._error_text(capsys)
+
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (["--retry-backoff-ms", "nan"], "retry_backoff_ms"),
+            (["--retry-backoff-ms", "inf"], "retry_backoff_ms"),
+            (["--straggler-k", "nan"], "straggler_factor"),
+            (["--admission-deadline-ms", "nan"], "admission_deadline_ms"),
+            (["--batch-deadline-ms", "nan"], "batch_deadline_ms"),
+            (["--streaming", "--lookahead-s", "nan"], "lookahead_s"),
+            (
+                ["--memory-blocks", "8", "--reprefill-ms-per-block", "nan"],
+                "reprefill_ms_per_block",
+            ),
+        ],
+    )
+    def test_rejects_nan_config_values(self, flags, fragment):
+        """Values the config classes validate fail with the one-line error
+        (exit status 1), before any simulation starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--no-max-qps", *flags])
+        message = str(excinfo.value.code)
+        assert message.startswith("specasr serve-sim: error: ")
+        assert fragment in message
+
+    def test_rejects_nan_arrival_in_trace(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text('[{"index": 0, "utterance_index": 0, "arrival_ms": NaN}]')
+        with pytest.raises(SystemExit, match="arrival 0: arrival_ms must be >= 0"):
+            main(["serve-sim", "--no-max-qps", "--trace", str(path)])
 
     def test_rejects_unknown_router(self, capsys):
         with pytest.raises(SystemExit):

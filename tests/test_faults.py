@@ -317,6 +317,11 @@ class TestSchedulerConfigChaosKnobs:
             ({"straggler_factor": 0.5}, "straggler_factor"),
             ({"admission_deadline_ms": 0.0}, "admission_deadline_ms"),
             ({"batch_deadline_ms": -5.0}, "batch_deadline_ms"),
+            ({"retry_backoff_ms": float("nan")}, "retry_backoff_ms"),
+            ({"retry_backoff_ms": float("inf")}, "retry_backoff_ms"),
+            ({"straggler_factor": float("nan")}, "straggler_factor"),
+            ({"admission_deadline_ms": float("nan")}, "admission_deadline_ms"),
+            ({"batch_deadline_ms": float("nan")}, "batch_deadline_ms"),
         ],
     )
     def test_rejects_bad_chaos_knobs(self, kwargs, fragment):

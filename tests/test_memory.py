@@ -83,6 +83,8 @@ class TestMemorySpec:
             MemorySpec(block_size=0)
         with pytest.raises(ValueError):
             MemorySpec(reprefill_ms_per_block=-1.0)
+        with pytest.raises(ValueError):
+            MemorySpec(reprefill_ms_per_block=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class TestStepping:
         assert session.perturb_state(off_path) > 0
         for prefix in (on_path, off_path):
             assert session.peek(prefix) is cache_entry(prefix)
-        # Batched resolution (one step_many pass) hands out the entries too.
+        # A verify pass over several nodes hands out the entries too.
         deeper = [on_path + (greedy[3],), off_path + (session.peek(off_path).token,)]
         assert session.perturb_state(deeper[1]) > 0
         for prefix, step in zip(deeper, session.verify_eval(deeper), strict=True):

@@ -6,9 +6,14 @@ The entry points are the ``specasr`` console script and ``python -m repro``
 static import graph: ``from x import y`` reaches the submodule ``x.y`` when
 one exists, and importing a module also runs its parent packages.  A module
 no walk reaches is code that only tests run.
+
+The entry points perfbench traces are checked by name as well, so a
+renamed, deleted or inherited method fails here rather than in the
+benchmark's trace step.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,3 +74,25 @@ def _unreachable() -> list[str]:
 
 def test_every_module_is_reachable_from_an_entry_point():
     assert _unreachable() == []
+
+
+def test_perfbench_entry_points_resolve():
+    """Every ``(layer, owner, attribute)`` perfbench traces exists where
+    its tracer patches it: the tracer replaces ``cls.__dict__[attribute]``,
+    so a class owner must define the method itself (an inherited one fails
+    the trace step), and a module owner must have the attribute."""
+    perfbench = str(ROOT / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import entry_points
+    finally:
+        sys.path.remove(perfbench)
+    missing = []
+    for layer, owner, attribute in entry_points():
+        if isinstance(owner, type):
+            present = attribute in vars(owner)
+        else:
+            present = hasattr(owner, attribute)
+        if not present:
+            missing.append(f"{layer}: {owner.__name__}.{attribute}")
+    assert missing == []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.decoding.base import StepOutcome, begin_decode
+from repro.decoding.base import PhaseOutcome, begin_decode
 from repro.harness.methods import build_method
 from repro.metrics.latency_report import PercentileSummary, percentile
 from repro.serving import (
@@ -63,24 +63,16 @@ class TestDecodeStepper:
         reference = decoder.decode(utterance)
 
         stepper = begin_decode(decoder, utterance)
-        outcomes: list[StepOutcome] = []
+        outcomes: list[PhaseOutcome] = []
         while not stepper.done:
-            outcomes.append(stepper.step())
+            outcomes.append(stepper.step_phase())
         result = stepper.result
         assert result.tokens == reference.tokens
         assert result.total_ms == reference.total_ms
         assert outcomes[-1].done
         assert all(not o.done for o in outcomes[:-1])
-        # step costs partition the clock total exactly
+        # phase costs partition the clock total exactly
         assert sum(o.ms for o in outcomes) == pytest.approx(result.total_ms)
-
-    def test_step_after_done_raises(self, whisper_pair, clean_dataset):
-        draft, target = whisper_pair
-        decoder = build_method("autoregressive", draft, target)
-        stepper = begin_decode(decoder, clean_dataset[0])
-        stepper.drain()
-        with pytest.raises(RuntimeError):
-            stepper.step()
 
     def test_result_before_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair
@@ -120,6 +112,9 @@ class TestArrivals:
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             poisson_trace(4, 0.0, 4)
+        for build in (poisson_trace, uniform_trace):
+            with pytest.raises(ValueError, match="qps must be positive"):
+                build(4, float("nan"), 4)
         with pytest.raises(ValueError):
             uniform_trace(0, 1.0, 4)
 

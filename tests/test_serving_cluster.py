@@ -4,8 +4,7 @@ The contract under test, from the multi-device refactor:
 
 * **Phase split** — every decoder exposes draft/verify phases whose
   costs partition the SimClock exactly; ``drain()`` (phase path) and
-  the legacy ``decode()`` are bit-identical; the atomic ``step()`` is a
-  thin wrapper over the phases of one round.
+  the legacy ``decode()`` are bit-identical.
 * **Decode tapes** — ``begin_decode`` replays a recorded decode whose
   phases and result equal a fresh ``begin()``, without opening a session.
 * **Cluster determinism** — a fixed arrival trace produces bit-identical
@@ -131,33 +130,6 @@ class TestPhaseSplitSteppers:
             # one draft phase then one verify phase per round
             kinds = [p.phase for p in phases]
             assert kinds == [PHASE_DRAFT, PHASE_VERIFY] * (len(kinds) // 2)
-
-    @pytest.mark.parametrize("method", ("spec(8,1)", "specasr-tsp"))
-    def test_atomic_step_wraps_phases(self, whisper_pair, clean_dataset, method):
-        draft, target = whisper_pair
-        utterance = clean_dataset[2]
-        decoder = build_method(method, draft, target)
-
-        by_round = begin_decode(decoder, utterance)
-        steps = []
-        while not by_round.done:
-            steps.append(by_round.step())
-
-        by_phase = begin_decode(decoder, utterance)
-        rounds = []
-        while not by_phase.done:
-            tokens, ms = [], 0.0
-            while True:
-                phase = by_phase.step_phase()
-                tokens.extend(phase.new_tokens)
-                ms += phase.ms
-                if phase.round_done:
-                    break
-            rounds.append((tuple(tokens), ms))
-
-        assert [(s.new_tokens, s.ms) for s in steps] == pytest.approx(rounds)
-        assert by_round.result.tokens == by_phase.result.tokens
-        assert by_round.result.total_ms == by_phase.result.total_ms
 
     def test_step_phase_after_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair

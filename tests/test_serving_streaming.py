@@ -114,6 +114,10 @@ class TestChunkSchedule:
             chunk_schedule(Arrival(0, 0, 0.0), 5.0, 0.0)
         with pytest.raises(ValueError):
             Arrival(0, 0, 0.0, rtf=-1.0)
+        with pytest.raises(ValueError):
+            Arrival(0, 0, 0.0, rtf=float("nan"))
+        with pytest.raises(ValueError):
+            Arrival(0, 0, float("nan"))
 
 
 class TestTraceRtfRoundTrip:
@@ -574,6 +578,9 @@ class TestStreamingReport:
             StreamSpec(chunk_s=-1.0)
         with pytest.raises(ValueError):
             StreamSpec(lookahead_s=-0.1)
+        for field in ("rtf", "chunk_s", "lookahead_s"):
+            with pytest.raises(ValueError, match=field):
+                StreamSpec(**{field: float("nan")})
 
 
 class TestStreamingCli:
