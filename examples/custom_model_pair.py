@@ -1,13 +1,14 @@
 """Bring your own models: SpecASR over a custom draft/target pair.
 
 The registry presets mirror the paper's models, but the engine works with
-any :class:`SimulatedASRModel` — or any object exposing the same session
-interface (see ``repro.decoding.base.SessionLike`` — wrapping a real
-HuggingFace model means implementing ``peek/step/step_frontier/verify_eval``
-against its logits).  This example builds a custom pair from scratch: a fast
-distilled draft and a slow high-quality target with user-chosen capacity and
-latency constants, then compares ASP vs TSP to pick the right SpecASR mode
-for the pair's size disparity.
+any :class:`SimulatedASRModel` — or any model whose ``session()`` returns a
+``DecodeSession`` over its own emission (see
+``repro.models.simulated.Emission`` — wrapping a real HuggingFace model
+means implementing the emission's ``step(node)`` against its logits).  This
+example builds a custom pair from scratch: a fast distilled draft and a slow
+high-quality target with user-chosen capacity and latency constants, then
+compares ASP vs TSP to pick the right SpecASR mode for the pair's size
+disparity.
 
 Run:  python examples/custom_model_pair.py
 """

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import SpecASRConfig
-from repro.decoding.base import SessionLike, as_cursor
 from repro.models.latency import KIND_DRAFT
+from repro.models.simulated import DecodeSession
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class DraftSequence:
 
 
 def draft_adaptive(
-    session: SessionLike,
+    session: DecodeSession,
     prefix,
     config: SpecASRConfig,
     eos_id: int,
@@ -70,7 +70,7 @@ def draft_adaptive(
     """
     limit = max_len if max_len is not None else config.max_draft_len
     draft = DraftSequence()
-    cursor = as_cursor(session, prefix)
+    cursor = session.cursor(prefix)
     while len(draft.tokens) < limit:
         result = session.step(cursor, kind=KIND_DRAFT)
         cursor = cursor.advance(result.token)

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import SpecASRConfig
-from repro.decoding.base import SessionLike, as_cursor
 from repro.models.latency import KIND_DRAFT
+from repro.models.simulated import DecodeSession
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _match_offset(
 
 
 def draft_with_recycling(
-    session: SessionLike,
+    session: DecodeSession,
     prefix,
     suffix: RecycledSuffix,
     config: SpecASRConfig,
@@ -126,7 +126,7 @@ def draft_with_recycling(
     steps = 0
     fresh = 0
 
-    base = as_cursor(session, prefix)
+    base = session.cursor(prefix)
     # Both frontiers advance one token per batched pass; cursors make each
     # advance O(1) instead of rebuilding the full prefix list.
     ext_cursor = base.extend([t.token for t in retained])

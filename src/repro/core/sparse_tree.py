@@ -24,9 +24,9 @@ from repro.core.recycling import (
     RecycledSuffix,
     draft_with_recycling,
 )
-from repro.decoding.base import SessionLike, as_cursor
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
 from repro.models.latency import KIND_DRAFT
+from repro.models.simulated import DecodeSession
 
 
 @dataclass
@@ -63,7 +63,7 @@ def _absolute_tokens(
 
 
 def build_sparse_tree_round(
-    session: SessionLike,
+    session: DecodeSession,
     prefix,
     suffix: RecycledSuffix | None,
     config: SpecASRConfig,
@@ -73,7 +73,7 @@ def build_sparse_tree_round(
 
     ``prefix`` may be a token list or a session cursor.
     """
-    base = as_cursor(session, prefix)
+    base = session.cursor(prefix)
     # ---- pass 1: main trunk (recycled when a suffix is available) -----------
     alt_branch: list[DraftedToken] | None = None
     if suffix:

@@ -10,11 +10,8 @@ from repro.decoding.base import (
     Decoder,
     PhasedDecodeStepper,
     PhaseOutcome,
-    PrefixCursor,
     RoundStats,
-    as_cursor,
     begin_decode,
-    is_cursor,
 )
 from repro.decoding.dynamic_tree import DynamicTreeConfig, DynamicTreeDecoder
 from repro.decoding.sampling import (
@@ -46,11 +43,8 @@ __all__ = [
     "PHASE_VERIFY",
     "PhaseOutcome",
     "PhasedDecodeStepper",
-    "PrefixCursor",
     "RoundStats",
-    "as_cursor",
     "begin_decode",
-    "is_cursor",
     "SamplingConfig",
     "SamplingDecoder",
     "SequenceVerifyOutcome",

@@ -9,7 +9,6 @@ from repro.decoding.base import (
     ModelLike,
     PhaseGenerator,
     PhasedDecodeStepper,
-    as_cursor,
     strip_eos,
 )
 from repro.models.latency import KIND_DECODE, SimClock
@@ -37,7 +36,7 @@ class AutoregressiveDecoder:
         session = self.target.session(unit, clock)
         session.prefill()
         tokens: list[int] = []
-        cursor = as_cursor(session)
+        cursor = session.cursor()
         limit = session.max_decode_positions()
         while len(tokens) < limit:
             result = session.step(cursor, kind=KIND_DECODE)

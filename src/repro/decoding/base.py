@@ -1,10 +1,10 @@
 """Decoder interface and trace/result types shared by all strategies.
 
-A decoder consumes "sessions" — anything exposing the
-``prefill / peek / step / step_frontier / verify_eval / rollback`` interface
-of :class:`repro.models.simulated.DecodeSession` (ASR) or
-:class:`repro.models.textlm.TextSession` (text) — so every algorithm in this
-package runs unchanged on both task families.
+A decoder consumes :class:`repro.models.simulated.DecodeSession` objects
+(``prefill / peek / step / step_frontier / verify_eval / rollback`` plus
+``cursor()``).  ASR and text models open the same session class over
+different emissions, so every algorithm in this package runs unchanged on
+both task families.
 
 The :class:`DecodeTrace` counters are exactly the quantities the paper's
 figures report: rounds, draft steps, predicted/accepted tokens per round,
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Protocol, Sequence
 
 from repro.models.latency import KIND_ENCODE, SimClock
+from repro.models.simulated import DecodeSession
 
 
 @dataclass
@@ -307,93 +308,13 @@ def begin_decode(decoder, unit) -> DecodeStepper:
     return TapeStepper(*tape)
 
 
-class PrefixCursor:
-    """Tuple-backed cursor for sessions without a native prefix trie.
-
-    Mirrors :class:`repro.models.simulated.SessionCursor` (``advance`` /
-    ``extend`` / ``rollback`` / ``len`` / iteration) on top of a plain token
-    tuple, so decoders written against cursors run unchanged on the scripted
-    test fakes.  (ASR and text sessions hand out the trie cursor itself.)
-    Iterating yields the prefix tokens, which is what such sessions expect
-    as a prefix argument.
-    """
-
-    __slots__ = ("session", "_prefix")
-
-    def __init__(self, session, prefix: Sequence[int] = ()) -> None:
-        self.session = session
-        self._prefix = tuple(prefix)
-
-    def advance(self, token: int) -> "PrefixCursor":
-        return PrefixCursor(self.session, self._prefix + (token,))
-
-    def extend(self, tokens: Sequence[int]) -> "PrefixCursor":
-        return PrefixCursor(self.session, self._prefix + tuple(tokens))
-
-    def rollback(self) -> None:
-        self.session.rollback(len(self._prefix))
-
-    @property
-    def tokens(self) -> tuple[int, ...]:
-        return self._prefix
-
-    def __len__(self) -> int:
-        return len(self._prefix)
-
-    def __iter__(self):
-        return iter(self._prefix)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrefixCursor(len={len(self._prefix)})"
-
-
-def is_cursor(obj) -> bool:
-    """True for any session cursor (native trie cursor or tuple fallback)."""
-    return hasattr(obj, "advance") and hasattr(obj, "session")
-
-
-def as_cursor(session, prefix=()):
-    """A cursor on ``session`` at ``prefix``.
-
-    Passing an existing cursor returns it unchanged; sessions exposing a
-    native ``cursor()`` factory (the trie-backed ASR and text sessions) get
-    an O(1) handle, everything else gets a :class:`PrefixCursor` shim.
-    """
-    if is_cursor(prefix):
-        return prefix
-    make = getattr(session, "cursor", None)
-    if make is not None:
-        return make(prefix)
-    return PrefixCursor(session, prefix)
-
-
-class SessionLike(Protocol):
-    """Structural interface decoders require from a model session."""
-
-    def prefill(self) -> None: ...
-
-    def peek(self, prefix: Sequence[int]): ...
-
-    def step(self, prefix: Sequence[int], kind: str = ...): ...
-
-    def step_frontier(self, prefixes, kind: str = ...): ...
-
-    def verify_eval(self, prefixes, billed_tokens: int | None = ...): ...
-
-    def rollback(self, kept_prefix_len: int) -> None: ...
-
-    def is_eos(self, token: int) -> bool: ...
-
-    def max_decode_positions(self) -> int: ...
-
-
 class ModelLike(Protocol):
     """Structural interface decoders require from a model."""
 
     name: str
     vocab: Any  # exposes ``eos_id``
 
-    def session(self, unit, clock: SimClock) -> SessionLike: ...
+    def session(self, unit, clock: SimClock) -> DecodeSession: ...
 
 
 class Decoder(Protocol):

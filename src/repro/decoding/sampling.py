@@ -25,7 +25,6 @@ from repro.decoding.base import (
     PhaseGenerator,
     PhasedDecodeStepper,
     RoundStats,
-    as_cursor,
     strip_eos,
 )
 from repro.decoding.speculative import draft_verify_phases
@@ -95,7 +94,7 @@ class SamplingDecoder:
         rng = RngStream(self.config.seed, "sampling", unit.seed)
         eos_id = self.target.vocab.eos_id
         tokens: list[int] = []
-        cursor = as_cursor(session)
+        cursor = session.cursor()
         limit = session.max_decode_positions()
         while len(tokens) < limit:
             step = session.step(cursor, kind=KIND_DECODE)

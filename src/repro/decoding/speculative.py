@@ -27,7 +27,6 @@ from repro.decoding.base import (
     PhaseGenerator,
     PhasedDecodeStepper,
     RoundStats,
-    as_cursor,
     strip_eos,
 )
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
@@ -96,8 +95,8 @@ def draft_verify_phases(
     prefix: list[int] = []
     # One cursor per session at the committed prefix; both advance in
     # O(1) per committed token instead of re-hashing the whole prefix.
-    draft_cursor = as_cursor(draft_session)
-    target_cursor = as_cursor(target_session)
+    draft_cursor = draft_session.cursor()
+    target_cursor = target_session.cursor()
     limit = target_session.max_decode_positions()
     done = False
     while not done and len(prefix) < limit:

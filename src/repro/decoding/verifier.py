@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.decoding.base import SessionLike, as_cursor
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
-from repro.models.simulated import StepResult
+from repro.models.simulated import DecodeSession, StepResult
 
 
 @dataclass
@@ -29,7 +28,7 @@ class SequenceVerifyOutcome:
 
 
 def verify_sequence(
-    target: SessionLike, prefix: Sequence[int], draft_tokens: Sequence[int]
+    target: DecodeSession, prefix: Sequence[int], draft_tokens: Sequence[int]
 ) -> SequenceVerifyOutcome:
     """Verify ``draft_tokens`` after ``prefix`` in one target pass.
 
@@ -43,7 +42,7 @@ def verify_sequence(
     drafts = list(draft_tokens)
     if not drafts:
         raise ValueError("verify_sequence needs at least one draft token")
-    cursor = as_cursor(target, prefix)
+    cursor = target.cursor(prefix)
     cursors = [cursor]
     for token in drafts:
         cursor = cursor.advance(token)
@@ -78,7 +77,7 @@ class TreeVerifyOutcome:
 
 
 def verify_tree(
-    target: SessionLike,
+    target: DecodeSession,
     prefix: Sequence[int],
     tree: TokenTree,
     billed_tokens: int | None = None,
@@ -93,7 +92,7 @@ def verify_tree(
     """
     if len(tree) == 0:
         raise ValueError("cannot verify an empty token tree")
-    root_cursor = as_cursor(target, prefix)
+    root_cursor = target.cursor(prefix)
     # Evaluate the target at the bare prefix (root-level distribution, cached
     # from the previous round) and after each node's path.  Nodes are in
     # topological order, so every parent cursor exists before its children.

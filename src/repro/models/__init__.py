@@ -10,7 +10,7 @@ from repro.models.registry import (
     published_asr_configs,
 )
 from repro.models.simulated import DecodeSession, SessionCursor, SimulatedASRModel
-from repro.models.textlm import SimulatedTextLM, TextSession
+from repro.models.textlm import SimulatedTextLM
 from repro.models.vocab import Vocabulary, build_default_vocabulary
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "SimulatedASRModel",
     "SimulatedTextLM",
     "StepResult",
-    "TextSession",
     "Vocabulary",
     "build_default_vocabulary",
     "forward_ms",

@@ -1,4 +1,4 @@
-"""Simulated ASR models and per-utterance decode sessions.
+"""Simulated ASR models and the decode session every model family shares.
 
 A :class:`SimulatedASRModel` behaves, from a decoder's point of view, exactly
 like a real cascaded LLM-ASR model: you open a session on an utterance,
@@ -8,30 +8,37 @@ audio-conditioned :class:`~repro.models.acoustic.EmissionOracle`, and every
 forward pass is charged to a :class:`~repro.models.latency.SimClock` over
 ``prompt + depth`` cached positions.
 
+A :class:`DecodeSession` is the one session implementation.  It owns the
+prefix trie, cursors, prefill, every forward pass and all billing; a model
+family supplies only an :class:`Emission`, which says how a trie node's
+next-token distribution is computed.  ASR's :class:`AcousticEmission` is
+audio-conditioned; the text LM's emission
+(:class:`~repro.models.textlm.TextEmission`) depends on the text prefix
+alone; the test fakes script theirs.
+
 Sessions track the *divergence state* of each prefix: how many perturbation
 steps remain since the prefix last departed from this model's own greedy
 path.  That state is what makes the simulation audio-conditioned — the model
 re-anchors a couple of tokens after any injected correction (see
-``acoustic.py`` for the rationale).
+``acoustic.py`` for the rationale).  An emission with a divergence window of
+0 keeps no such state.
 
-Divergence states live in a **prefix trie** shared by every session over
-the same (model, utterance): one node per explored prefix, each holding the
-state after that prefix, its last three tokens (the context-key input) and
-a pointer to the next position's distribution.  That pointer is the only
-thing in front of the oracle: the oracle's step cache is the one memo of
-distributions.  A :class:`SessionCursor` is a handle onto a trie node (of
-an ASR or a text session); advancing a cursor by one token is an O(1)
-dictionary hop, so decoders that keep cursors pay O(L) per utterance
-instead of the O(L²) cost of re-hashing full prefix tuples on every forward
-pass.  Plain token sequences are still accepted everywhere (they walk the
-trie from the root), so legacy callers and test fakes keep working
-unchanged.
+Divergence states live in a **prefix trie**: one node per explored prefix,
+each holding the state after that prefix, its trailing tokens (the context
+input) and a pointer to the next position's distribution.  For ASR the trie
+is shared by every session over the same (model, utterance), and that
+pointer is the only thing in front of the oracle: the oracle's step cache
+is the one memo of distributions.  A :class:`SessionCursor` is a handle onto
+a trie node; advancing a cursor by one token is an O(1) dictionary hop, so
+decoders that keep cursors pay O(L) per utterance instead of the O(L²) cost
+of re-hashing full prefix tuples on every forward pass.  Plain token
+sequences are accepted everywhere too; they walk the trie from the root.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from repro.data.corpus import Utterance
 from repro.models.acoustic import (
@@ -55,9 +62,6 @@ from repro.models.latency import (
 )
 from repro.models.vocab import Vocabulary
 from repro.utils.hashing import stable_hash
-
-if TYPE_CHECKING:
-    from repro.models.textlm import TextSession, _TextNode
 
 #: Audio embeddings produced per second of audio after encoder downsampling.
 EMBEDDINGS_PER_SECOND = 5.0
@@ -92,7 +96,7 @@ _CTX_CACHE_MAX = 1 << 16
 #: same oracle can walk one trie: decoding an utterance with a second
 #: method reuses the committed-path nodes the first method left behind.
 #: Rollback pruning keeps the shared trie from growing without bound.
-_TRIE_CACHES: "weakref.WeakKeyDictionary[EmissionOracle, _TrieNode]" = (
+_TRIE_CACHES: "weakref.WeakKeyDictionary[EmissionOracle, TrieNode]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -159,7 +163,7 @@ class SimulatedASRModel:
 
     def session(self, utterance: Utterance, clock: SimClock) -> "DecodeSession":
         """Open a decode session for ``utterance`` billing to ``clock``."""
-        return DecodeSession(self, utterance, clock)
+        return DecodeSession(self, AcousticEmission(self, utterance), clock)
 
     def greedy_transcript(self, utterance: Utterance) -> list[int]:
         """The model's anchored greedy transcript, without the trailing EOS."""
@@ -192,31 +196,31 @@ class SimulatedASRModel:
         return f"SimulatedASRModel({self.name!r}, capacity={self.capacity})"
 
 
-class _TrieNode:
-    """One explored prefix: divergence state plus a pointer to the oracle's
-    cached distribution for the next position."""
+class TrieNode:
+    """One explored prefix: divergence state, trailing tokens and a pointer
+    to the emission's distribution for the next position."""
 
-    __slots__ = ("token", "parent", "depth", "state", "last3", "children", "step")
+    __slots__ = ("token", "parent", "depth", "state", "last", "children", "step")
 
     def __init__(
         self,
         token: int | None,
-        parent: "_TrieNode | None",
+        parent: "TrieNode | None",
         depth: int,
         state: int,
-        last3: Prefix,
+        last: Prefix,
     ) -> None:
         self.token = token
         self.parent = parent
         self.depth = depth
         self.state = state
-        self.last3 = last3  # up to three trailing tokens (context key input)
-        self.children: dict[int, _TrieNode] = {}
-        self.step: StepResult | None = None  # the oracle's cache entry, lazily
+        self.last = last  # trailing tokens, at most the emission's context
+        self.children: dict[int, TrieNode] = {}
+        self.step: StepResult | None = None  # the emission's result, lazily
 
     def prefix(self) -> Prefix:
         tokens: list[int] = []
-        node: _TrieNode | None = self
+        node: TrieNode | None = self
         while node is not None and node.token is not None:
             tokens.append(node.token)
             node = node.parent
@@ -224,23 +228,67 @@ class _TrieNode:
         return tuple(tokens)
 
 
+class Emission(Protocol):
+    """What a model family supplies to a :class:`DecodeSession`.
+
+    The session calls :meth:`step` at most once per trie node and keeps the
+    result on the node.
+    """
+
+    root: TrieNode  # trie root; may be shared by several sessions
+    prompt_tokens: int  # prompt positions the prefill bills
+    max_positions: int  # hard cap on decode length
+    window: int  # divergence window; 0 keeps no divergence state
+    context: int  # trailing tokens each node keeps in ``last`` (>= 1)
+    encoder: tuple[int, float] | None  # (embeddings, ms) billed at prefill
+
+    def step(self, node: TrieNode) -> StepResult:
+        """The next-token distribution for the position *after* ``node``."""
+        ...
+
+
+class AcousticEmission:
+    """Audio-conditioned emission of one (model, utterance): the oracle.
+
+    Every session over the same oracle walks one shared trie root.
+    """
+
+    context = 3  # trailing tokens behind the oracle's context key
+
+    def __init__(self, model: SimulatedASRModel, utterance: Utterance) -> None:
+        oracle = self._oracle = model.oracle(utterance)
+        root = _TRIE_CACHES.get(oracle)
+        if root is None:
+            root = _TRIE_CACHES[oracle] = TrieNode(None, None, 0, 0, ())
+        self.root = root
+        self.prompt_tokens = prompt_token_count(utterance)
+        self.max_positions = utterance.num_tokens + 8  # reference + margin
+        self.window = model.oracle_params.perturb_window
+        self.encoder: tuple[int, float] | None = None
+        if model.encoder_latency_ms_per_10s > 0:
+            duration = utterance.duration_s
+            self.encoder = (
+                max(1, int(duration * EMBEDDINGS_PER_SECOND)),
+                model.encoder_latency_ms_per_10s * duration / 10.0,
+            )
+
+    def step(self, node: TrieNode) -> StepResult:
+        context = _context_key(node.last) if node.state else 0
+        return self._oracle.step(node.depth, node.state, context)
+
+
 class SessionCursor:
     """O(1) handle onto one prefix of a session's prefix trie.
 
-    The one trie cursor for both session types: a :class:`DecodeSession`
-    (ASR) and a :class:`~repro.models.textlm.TextSession` (text) hand these
-    out.  Cursors are immutable: :meth:`advance` and :meth:`extend` return
-    new cursors, so a decoder can keep cursors for several branches of a
-    token tree at once.  Iterating a cursor yields its prefix tokens (an
-    O(depth) walk), which keeps cursors usable anywhere a token sequence is
-    expected.
+    Cursors are immutable: :meth:`advance` and :meth:`extend` return new
+    cursors, so a decoder can keep cursors for several branches of a token
+    tree at once.  Iterating a cursor yields its prefix tokens (an O(depth)
+    walk), which keeps cursors usable anywhere a token sequence is expected.
     """
 
     __slots__ = ("session", "node")
 
-    def __init__(
-        self, session: "DecodeSession | TextSession", node: "_TrieNode | _TextNode"
-    ) -> None:
+    def __init__(self, session: "DecodeSession", node: TrieNode) -> None:
         self.session = session
         self.node = node
 
@@ -282,39 +330,31 @@ class SessionCursor:
 
 
 class DecodeSession:
-    """Per-utterance decoding interface with latency accounting."""
+    """Per-unit decoding interface with latency accounting.
 
-    def __init__(
-        self, model: SimulatedASRModel, utterance: Utterance, clock: SimClock
-    ) -> None:
+    ``model`` supplies the name, latency profile and vocabulary the session
+    bills and stops with; ``emission`` supplies the trie root and the
+    next-token distributions.
+    """
+
+    def __init__(self, model, emission: Emission, clock: SimClock) -> None:
         self.model = model
-        self.utterance = utterance
+        self.emission = emission
         self.clock = clock
-        self._oracle = model.oracle(utterance)
-        self._window = model.oracle_params.perturb_window
-        root = _TRIE_CACHES.get(self._oracle)
-        if root is None:
-            root = _TrieNode(None, None, 0, 0, ())
-            _TRIE_CACHES[self._oracle] = root
-        self._root = root
-        self._committed = root  # deepest node on this session's committed path
-        self._prompt_tokens = 0
+        self._root = emission.root
+        self._committed = self._root  # deepest node on the committed path
+        self._prompt_tokens = emission.prompt_tokens
         self._prefilled = False
 
     # -- setup -----------------------------------------------------------------
     def prefill(self) -> None:
-        """Run the audio encoder and prefill audio embeddings + text prompt."""
+        """Bill the encoder pass (if any) and the prompt prefill."""
         if self._prefilled:
             raise RuntimeError("session already prefilled")
         self._prefilled = True
-        duration = self.utterance.duration_s
-        audio_embeddings = max(1, int(duration * EMBEDDINGS_PER_SECOND))
-        self._prompt_tokens = prompt_token_count(self.utterance)
-        if self.model.encoder_latency_ms_per_10s > 0:
-            encoder_ms = self.model.encoder_latency_ms_per_10s * duration / 10.0
-            self.clock.record(
-                self.model.name, KIND_ENCODE, audio_embeddings, 0, encoder_ms
-            )
+        if self.emission.encoder is not None:
+            embeddings, encoder_ms = self.emission.encoder
+            self.clock.record(self.model.name, KIND_ENCODE, embeddings, 0, encoder_ms)
         ms = prefill_ms(self.model.latency, self._prompt_tokens)
         self.clock.record(self.model.name, KIND_PREFILL, self._prompt_tokens, 0, ms)
 
@@ -327,30 +367,31 @@ class DecodeSession:
         """A cursor at ``prefix`` (walks the trie once; root is free)."""
         return SessionCursor(self, self._resolve(prefix))
 
-    def _node_step(self, node: _TrieNode) -> StepResult:
+    def _node_step(self, node: TrieNode) -> StepResult:
         """The next-token distribution for the position *after* ``node``."""
         step = node.step
         if step is None:
-            context = _context_key(node.last3) if node.state else 0
-            step = node.step = self._oracle.step(node.depth, node.state, context)
+            step = node.step = self.emission.step(node)
         return step
 
-    def _child(self, node: _TrieNode, token: int) -> _TrieNode:
+    def _child(self, node: TrieNode, token: int) -> TrieNode:
         child = node.children.get(token)
         if child is None:
-            if token == self._node_step(node).token:
+            window = self.emission.window
+            if not window:
+                state = 0
+            elif token == self._node_step(node).token:
                 state = node.state - 1
                 if state < 0:
                     state = 0
             else:
-                state = self._window
-            child = _TrieNode(
-                token, node, node.depth + 1, state, (node.last3 + (token,))[-3:]
-            )
+                state = window
+            last = (node.last + (token,))[-self.emission.context :]
+            child = TrieNode(token, node, node.depth + 1, state, last)
             node.children[token] = child
         return child
 
-    def _resolve(self, prefix) -> _TrieNode:
+    def _resolve(self, prefix) -> TrieNode:
         if isinstance(prefix, SessionCursor):
             if prefix.session is self:
                 return prefix.node
@@ -453,11 +494,11 @@ class DecodeSession:
         if keep is not None and keep.session is self:
             self._prune_to(keep.node)
 
-    def _prune_to(self, node: _TrieNode) -> None:
+    def _prune_to(self, node: TrieNode) -> None:
         # Collect the chain from the previously committed node down to the
         # newly committed one, then drop every off-chain sibling subtree.
-        chain: list[_TrieNode] = []
-        walk: _TrieNode | None = node
+        chain: list[TrieNode] = []
+        walk: TrieNode | None = node
         while walk is not None and walk is not self._committed:
             chain.append(walk)
             walk = walk.parent
@@ -475,8 +516,8 @@ class DecodeSession:
         return token == self.model.vocab.eos_id
 
     def max_decode_positions(self) -> int:
-        """Hard cap on decode length (reference + margin), safety net."""
-        return self.utterance.num_tokens + 8
+        """Hard cap on decode length (the emission's), safety net."""
+        return self.emission.max_positions
 
     def _require_prefill(self) -> None:
         if not self._prefilled:

@@ -50,7 +50,7 @@ DEFAULT_REPREFILL_MS_PER_BLOCK = 2.0
 
 @dataclass(frozen=True)
 class MemorySpec:
-    """Memory-model knobs for one serve simulation (picklable).
+    """Memory-model knobs for one serve simulation.
 
     ``device_blocks`` is the per-device KV capacity in blocks; ``None``
     disables memory accounting entirely (the legacy time-only cluster).

@@ -83,10 +83,13 @@ class ServeRequest:
     rtf: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_ms < 0:
-            raise ValueError(f"{self.request_id}: negative arrival time")
-        if self.rtf < 0:
-            raise ValueError(f"{self.request_id}: rtf must be >= 0")
+        # NaN fails every comparison: each check is written to reject it.
+        if not self.arrival_ms >= 0:
+            raise ValueError(
+                f"{self.request_id}: arrival_ms must be >= 0, got {self.arrival_ms}"
+            )
+        if not self.rtf >= 0:
+            raise ValueError(f"{self.request_id}: rtf must be >= 0, got {self.rtf}")
         priority_rank(self.priority)  # validates
 
 

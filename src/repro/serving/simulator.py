@@ -9,6 +9,7 @@ speculative decoding buy at a fixed deadline?*
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -53,7 +54,7 @@ class ChaosSpec:
 
 @dataclass(frozen=True)
 class ServeSimConfig:
-    """Everything one serve simulation depends on (picklable, replayable).
+    """Everything one serve simulation depends on (replayable).
 
     Composed from four sub-configs — ``cluster`` (:class:`ClusterSpec`),
     ``chaos`` (:class:`ChaosSpec`), ``memory``
@@ -210,8 +211,10 @@ def max_sustainable_qps(
     decoder either way, so each utterance is decoded once for the whole
     search and replayed from its decode tape at every other probe.
     """
-    if start_qps <= 0:
-        raise ValueError("start_qps must be positive")
+    if not (math.isfinite(start_qps) and start_qps > 0):
+        raise ValueError(f"start_qps must be finite and positive, got {start_qps}")
+    if not math.isfinite(qps_ceiling):
+        raise ValueError(f"qps_ceiling must be finite, got {qps_ceiling}")
     if start_qps > qps_ceiling:
         raise ValueError(
             f"start_qps ({start_qps}) must not exceed qps_ceiling ({qps_ceiling})"

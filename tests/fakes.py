@@ -1,23 +1,19 @@
-"""Scripted fake sessions for deterministic decoder/recycler tests.
+"""Scripted fake models for deterministic decoder/recycler tests.
 
 A :class:`ScriptedModel` produces tokens from a fixed position-indexed
 stream, with optional per-prefix overrides — enough to script exact
-acceptance/rejection/merge scenarios without the statistical oracle.
+acceptance/rejection/merge scenarios without the statistical oracle.  Its
+sessions are the real :class:`~repro.models.simulated.DecodeSession` over a
+:class:`ScriptedEmission`, so tests exercise the production trie, cursors
+and billing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.models.latency import (
-    KIND_DECODE,
-    KIND_DRAFT,
-    LatencyProfile,
-    SimClock,
-    forward_ms,
-    prefill_ms,
-)
-from repro.models.simulated import StepResult
+from repro.models.latency import LatencyProfile, SimClock
+from repro.models.simulated import DecodeSession, StepResult, TrieNode
 
 EOS = 2
 
@@ -39,85 +35,38 @@ class ScriptedModel:
     overrides: dict[tuple, int] = field(default_factory=dict)  # prefix -> token
     latency: LatencyProfile = FAKE_PROFILE
     vocab: FakeVocab = field(default_factory=FakeVocab)
+    max_positions: int | None = None  # decode cap; default len(stream) + 4
 
-    def session(self, unit, clock: SimClock) -> "ScriptedSession":
-        return ScriptedSession(self, clock)
+    def session(self, unit, clock: SimClock) -> DecodeSession:
+        return DecodeSession(self, ScriptedEmission(self), clock)
 
 
-class ScriptedSession:
-    def __init__(self, model: ScriptedModel, clock: SimClock) -> None:
+class ScriptedEmission:
+    """The model's stream by position, unless an override names the prefix."""
+
+    prompt_tokens = 4
+    window = 0  # no divergence state: the stream is position-anchored
+    context = 1  # unused: steps read the node's whole prefix
+    encoder = None
+
+    def __init__(self, model: ScriptedModel) -> None:
         self.model = model
-        self.clock = clock
-        self._prefilled = False
+        self.root = TrieNode(None, None, 0, 0, ())
+        self.max_positions = model.max_positions or len(model.stream) + 4
 
-    def prefill(self) -> None:
-        self._prefilled = True
-        self.clock.record(
-            self.model.name, "prefill", 4, 0, prefill_ms(self.model.latency, 4)
-        )
-
-    def _token_at(self, prefix) -> tuple[int, float]:
-        prefix = tuple(prefix)
-        if prefix in self.model.overrides:
-            token = self.model.overrides[prefix]
-        else:
-            position = len(prefix)
-            stream = self.model.stream
-            token = stream[position] if position < len(stream) else EOS
-        prob = self.model.probs.get(len(prefix), 0.9)
-        return token, prob
-
-    def peek(self, prefix) -> StepResult:
-        token, prob = self._token_at(prefix)
+    def step(self, node: TrieNode) -> StepResult:
+        model, position = self.model, node.depth
+        token = model.overrides.get(node.prefix())
+        if token is None:
+            token = model.stream[position] if position < len(model.stream) else EOS
+        prob = model.probs.get(position, 0.9)
         alt = token + 100  # deterministic distinct runner-up
         return StepResult(
             token=token,
             top_prob=prob,
             topk=((token, prob), (alt, max(1.0 - prob, 0.01))),
-            position=len(tuple(prefix)),
+            position=position,
         )
-
-    def step(self, prefix, kind: str = KIND_DECODE) -> StepResult:
-        self.clock.record(
-            self.model.name,
-            kind,
-            1,
-            len(tuple(prefix)),
-            forward_ms(self.model.latency, 1, len(tuple(prefix))),
-        )
-        return self.peek(prefix)
-
-    def step_frontier(self, prefixes, kind: str = KIND_DRAFT):
-        prefixes = [tuple(p) for p in prefixes]
-        self.clock.record(
-            self.model.name,
-            kind,
-            len(prefixes),
-            max(len(p) for p in prefixes),
-            forward_ms(self.model.latency, len(prefixes), 0),
-        )
-        return [self.peek(p) for p in prefixes]
-
-    def verify_eval(self, prefixes, billed_tokens=None):
-        prefixes = [tuple(p) for p in prefixes]
-        billed = billed_tokens if billed_tokens is not None else len(prefixes)
-        self.clock.record(
-            self.model.name,
-            "verify",
-            billed,
-            min(len(p) for p in prefixes),
-            forward_ms(self.model.latency, billed, 0),
-        )
-        return [self.peek(p) for p in prefixes]
-
-    def rollback(self, kept_prefix_len: int) -> None:
-        pass
-
-    def is_eos(self, token: int) -> bool:
-        return token == EOS
-
-    def max_decode_positions(self) -> int:
-        return len(self.model.stream) + 4
 
 
 @dataclass

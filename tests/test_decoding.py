@@ -39,26 +39,11 @@ class TestAutoregressive:
         assert result.clock.count_for_kind("decode") == 4  # 3 tokens + EOS
 
     def test_respects_length_cap(self):
-        # Stream never emits EOS within the cap.
-        target = ScriptedModel(stream=[5] * 100, name="target")
-        target.session = lambda unit, clock, _m=target: _CappedSession(_m, clock)
+        # The stream never emits EOS within the cap; uncapped, it decodes
+        # 100 tokens.
+        target = ScriptedModel(stream=[5] * 100, name="target", max_positions=6)
         result = AutoregressiveDecoder(target).decode(FakeUnit())
-        assert len(result.tokens) <= 104
-
-
-class _CappedSession:
-    """Session with a small cap to exercise the decoder's safety net."""
-
-    def __init__(self, model, clock):
-        from tests.fakes import ScriptedSession
-
-        self._inner = ScriptedSession(model, clock)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def max_decode_positions(self):
-        return 6
+        assert result.tokens == [5] * 6
 
 
 class TestSpeculative:

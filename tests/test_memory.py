@@ -15,14 +15,12 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
   arrived) holds under pressure, transcripts of completed requests stay
   scheduler-independent, and an impossible demand sheds ``"memory"``.
 * **Config surface** — ``ServeSimConfig`` takes only its composed
-  sub-configs and pickles round-trip, and the ``@BLOCKS`` device-spec
-  suffix round-trips.
+  sub-configs, and the ``@BLOCKS`` device-spec suffix round-trips.
 """
 
 from __future__ import annotations
 
 import copy
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -30,15 +28,12 @@ from hypothesis import strategies as st
 
 from repro.harness.methods import build_method
 from repro.serving import (
-    ChaosSpec,
     ClusterConfig,
     ClusterKVMemory,
-    ClusterSpec,
     ContinuousBatchScheduler,
     MemorySpec,
     SchedulerConfig,
     ServeSimConfig,
-    StreamSpec,
     format_device_specs,
     parse_device_specs,
     poisson_trace,
@@ -643,15 +638,6 @@ class TestConfigSurface:
         # Sub-config knobs have exactly one spelling: the sub-config field.
         with pytest.raises(TypeError, match="unexpected keyword"):
             ServeSimConfig(devices=4)
-
-    def test_pickle_roundtrip(self):
-        config = ServeSimConfig(
-            cluster=ClusterSpec(devices=3),
-            chaos=ChaosSpec(faults="perr:0.05"),
-            memory=MemorySpec(device_blocks=16),
-            stream=StreamSpec(enabled=True, rtf=2.0, chunk_s=0.5),
-        )
-        assert pickle.loads(pickle.dumps(config)) == config
 
     def test_memory_spec_accessor(self):
         assert ServeSimConfig().memory_spec() == MemorySpec()

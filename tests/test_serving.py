@@ -118,6 +118,12 @@ class TestArrivals:
         with pytest.raises(ValueError):
             uniform_trace(0, 1.0, 4)
 
+    @pytest.mark.parametrize("field", ["arrival_ms", "rtf"])
+    def test_request_rejects_nan(self, utterance, field):
+        times = {"arrival_ms": 0.0, "rtf": 0.0, field: float("nan")}
+        with pytest.raises(ValueError, match=field):
+            ServeRequest("r-0", 0, utterance, **times)
+
 
 class TestAdmissionQueue:
     def test_fifo_and_peak_depth(self, clean_dataset):
@@ -300,6 +306,21 @@ class TestServeReportAndSearch:
         config = ServeSimConfig(num_requests=4, utterances=4)
         with pytest.raises(ValueError, match="qps_ceiling"):
             max_sustainable_qps(config, start_qps=8.0, qps_ceiling=4.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"start_qps": float("nan")},
+            {"start_qps": float("inf")},
+            {"qps_ceiling": float("nan")},
+            {"qps_ceiling": float("inf")},  # doubling never passes it
+        ],
+        ids=["nan-start", "inf-start", "nan-ceiling", "inf-ceiling"],
+    )
+    def test_search_rejects_non_finite_bounds(self, bounds):
+        config = ServeSimConfig(num_requests=4, utterances=4)
+        with pytest.raises(ValueError, match="finite"):
+            max_sustainable_qps(config, **bounds)
 
     def test_trace_replay_overrides_qps(self, tmp_path):
         config = ServeSimConfig(method="spec(8,1)", num_requests=8, utterances=8)
