@@ -261,3 +261,54 @@ class TestSessionContract:
     def test_max_decode_positions_is_the_emission_cap(self, case):
         model, unit, cap = case
         assert model.session(unit, SimClock()).max_decode_positions() == cap
+
+
+class TestTextSessionCursor:
+    """The text model's session cursor must be bit-identical to tuple prefixes."""
+
+    @pytest.fixture(scope="class")
+    def text_model(self, vocab):
+        model, prompt, _cap = _text_case(vocab, None)
+        return model, prompt
+
+    def test_cursor_matches_tuple_prefixes(self, text_model):
+        model, prompt = text_model
+        session = model.session(prompt, SimClock())
+        rng = random.Random(13)
+        for _ in range(30):
+            cursor = session.cursor()
+            prefix = ()
+            for _ in range(rng.randrange(12)):
+                token = rng.choice(
+                    [tok for tok, _ in session.peek(prefix).topk[:4]]
+                )
+                cursor = cursor.advance(token)
+                prefix = prefix + (token,)
+                assert cursor.tokens == prefix
+                assert len(cursor) == len(prefix)
+                assert session.peek(cursor) == session.peek(prefix)
+
+    def test_two_sessions_agree(self, text_model):
+        """A trie session and a fresh session walked by tuples agree."""
+        model, prompt = text_model
+        cursor_session = model.session(prompt, SimClock())
+        tuple_session = model.session(prompt, SimClock())
+        greedy = ()
+        cursor = cursor_session.cursor()
+        for _ in range(15):
+            got = cursor_session.peek(cursor)
+            want = tuple_session.peek(greedy)
+            assert got == want
+            if tuple_session.is_eos(want.token):
+                break
+            cursor = cursor.advance(want.token)
+            greedy = greedy + (want.token,)
+
+    def test_foreign_cursor_resolves_by_tokens(self, text_model, whisper_pair,
+                                               clean_dataset):
+        model, prompt = text_model
+        _, target = whisper_pair
+        asr_session = target.session(clean_dataset[0], SimClock())
+        text_session = model.session(prompt, SimClock())
+        foreign = asr_session.cursor((1, 2, 3))
+        assert text_session.peek(foreign) == text_session.peek((1, 2, 3))
