@@ -206,13 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="base of the exponential retry backoff",
     )
     serve_parser.add_argument(
-        "--straggler-k",
-        type=float,
-        default=0.0,
-        help="re-issue a running phase whose projected completion exceeds "
-        "k x its pool median on the fastest idle peer (0 = off)",
-    )
-    serve_parser.add_argument(
         "--admission-deadline-ms",
         type=float,
         default=None,
@@ -446,7 +439,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 fault_seed=args.fault_seed,
                 max_retries=args.max_retries,
                 retry_backoff_ms=args.retry_backoff_ms,
-                straggler_k=args.straggler_k,
                 admission_deadline_ms=args.admission_deadline_ms,
                 batch_deadline_ms=args.batch_deadline_ms,
             ),

@@ -313,7 +313,7 @@ class SessionCursor:
     def rollback(self) -> None:
         """Commit this prefix: the session prunes dead divergence branches
         (everything off the committed path)."""
-        self.session.rollback(self.node.depth, keep=self)
+        self.session.rollback(self)
 
     @property
     def tokens(self) -> Prefix:
@@ -480,19 +480,17 @@ class DecodeSession:
         self.clock.record(self.model.name, KIND_VERIFY, billed, cached, ms)
         return [self._node_step(node) for node in nodes]
 
-    def rollback(self, kept_prefix_len: int, keep: SessionCursor | None = None) -> None:
-        """Commit a prefix of ``kept_prefix_len`` tokens: prune dead branches.
+    def rollback(self, keep: SessionCursor) -> None:
+        """Commit the prefix at ``keep``: prune dead divergence branches.
 
         Billing keeps no cache state (every pass bills ``prompt + depth``),
-        so the length alone changes nothing.  When ``keep`` (a cursor at the
-        committed prefix) is given, divergence branches off the committed
-        path are pruned from the trie, so long utterances with many
-        speculation rounds don't accumulate dead divergence-state entries.
-        The subtree *below* the committed node is retained — it is the live
-        speculation cache for the next round.
+        so committing only prunes: divergence branches off the committed
+        path leave the trie, so long utterances with many speculation
+        rounds don't accumulate dead divergence-state entries.  The subtree
+        *below* the committed node is retained — it is the live speculation
+        cache for the next round.
         """
-        if keep is not None and keep.session is self:
-            self._prune_to(keep.node)
+        self._prune_to(keep.node)
 
     def _prune_to(self, node: TrieNode) -> None:
         # Collect the chain from the previously committed node down to the

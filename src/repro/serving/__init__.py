@@ -10,11 +10,11 @@ answers the deployment question: how much traffic does each decoding method
 sustain at a fixed latency SLO, on how many devices?
 
 A seeded :class:`~repro.serving.faults.FaultPlan` injects chaos — device
-crashes with warm restarts, stall windows, straggler slowdowns, transient
-phase errors — and the scheduler recovers deterministically: failed phases
+crashes with warm restarts, stall windows, slowdowns, transient phase
+errors — and the scheduler recovers deterministically: failed phases
 requeue with bounded exponential backoff, pools re-plan on membership
-change, stragglers are duplicated first-finisher-wins, and overload sheds
-work by priority class instead of blowing every SLO at once.
+change, and overload sheds work by priority class instead of blowing
+every SLO at once.
 
 Memory is a first-class scheduling constraint: a paged KV-block allocator
 (:mod:`repro.serving.memory`) bills draft- and target-model cache residency

@@ -304,9 +304,8 @@ class FaultPlan:
     def phase_fails(self, request_index: int, phase_index: int, attempt: int) -> bool:
         """Deterministic transient-error verdict for one phase execution.
 
-        A pure function of ``(plan seed, request, phase, attempt)``: every
-        copy of the same execution (e.g. a straggler duplicate) gets the
-        same verdict, and re-running the plan reproduces it bit-identically.
+        A pure function of ``(plan seed, request, phase, attempt)``, so
+        re-running the plan reproduces every verdict bit-identically.
         """
         rate = self.phase_error_rate
         if rate <= 0.0:
@@ -513,7 +512,7 @@ class RetryPolicy:
     backoff_ms: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:  # NaN fails every comparison
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not math.isfinite(self.backoff_ms) or self.backoff_ms < 0:
             raise ValueError(

@@ -149,8 +149,7 @@ class ClusterKVMemory:
     One instance per scheduler run.  ``capacities`` holds the per-device
     block budgets (``None`` = unbounded); holdings are keyed by request
     index, then model, then device — a speculative session holds
-    draft-model and target-model residencies independently, a straggler
-    re-issue may briefly hold the same phase's blocks on two devices, and
+    draft-model and target-model residencies independently, and
     completion, preemption or eviction reaches one request's residencies
     without scanning anyone else's.
     """
@@ -294,8 +293,8 @@ class ClusterKVMemory:
         On commit the holding shrinks to the new committed residency
         (``resident_tokens``): speculation scratch is returned and the
         blocks of rejected tokens are freed, while newly-filled prefix
-        blocks promote into the copy-on-write table.  A failed or stale
-        copy releases its blocks outright; if no sibling copy survives the
+        blocks promote into the copy-on-write table.  A failed copy
+        releases its blocks outright; if no sibling copy survives the
         residency is gone (crash semantics) and the next admission pays
         the re-prefill penalty.
         """

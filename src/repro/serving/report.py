@@ -199,7 +199,6 @@ class ServeReport:
             or stats.retries
             or stats.requeues
             or stats.preemptions
-            or stats.duplicates
             or stats.displaced
             or self.shed
         )
@@ -213,8 +212,6 @@ class ServeReport:
             "requeues": stats.requeues,
             "preemptions": stats.preemptions,
             "shed": self.shed,
-            "duplicates": stats.duplicates,
-            "cancelled": stats.cancelled,
             "displaced": stats.displaced,
             "degraded_ms": round(stats.degraded_ms, 3),
             "wasted_busy_ms": round(stats.wasted_busy_ms, 3),
@@ -362,8 +359,7 @@ class ServeReport:
             )
             lines.append(
                 f"  degraded  : {stats.degraded_ms:.0f} ms with impaired "
-                f"capacity, {stats.wasted_busy_ms:.1f} ms wasted on aborted "
-                f"batches, {stats.duplicates} straggler re-issue(s)"
+                f"capacity, {stats.wasted_busy_ms:.1f} ms wasted on aborted batches"
             )
         if self.memory_active:
             stats = self.stats

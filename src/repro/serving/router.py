@@ -256,7 +256,7 @@ class ColocatedRouter:
         self._members = [d for d in self.devices if d.index in alive]
 
     def pool_devices(self, phase: PhaseOutcome) -> list[Device]:
-        """Devices eligible for ``phase`` this round (straggler peers)."""
+        """Devices eligible for ``phase`` this round (the memory-shed check)."""
         if self._available is None:
             return list(self._members)
         return [d for d in self._members if d.index in self._available]
@@ -442,7 +442,7 @@ class DisaggregatedRouter:
         return device
 
     def pool_devices(self, phase: PhaseOutcome) -> list[Device]:
-        """Devices eligible for ``phase`` this round (straggler peers)."""
+        """Devices eligible for ``phase`` this round (the memory-shed check)."""
         return self._eligible(
             self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool
         )

@@ -36,11 +36,12 @@ so it holds no slot and is no preemption victim (its KV stays resident
 until memory pressure evicts it).  A due stream wakes into a free slot
 ahead of the admission queue; while every slot is taken it stays parked,
 so the in-flight list never outgrows the bound.  Admission, dispatch,
-launch, straggler re-issue, settle and commit are the loop's methods, as
-are the shedding, memory and streaming helpers they share.  A committed
-phase computes the session's next phase on the spot.  Nothing survives
-from one run to the next, so one scheduler replays a trace identically
-however often it runs.
+launch, settle and commit are the loop's methods, as are the shedding,
+memory and streaming helpers they share.  Each phase has exactly one
+dispatched copy from launch to settle, and only its own settle commits or
+retries it; a committed phase computes the session's next phase on the
+spot.  Nothing survives from one run to the next, so one scheduler
+replays a trace identically however often it runs.
 
 Device time for one micro-batch is priced by
 :meth:`~repro.serving.devices.Device.batch_busy_ms`: the ``overlap``
@@ -66,10 +67,6 @@ threads injected chaos through the loop:
   Device fault state (alive set, available set, effective speeds) changes
   only at the plan's wake-up times, so the loop recomputes it only when
   ``now`` crosses one of them and reuses it for every event in between.
-* A **straggler detector** re-issues a running phase whose projected
-  completion exceeds ``straggler_factor`` × its pool's median on the
-  fastest idle pool peer; the first copy to finish commits and the other
-  settles as cancelled (first-finisher-wins).
 
 **Memory awareness.**  With a :class:`~repro.serving.memory.MemorySpec`
 (or per-device ``@BLOCKS`` capacities) the scheduler bills KV residency
@@ -81,7 +78,7 @@ paged block allocator (:class:`~repro.serving.memory.ClusterKVMemory`):
   ``max_batch`` remains an upper bound, which keeps ample-capacity runs
   bit-identical to memory-disabled ones (the parity contract).
 * Under pressure the allocator LRU-evicts idle sessions' blocks — never a
-  session with a copy executing.  The decode state survives in its
+  session whose phase is executing.  The decode state survives in its
   stepper (PR 5's state-intact resume path), and the next dispatch pays a
   simulated **re-prefill penalty** billed to device time only (transcripts
   and ``decode_ms`` stay scheduler-independent).
@@ -169,7 +166,6 @@ class SchedulerConfig:
     # -- failure handling / degradation (defaults keep all of it off) ------
     max_retries: int = 3  # per-phase failure budget before shedding
     retry_backoff_ms: float = 25.0  # base of the exponential backoff
-    straggler_factor: float = 0.0  # re-issue at k x pool median; 0 = off
     admission_deadline_ms: float | None = None  # shed interactive overdue
     batch_deadline_ms: float | None = None  # shed batch-class overdue
 
@@ -185,18 +181,13 @@ class SchedulerConfig:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError(f"overlap must be in [0, 1], got {self.overlap}")
-        if self.max_retries < 0:
+        # NaN fails every comparison: each check is written to reject it.
+        if not self.max_retries >= 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not math.isfinite(self.retry_backoff_ms) or self.retry_backoff_ms < 0:
             raise ValueError(
                 "retry_backoff_ms must be finite and >= 0, got "
                 f"{self.retry_backoff_ms}"
-            )
-        # NaN fails every comparison: each check is written to reject it.
-        if self.straggler_factor != 0.0 and not self.straggler_factor >= 1.0:
-            raise ValueError(
-                "straggler_factor must be 0 (off) or >= 1, got "
-                f"{self.straggler_factor}"
             )
         for name in ("admission_deadline_ms", "batch_deadline_ms"):
             value = getattr(self, name)
@@ -257,8 +248,6 @@ class ScheduleStats:
     requeues: int = 0  # phases rolled back to the waiting state
     preemptions: int = 0  # batch sessions bumped for interactive arrivals
     shed: int = 0  # requests dropped by the server itself
-    duplicates: int = 0  # straggler re-issues dispatched
-    cancelled: int = 0  # stale copies ignored (first-finisher-wins)
     displaced: int = 0  # queued batch entries bumped by interactive
     degraded_ms: float = 0.0  # sim time with >= 1 device dead or stalled
     wasted_busy_ms: float = 0.0  # occupancy billed to crash-aborted batches
@@ -291,13 +280,10 @@ class ScheduleStats:
 class _Active:
     """One in-flight request: its record, resumable decode, and next phase.
 
-    ``gen`` is the phase generation: it bumps whenever the current phase
-    commits, requeues or the session ends, so any still-executing copy
-    dispatched under an older generation settles as *stale* and is ignored
-    — this is both crash rollback and first-finisher-wins straggler
-    cancellation.  ``live`` counts outstanding dispatched copies of the
-    current phase; ``attempts`` counts its failures so far (for the retry
-    budget and backoff), and ``phase_index`` counts committed phases (the
+    ``running`` is True while the one dispatched copy of ``phase`` is
+    inside a device batch; the phase advances only when that copy settles.
+    ``attempts`` counts the phase's failures so far (for the retry budget
+    and backoff), and ``phase_index`` counts committed phases (the
     deterministic transient-error hash keys on it).
 
     When memory accounting is on, ``prompt``/``committed`` track the
@@ -323,12 +309,8 @@ class _Active:
         "phase",
         "ready_ms",
         "running",
-        "gen",
-        "live",
         "attempts",
         "phase_index",
-        "projected_end",
-        "device_index",
         "prompt",
         "committed",
         "prefilled",
@@ -348,12 +330,8 @@ class _Active:
         self.phase: PhaseOutcome = stepper.step_phase()  # next phase to place
         self.ready_ms = ready_ms  # when that phase became runnable
         self.running = False  # currently inside a device batch
-        self.gen = 0  # phase generation (stale-copy detection)
-        self.live = 0  # outstanding dispatched copies
         self.attempts = 0  # failures of the current phase
         self.phase_index = 0  # committed phases so far
-        self.projected_end = 0.0  # end of the latest dispatch
-        self.device_index = -1  # device of the latest dispatch
         self.prompt = 0  # prompt tokens (memory billing)
         self.committed = 0  # committed tokens (memory billing)
         self.prefilled: set[str] = set()  # models with resident KV
@@ -365,10 +343,9 @@ class _Active:
         self.new_round = True  # pending phase begins a new round
 
 
-# One dispatched copy of a phase: (active, gen, attempt, transient failure,
-# dispatched phase).  The phase is kept because a stale copy's KV must be
-# released under the *dispatched* model, which the active may have moved past.
-_Entry = tuple[_Active, int, int, bool, PhaseOutcome]
+# The dispatched copy of a session's phase: (active, attempt, transient
+# failure).  ``active.phase`` is the dispatched phase until this copy settles.
+_Entry = tuple[_Active, int, bool]
 
 
 class ContinuousBatchScheduler:
@@ -552,8 +529,6 @@ class _ServeLoop:
             "requeues": 0,
             "preemptions": 0,
             "shed": 0,
-            "duplicates": 0,
-            "cancelled": 0,
         }
         self.dispatch_log: list[tuple[int, float, float, int, bool]] = []
 
@@ -676,7 +651,6 @@ class _ServeLoop:
                 continue
             resumed = self.preempted.pop(index, None)
             if resumed is not None:
-                resumed.running = False
                 resumed.ready_ms = now
                 inflight.append(resumed)
             else:
@@ -707,12 +681,10 @@ class _ServeLoop:
             for active in self.inflight
             if active.record.request.priority == PRIORITY_BATCH
             and not active.running
-            and active.live == 0
         ]
         if not victims:
             return False
         victim = max(victims, key=lambda a: a.record.request.index)
-        victim.gen += 1
         self.inflight.remove(victim)
         victim.record.preemptions += 1
         self.tally["preemptions"] += 1
@@ -742,13 +714,11 @@ class _ServeLoop:
         self.tally["shed"] += 1
 
     def shed_active(self, active: _Active, reason: str) -> None:
-        active.gen += 1  # any outstanding copy settles as stale
-        active.running = False
+        # Only an idle session sheds (no phase of it is executing), so all
+        # of its KV frees now.
         self.shed_record(active.record, reason)
         self.inflight.remove(active)
         if self.memory is not None:
-            # Idle KV frees now; still-executing copies release theirs when
-            # they settle as stale.
             self.memory.release_request(active.record.request.index)
 
     # -- dispatch -------------------------------------------------------------
@@ -762,7 +732,7 @@ class _ServeLoop:
         ``max_batch`` of the phases routed to it, still in that order.  With
         no device free, the audio gate still parks sessions (that frees
         slots) but nothing is planned or routed: every placement would be
-        thrown away, and no idle peer exists to hedge a straggler on.
+        thrown away.
         """
         now = self.now
         if self.plan is not None:
@@ -804,8 +774,6 @@ class _ServeLoop:
         else:
             self.router.plan_round(now)
         self.route_and_launch(free, waiting)
-        if self.config.straggler_factor > 0:
-            self.reissue_stragglers()
 
     def enter_fault_epoch(self, epoch: int) -> None:
         """Recompute device fault state for the epoch ``now`` lies in.
@@ -869,42 +837,6 @@ class _ServeLoop:
             if batch:
                 launch(device, batch, penalties)
 
-    def reissue_stragglers(self) -> None:
-        """Hedge stragglers: a running phase whose projected completion
-        exceeds k x its pool's median is duplicated on the fastest idle pool
-        peer; whichever copy finishes first commits (the other settles as
-        stale).  ``live == 1`` keeps one hedge per execution."""
-        now = self.now
-        by_kind: dict[str, list[_Active]] = {}
-        for active in self.inflight:
-            if active.running and active.live == 1 and active.projected_end > now:
-                by_kind.setdefault(active.phase.phase, []).append(active)
-        for kind in sorted(by_kind):
-            group = by_kind[kind]
-            ends = sorted(active.projected_end for active in group)
-            threshold = self.config.straggler_factor * ends[len(ends) // 2]
-            for active in sorted(group, key=lambda a: a.record.request.index):
-                if active.projected_end <= threshold:
-                    continue
-                peers = [
-                    device
-                    for device in self.router.pool_devices(active.phase)
-                    if device.free_at <= now
-                    and device.available(now)
-                    and device.index != active.device_index
-                ]
-                if not peers:
-                    continue
-                peer = max(peers, key=lambda d: (d.effective_speed(now), -d.index))
-                if self.memory is None:
-                    self.launch(peer, [active])
-                else:
-                    grant = self.admit_blocks(peer.index, active)
-                    if grant is None:
-                        continue  # no blocks for a hedge copy
-                    self.launch(peer, [active], [grant])
-                self.tally["duplicates"] += 1
-
     def launch(
         self,
         device: Device,
@@ -945,11 +877,8 @@ class _ServeLoop:
             failed = plan is not None and plan.phase_fails(
                 active.record.request.index, active.phase_index, attempt
             )
-            entries.append((active, active.gen, attempt, failed, active.phase))
+            entries.append((active, attempt, failed))
             active.running = True
-            active.live += 1
-            active.projected_end = end
-            active.device_index = device_index
         aborted = crash is not None
         heapq.heappush(
             self.executing, (end, next(self.order), device_index, entries, aborted)
@@ -960,37 +889,27 @@ class _ServeLoop:
     def settle(
         self, entry: _Entry, end_ms: float, aborted: bool, device_index: int
     ) -> None:
-        """Resolve one dispatched copy of a phase whose batch has ended."""
-        active, gen, attempt, transient, phase = entry
-        active.live -= 1
-        stale = active.gen != gen
-        if not stale and not aborted and not transient:
+        """Commit the phase of a batch that has ended, or schedule its retry."""
+        active, attempt, transient = entry
+        if not aborted and not transient:
             self.commit(active, end_ms, device_index)
             return
+        # The phase failed (crash abort or transient phase error).  The
+        # stepper never advanced, so the same phase object re-dispatches
+        # and the decode resumes from its last committed state.
         if self.memory is not None:
-            # A stale copy (a sibling already committed, or the phase was
-            # requeued/shed after a crash) or a failed one holds KV no
-            # longer wanted; if no sibling copy holds some elsewhere, a
-            # retry pays a re-prefill on admission.
+            # The failed copy's KV is gone: the retry pays a re-prefill on
+            # admission.
             self.memory.settle(
                 device_index,
                 active.record.request.index,
-                phase.model,
+                active.phase.model,
                 active.prompt_key,
                 0,
                 committed=False,
             )
-        if stale:
-            self.tally["cancelled"] += 1
-            return
-        # The copy failed (crash abort or transient phase error).  The
-        # stepper never advanced, so the same phase object re-dispatches
-        # and the decode resumes from its last committed state.
         active.record.retries += 1
         self.tally["retries"] += 1
-        if active.live > 0:
-            return  # a sibling copy is still in flight; let it decide
-        active.gen += 1
         active.running = False
         active.attempts = attempt
         if self.retry.exhausted(attempt):
@@ -1004,7 +923,6 @@ class _ServeLoop:
         """Apply a successfully executed phase and advance its session."""
         outcome = active.phase
         record = active.record
-        active.gen += 1  # sibling straggler copies settle as stale
         active.running = False
         active.ready_ms = end_ms
         active.attempts = 0

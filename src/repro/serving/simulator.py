@@ -47,7 +47,6 @@ class ChaosSpec:
     fault_seed: int = 0  # seeds the transient phase-error hash
     max_retries: int = 3
     retry_backoff_ms: float = 25.0
-    straggler_k: float = 0.0  # re-issue at k x pool median; 0 = off
     admission_deadline_ms: float | None = None  # shed overdue interactive
     batch_deadline_ms: float | None = None  # batch-class SLO + shed bound
 
@@ -98,7 +97,6 @@ class ServeSimConfig:
             overlap=self.overlap,
             max_retries=chaos.max_retries,
             retry_backoff_ms=chaos.retry_backoff_ms,
-            straggler_factor=chaos.straggler_k,
             admission_deadline_ms=chaos.admission_deadline_ms,
             batch_deadline_ms=chaos.batch_deadline_ms,
         )

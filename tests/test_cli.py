@@ -103,7 +103,7 @@ class TestServeSimValidation:
         [
             (["--retry-backoff-ms", "nan"], "retry_backoff_ms"),
             (["--retry-backoff-ms", "inf"], "retry_backoff_ms"),
-            (["--straggler-k", "nan"], "straggler_factor"),
+            (["--max-retries", "-1"], "max_retries"),
             (["--admission-deadline-ms", "nan"], "admission_deadline_ms"),
             (["--batch-deadline-ms", "nan"], "batch_deadline_ms"),
             (["--streaming", "--lookahead-s", "nan"], "lookahead_s"),
@@ -241,9 +241,12 @@ class TestServeSimValidation:
         assert excinfo.value.code == 2
         assert "in [0, 1]" in self._error_text(capsys)
 
-    def test_rejects_bad_straggler_factor(self, capsys):
-        with pytest.raises(SystemExit, match="straggler_factor"):
-            main(["serve-sim", "--straggler-k", "0.5"])
+    def test_rejects_removed_straggler_flag(self, capsys):
+        """Straggler hedging is gone, so its flag is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--straggler-k", "1.5"])
+        assert excinfo.value.code == 2
+        assert "--straggler-k" in self._error_text(capsys)
 
     def test_serve_sim_chaos_runs(self, capsys):
         assert (

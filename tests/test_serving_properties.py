@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decoding.base import PHASE_DRAFT, PHASE_VERIFY, PhaseOutcome
+from repro.decoding.base import PHASE_DRAFT, PHASE_VERIFY, PhaseOutcome, begin_decode
 from repro.harness.methods import build_method
 from repro.serving import (
     ClusterConfig,
@@ -301,7 +301,8 @@ def _check_chaos_run(
     decoder, dataset, plan, arrival_gaps, priorities, max_batch, kv_blocks, rtf
 ):
     """Serve one chaos trace on the 4-device disaggregated cluster and
-    assert conservation, dead-device timelines and lossless completers."""
+    assert conservation, dead-device timelines, lossless completers and
+    one dispatched copy per phase."""
     trace = []
     now = 0.0
     for index, gap in enumerate(arrival_gaps):
@@ -356,6 +357,19 @@ def _check_chaos_run(
         assert record.decode_ms == reference.total_ms
         assert record.finish_ms <= max(last_end, record.audio_end_ms or 0.0) + 1e-9
         assert record.finish_ms <= stats.sim_end_ms
+
+    # each phase has one dispatched copy: with nothing shed, the devices
+    # ran every completer's phases once plus one execution per failure
+    if stats.shed == 0:
+        phases = 0
+        for record in records:
+            if record.status != STATUS_COMPLETED:
+                continue
+            stepper = begin_decode(decoder, record.request.utterance)
+            while not stepper.done:
+                stepper.step_phase()
+                phases += 1
+        assert stats.rounds == phases + stats.retries
 
     # wasted work only exists when batches were actually aborted
     aborted = sum(1 for entry in scheduler.last_dispatch_log if entry[4])
