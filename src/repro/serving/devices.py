@@ -283,12 +283,16 @@ class Device:
         ``abort_ms`` (a crash inside the batch's span) the batch ends there
         instead: the partial occupancy is billed — and also counted in
         ``wasted_ms``, since the phases never commit — and the caller is
-        responsible for requeueing the aborted phases.
+        responsible for requeueing the aborted phases.  A batch whose bill is
+        not finite (an infinite phase cost, or one that overflows) raises
+        ``ValueError``: the device would never come free.
         """
         if not phases:
             raise ValueError("cannot execute an empty batch")
         start = max(start_ms, self.free_at)
         busy = self.batch_busy_ms(phases, merge_verify, at_ms=start)
+        if not math.isfinite(busy):
+            raise ValueError(f"batch on {self.device_id} takes {busy} ms")
         end = start + busy
         if abort_ms is not None:
             if abort_ms < start:

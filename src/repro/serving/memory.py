@@ -7,16 +7,18 @@ model *memory* too, with the vLLM-style paged discipline:
   positions each).  Every in-flight session holds blocks **per model** —
   a speculative decode keeps a draft-model cache *and* a target-model
   cache resident, which is exactly where SpecASR doubles memory pressure.
+  Each (request, model) pair has at most one residency, on one device.
 * A phase may only dispatch on a device if its blocks fit
   (:meth:`ClusterKVMemory.admit` — the scheduler's admission gate), so the
   effective batch size *emerges* from free blocks instead of ``--max-batch``.
+  A request has at most one phase executing, from ``admit`` to ``settle``.
 * On commit the session's residency shrinks back to its committed prefix
   (block-granular append of accepted tokens; **rollback frees the blocks
   speculated-then-rejected tokens occupied**); scratch blocks used by the
   in-flight speculation are returned.
-* Under pressure the allocator **evicts idle sessions LRU** (never one with
-  a copy executing); an evicted session's decode state survives — only its
-  KV blocks are dropped — and its next dispatch pays a **re-prefill
+* Under pressure the allocator **evicts idle sessions LRU** (never one whose
+  phase is executing); an evicted session's decode state survives — only
+  its KV blocks are dropped — and its next dispatch pays a **re-prefill
   penalty** proportional to the blocks it must re-materialise.
 * Full blocks of the committed region are **shared copy-on-write across
   requests** decoding the same prompt, keyed ``(model, utterance, block)``
@@ -27,7 +29,9 @@ model *memory* too, with the vLLM-style paged discipline:
 
 **Parity contract.**  Admission is a pure gate: it never reorders routing,
 and a session's blocks migrate freely with its phases (consistent with the
-least-loaded routers, which already move sessions between pool peers).
+least-loaded routers, which already move sessions between pool peers): an
+idle residency moves to another device once that device admits the phase,
+and stays where it is while the admission stalls.
 When every phase fits — capacity ample — no eviction, no stall and no
 penalty ever fires, so the schedule is bit-identical to a run with memory
 accounting disabled.  The invariant suite pins this down.
@@ -38,6 +42,7 @@ deterministic event order: no wall clock, no RNG.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,10 +75,10 @@ class MemorySpec:
             )
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if not self.reprefill_ms_per_block >= 0:  # NaN fails every comparison
+        rate = self.reprefill_ms_per_block
+        if not math.isfinite(rate) or rate < 0:
             raise ValueError(
-                "reprefill_ms_per_block must be >= 0, got "
-                f"{self.reprefill_ms_per_block}"
+                f"reprefill_ms_per_block must be finite and >= 0, got {rate}"
             )
 
     @property
@@ -122,21 +127,21 @@ class _BlockPool:
 
 
 class _Holding:
-    """One (request, model) residency on one device.
+    """One (request, model) residency: its device, blocks and prompt key.
 
     ``shared`` counts the leading committed-prefix blocks referenced
-    through the pool's copy-on-write table; ``private`` counts blocks owned
-    outright (the partial tail block plus in-flight speculation scratch).
-    ``inflight`` counts dispatched copies of the current phase charged
-    against this holding (0 = idle, hence evictable).
+    through the device pool's copy-on-write table under ``prompt_key``;
+    ``private`` counts blocks owned outright (the partial tail block plus
+    in-flight speculation scratch).
     """
 
-    __slots__ = ("shared", "private", "inflight")
+    __slots__ = ("device", "prompt_key", "shared", "private")
 
-    def __init__(self) -> None:
+    def __init__(self, device: int, prompt_key: str) -> None:
+        self.device = device
+        self.prompt_key = prompt_key
         self.shared = 0
         self.private = 0
-        self.inflight = 0
 
     @property
     def blocks(self) -> int:
@@ -148,21 +153,21 @@ class ClusterKVMemory:
 
     One instance per scheduler run.  ``capacities`` holds the per-device
     block budgets (``None`` = unbounded); holdings are keyed by request
-    index, then model, then device — a speculative session holds
-    draft-model and target-model residencies independently, and
+    index, then model — a speculative session holds draft-model and
+    target-model residencies independently, each on one device, and
     completion, preemption or eviction reaches one request's residencies
-    without scanning anyone else's.
+    without scanning anyone else's.  A request has at most one phase
+    executing, from :meth:`admit` to :meth:`settle`; a second admission
+    before the settle raises, as does a settle with nothing executing.
     """
 
     def __init__(self, spec: MemorySpec, capacities: Sequence[int | None]) -> None:
         self.spec = spec
         self.pools = [_BlockPool(capacity) for capacity in capacities]
-        # request -> model -> device index -> holding
-        self._holdings: dict[int, dict[str, dict[int, _Holding]]] = {}
-        # (request, model) -> copy-on-write prompt key its shared blocks use
-        self._prompt_keys: dict[tuple[int, str], str] = {}
-        # Residencies dropped without a surviving copy (evicted / crashed /
-        # preempted): their next admission pays the re-prefill penalty.
+        self._holdings: dict[int, dict[str, _Holding]] = {}  # request -> model
+        self._running: set[int] = set()  # requests with a phase executing
+        # Residencies dropped outright (evicted / failed / preempted): their
+        # next admission pays the re-prefill penalty.
         self._evicted: set[tuple[int, str]] = set()
         self._lru: dict[int, int] = {}  # request -> last-admit tick
         self._tick = 0
@@ -206,21 +211,17 @@ class ClusterKVMemory:
         positive when the session's residency was evicted and must be
         re-materialised) — or ``None`` when the phase does not fit right
         now even after evicting every idle session.  The caller re-offers
-        the phase at the next event.
+        the phase at the next event.  An idle residency on another device
+        follows the phase only once it fits here (simulated KV transfer is
+        free — part of the parity contract); a stalled admission leaves it
+        where it was.  Raises when ``request`` already has a phase
+        executing.
         """
+        if request in self._running:
+            raise RuntimeError(f"request {request} already has a phase executing")
         pool = self.pools[device]
-        hkey = (request, model)
-        hmap = self._holdings.setdefault(request, {}).setdefault(model, {})
-        self._prompt_keys.setdefault(hkey, prompt_key)
-        # Free migration: the routers already move sessions between pool
-        # peers, so an idle residency left on another device follows the
-        # phase (simulated KV transfer is free — part of the parity
-        # contract with the memory-disabled scheduler).
-        if hmap and (len(hmap) > 1 or device not in hmap):
-            for other, other_holding in list(hmap.items()):
-                if other != device and other_holding.inflight == 0:
-                    self._release_full(hkey, hmap, other, other_holding)
-        holding = hmap.get(device)
+        held = self._holdings.get(request, {}).get(model)
+        holding = held if held is not None and held.device == device else None
         current_shared = holding.shared if holding is not None else 0
         current_private = holding.private if holding is not None else 0
         demand = self.phase_demand(peak_tokens, resident_tokens)
@@ -263,10 +264,13 @@ class ClusterKVMemory:
         elif private_target < current_private:
             pool.release(current_private - private_target)
         if holding is None:
-            holding = hmap[device] = _Holding()
+            if held is not None:
+                self._release(model, held)  # the residency moves to ``device``
+            holding = _Holding(device, prompt_key)
+            self._holdings.setdefault(request, {})[model] = holding
         holding.shared = shared_target
         holding.private = private_target
-        holding.inflight += 1
+        self._running.add(request)
         self._tick += 1
         self._lru[request] = self._tick
         penalty = 0.0
@@ -280,37 +284,26 @@ class ClusterKVMemory:
 
     # -- settlement --------------------------------------------------------
     def settle(
-        self,
-        device: int,
-        request: int,
-        model: str,
-        prompt_key: str,
-        resident_tokens: int,
-        committed: bool,
+        self, request: int, model: str, resident_tokens: int, committed: bool
     ) -> None:
-        """Resolve one dispatched copy after its batch completes.
+        """Resolve ``request``'s executing ``model`` phase after its batch ends.
 
-        On commit the holding shrinks to the new committed residency
+        On commit the residency shrinks to the new committed extent
         (``resident_tokens``): speculation scratch is returned and the
         blocks of rejected tokens are freed, while newly-filled prefix
-        blocks promote into the copy-on-write table.  A failed copy
-        releases its blocks outright; if no sibling copy survives the
-        residency is gone (crash semantics) and the next admission pays
-        the re-prefill penalty.
+        blocks promote into the copy-on-write table.  A failed phase drops
+        the residency outright (crash semantics), and the next admission
+        pays the re-prefill penalty.  Raises when ``request`` has no phase
+        executing.
         """
-        hmap = self._holdings.get(request, {}).get(model)
-        holding = hmap.get(device) if hmap is not None else None
-        if hmap is None or holding is None:
-            return  # released wholesale (request completed/shed) before settle
-        if holding.inflight > 0:
-            holding.inflight -= 1
+        if request not in self._running:
+            raise RuntimeError(f"request {request} has no phase executing")
+        self._running.remove(request)
         if not committed:
-            if holding.inflight == 0:
-                self._release_full((request, model), hmap, device, holding)
-                if not hmap:
-                    self._forget((request, model), evicted=True)
+            self._drop(request, model)
             return
-        pool = self.pools[device]
+        holding = self._holdings[request][model]
+        pool = self.pools[holding.device]
         shared_target = (
             resident_tokens // self.spec.block_size if self.spec.prefix_sharing else 0
         )
@@ -318,7 +311,7 @@ class ClusterKVMemory:
             # A private block filled up: promote it.  If a peer session
             # already published this block the copies merge (true
             # copy-on-write dedup — one physical block survives).
-            key = (model, prompt_key, index)
+            key = (model, holding.prompt_key, index)
             refs = pool.shared.get(key, 0)
             if refs > 0:
                 self.reuse_hits += 1
@@ -339,89 +332,73 @@ class ClusterKVMemory:
             holding.private = private_target
 
     # -- eviction / release ------------------------------------------------
-    def _forget(self, key: tuple[int, str], evicted: bool) -> None:
-        """Drop an emptied (request, model) entry and record its fate."""
-        request, model = key
-        models = self._holdings.get(request)
-        if models is not None:
-            models.pop(model, None)
-            if not models:
-                del self._holdings[request]
-        self._prompt_keys.pop(key, None)
-        if evicted:
-            self._evicted.add(key)
-        else:
-            self._evicted.discard(key)
-
     def release_request(self, request: int, evicted: bool = False) -> int:
-        """Free every idle residency of ``request`` (completion/shed/preempt).
+        """Free every residency of ``request`` (completion/shed/preempt).
 
-        Copies still executing keep their blocks until they settle (their
-        settle path releases them).  With ``evicted=True`` (queue
-        preemption) the residency marks as evicted so the resumed session
-        pays re-prefill on its next dispatch.
+        Only a session whose phase is not executing may be released; a
+        running one raises.  With ``evicted=True`` (queue preemption) each
+        residency marks as evicted so the resumed session pays re-prefill
+        on its next dispatch.
         """
+        if request in self._running:
+            raise RuntimeError(f"request {request} has a phase executing")
         freed = 0
-        for model, hmap in list(self._holdings.get(request, {}).items()):
-            key = (request, model)
-            for device, holding in list(hmap.items()):
-                if holding.inflight == 0:
-                    freed += self._release_full(key, hmap, device, holding)
-            if not hmap:
-                self._forget(key, evicted)
+        for model, holding in self._holdings.pop(request, {}).items():
+            freed += self._release(model, holding)
+            if evicted:
+                self._evicted.add((request, model))
+            else:
+                self._evicted.discard((request, model))
         if not evicted:
             self._lru.pop(request, None)
         return freed
 
-    def _release_full(
-        self,
-        key: tuple[int, str],
-        hmap: dict[int, _Holding],
-        device: int,
-        holding: _Holding,
-    ) -> int:
-        """Free one holding including its shared references."""
-        model = key[1]
-        pool = self.pools[device]
+    def _drop(self, request: int, model: str) -> int:
+        """Free one residency outright; its next admission re-prefills."""
+        models = self._holdings[request]
+        freed = self._release(model, models.pop(model))
+        if not models:
+            del self._holdings[request]
+        self._evicted.add((request, model))
+        return freed
+
+    def _release(self, model: str, holding: _Holding) -> int:
+        """Free one holding's blocks, including its shared references."""
+        pool = self.pools[holding.device]
         freed = holding.private
         pool.release(holding.private)
-        prompt_key = self._prompt_keys.get(key, "")
         for index in range(holding.shared):
-            skey = (model, prompt_key, index)
-            refs = pool.shared.get(skey, 0)
+            key = (model, holding.prompt_key, index)
+            refs = pool.shared.get(key, 0)
             if refs <= 1:
-                pool.shared.pop(skey, None)
+                pool.shared.pop(key, None)
                 pool.release(1)
                 freed += 1
             else:
-                pool.shared[skey] = refs - 1
-        holding.shared = 0
-        holding.private = 0
-        del hmap[device]
+                pool.shared[key] = refs - 1
         return freed
 
     def _evict_until(self, device: int, shortfall: int, protect: int) -> None:
         """LRU-evict idle sessions on ``device`` until ``shortfall`` frees.
 
-        A session is evictable only when *none* of its copies is executing
-        anywhere (eviction never touches a running session) and it is not
-        the session being admitted.  Eviction drops whole per-device
-        residencies; the decode state itself survives in the stepper, so
-        this is memory-pressure preemption with state-intact resume.
+        A session is evictable when it holds blocks on ``device``, has no
+        phase executing (eviction never touches a running session) and is
+        not the session being admitted.  Eviction drops the victim's
+        residencies on ``device``; the decode state itself survives in the
+        stepper, so this is memory-pressure preemption with state-intact
+        resume.
         """
         if shortfall <= 0:
             return
-        busy: set[int] = set()
-        present: set[int] = set()
-        for request, models in self._holdings.items():
-            for hmap in models.values():
-                for dev, holding in hmap.items():
-                    if holding.inflight > 0:
-                        busy.add(request)
-                    if dev == device and holding.blocks > 0:
-                        present.add(request)
+        running = self._running
         candidates = sorted(
-            (r for r in present if r != protect and r not in busy),
+            (
+                request
+                for request, models in self._holdings.items()
+                if request != protect
+                and request not in running
+                and any(h.device == device and h.blocks > 0 for h in models.values())
+            ),
             key=lambda r: (self._lru.get(r, -1), r),
         )
         freed = 0
@@ -429,13 +406,9 @@ class ClusterKVMemory:
             if freed >= shortfall:
                 break
             victim_freed = 0
-            for model, hmap in list(self._holdings[victim].items()):
-                key = (victim, model)
-                holding = hmap.get(device)
-                if holding is not None:
-                    victim_freed += self._release_full(key, hmap, device, holding)
-                if not hmap:
-                    self._forget(key, evicted=True)
+            for model, holding in list(self._holdings[victim].items()):
+                if holding.device == device:
+                    victim_freed += self._drop(victim, model)
             if victim_freed:
                 freed += victim_freed
                 self.evictions += 1
@@ -453,22 +426,20 @@ class ClusterKVMemory:
     def used_blocks(self) -> tuple[int, ...]:
         return tuple(pool.used for pool in self.pools)
 
-    def audit(self) -> None:
+    def audit(self, drained: bool = False) -> None:
         """Assert block conservation: the pool ledgers match the holdings.
 
         ``used == private blocks + distinct shared blocks`` per device, and
-        nothing exceeds capacity.  The property suite calls this after
-        every scheduler run.
+        nothing exceeds capacity.  With ``drained=True`` (every request is
+        terminal, as at the end of a scheduler run) any used block,
+        residency or running phase left over is a leak and fails too.
         """
+        private = [0] * len(self.pools)
+        for models in self._holdings.values():
+            for holding in models.values():
+                private[holding.device] += holding.private
         for device, pool in enumerate(self.pools):
-            private = sum(
-                holding.private
-                for models in self._holdings.values()
-                for hmap in models.values()
-                for dev, holding in hmap.items()
-                if dev == device
-            )
-            expected = private + len(pool.shared)
+            expected = private[device] + len(pool.shared)
             if pool.used != expected:
                 raise AssertionError(
                     f"device {device}: ledger says {pool.used} blocks used, "
@@ -479,3 +450,9 @@ class ClusterKVMemory:
                     f"device {device}: {pool.used} blocks used exceeds "
                     f"capacity {pool.capacity}"
                 )
+        if drained and (self._holdings or self._running or any(self.used_blocks())):
+            raise AssertionError(
+                f"KV leaked: requests {sorted(self._holdings)} still resident, "
+                f"{sorted(self._running)} running, blocks used "
+                f"{self.used_blocks()}"
+            )

@@ -70,13 +70,18 @@ threads injected chaos through the loop:
 
 **Memory awareness.**  With a :class:`~repro.serving.memory.MemorySpec`
 (or per-device ``@BLOCKS`` capacities) the scheduler bills KV residency
-per in-flight session — draft and target model separately — through a
-paged block allocator (:class:`~repro.serving.memory.ClusterKVMemory`):
+per in-flight session — draft and target model separately, each resident
+on one device — through a paged block allocator
+(:class:`~repro.serving.memory.ClusterKVMemory`):
 
 * A phase only dispatches on a device if its blocks fit (**admission
   gate**), so the effective batch size *emerges* from free blocks;
   ``max_batch`` remains an upper bound, which keeps ample-capacity runs
-  bit-identical to memory-disabled ones (the parity contract).
+  bit-identical to memory-disabled ones (the parity contract).  A
+  phase's one dispatched copy is admitted before launch and resolved by
+  its settle, so the allocator sees at most one executing phase per
+  request.  A session's KV follows a phase routed to another device once
+  that device admits the phase.
 * Under pressure the allocator LRU-evicts idle sessions' blocks — never a
   session whose phase is executing.  The decode state survives in its
   stepper (PR 5's state-intact resume path), and the next dispatch pays a
@@ -87,6 +92,8 @@ paged block allocator (:class:`~repro.serving.memory.ClusterKVMemory`):
   blocks (resume re-prefills them).
 * A phase whose demand exceeds every pool device's total capacity is
   unservable and sheds with reason ``"memory"``.
+* Every request is terminal when a run ends, so a block, residency or
+  executing phase still held then fails the run as a leak.
 
 **Graceful degradation.**  ``interactive`` requests dispatch ahead of
 ``batch`` ones and may preempt idle batch sessions for in-flight slots
@@ -402,7 +409,8 @@ class ContinuousBatchScheduler:
         records = loop.run()
         self.last_stats = loop.stats()
         if loop.memory is not None:
-            loop.memory.audit()  # block conservation on every run
+            # Block conservation, and every request is terminal: no KV left.
+            loop.memory.audit(drained=True)
         return records
 
 
@@ -510,10 +518,9 @@ class _ServeLoop:
         # (wake_ms, request index, session).  They hold no in-flight slot.
         self.parked: list[tuple[float, int, _Active]] = []
         self.preempted: dict[int, _Active] = {}  # request index -> saved session
-        # Batches in flight: (end_ms, tiebreak, device index, entries,
-        # aborted).  The counter keeps heap ordering total without comparing
-        # entries.
-        self.executing: list[tuple[float, int, int, list[_Entry], bool]] = []
+        # Batches in flight: (end_ms, tiebreak, entries, aborted).  The
+        # counter keeps heap ordering total without comparing entries.
+        self.executing: list[tuple[float, int, list[_Entry], bool]] = []
         self.order = itertools.count()
         self.wakeup_times = plan.wakeup_times() if plan is not None else ()
         self.now = 0.0
@@ -578,9 +585,9 @@ class _ServeLoop:
                 continue
             now = self.now = max(now, min(next_times))
             while executing and executing[0][0] <= now:
-                end, _, device_index, entries, aborted = heapq.heappop(executing)
+                end, _, entries, aborted = heapq.heappop(executing)
                 for entry in entries:
-                    settle(entry, end, aborted, device_index)
+                    settle(entry, end, aborted)
         return self.records
 
     def stats(self) -> ScheduleStats:
@@ -870,7 +877,6 @@ class _ServeLoop:
             busy = device.batch_busy_ms(phases, merge_verify=merge_verify, at_ms=start)
             crash = device.faults.crash_during(start, start + busy)
         end = device.execute(now, phases, merge_verify=merge_verify, abort_ms=crash)
-        device_index = device.index
         entries = []
         for active in batch:
             attempt = active.attempts + 1
@@ -880,33 +886,24 @@ class _ServeLoop:
             entries.append((active, attempt, failed))
             active.running = True
         aborted = crash is not None
-        heapq.heappush(
-            self.executing, (end, next(self.order), device_index, entries, aborted)
-        )
-        self.dispatch_log.append((device_index, start, end, len(batch), aborted))
+        heapq.heappush(self.executing, (end, next(self.order), entries, aborted))
+        self.dispatch_log.append((device.index, start, end, len(batch), aborted))
 
     # -- completion -----------------------------------------------------------
-    def settle(
-        self, entry: _Entry, end_ms: float, aborted: bool, device_index: int
-    ) -> None:
+    def settle(self, entry: _Entry, end_ms: float, aborted: bool) -> None:
         """Commit the phase of a batch that has ended, or schedule its retry."""
         active, attempt, transient = entry
         if not aborted and not transient:
-            self.commit(active, end_ms, device_index)
+            self.commit(active, end_ms)
             return
         # The phase failed (crash abort or transient phase error).  The
         # stepper never advanced, so the same phase object re-dispatches
         # and the decode resumes from its last committed state.
         if self.memory is not None:
-            # The failed copy's KV is gone: the retry pays a re-prefill on
+            # The failed phase's KV is gone: the retry pays a re-prefill on
             # admission.
             self.memory.settle(
-                device_index,
-                active.record.request.index,
-                active.phase.model,
-                active.prompt_key,
-                0,
-                committed=False,
+                active.record.request.index, active.phase.model, 0, committed=False
             )
         active.record.retries += 1
         self.tally["retries"] += 1
@@ -919,7 +916,7 @@ class _ServeLoop:
         self.tally["requeues"] += 1
         active.ready_ms = end_ms + self.retry.backoff_for(attempt)
 
-    def commit(self, active: _Active, end_ms: float, device_index: int) -> None:
+    def commit(self, active: _Active, end_ms: float) -> None:
         """Apply a successfully executed phase and advance its session."""
         outcome = active.phase
         record = active.record
@@ -932,10 +929,8 @@ class _ServeLoop:
             active.committed += len(outcome.new_tokens)
             active.prefilled.add(outcome.model)
             memory.settle(
-                device_index,
                 record.request.index,
                 outcome.model,
-                active.prompt_key,
                 active.prompt + active.committed,
                 committed=True,
             )

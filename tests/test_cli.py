@@ -111,6 +111,10 @@ class TestServeSimValidation:
                 ["--memory-blocks", "8", "--reprefill-ms-per-block", "nan"],
                 "reprefill_ms_per_block",
             ),
+            (
+                ["--memory-blocks", "8", "--reprefill-ms-per-block", "inf"],
+                "reprefill_ms_per_block",
+            ),
         ],
     )
     def test_rejects_nan_config_values(self, flags, fragment):

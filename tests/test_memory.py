@@ -3,10 +3,12 @@
 The contract under test, from the memory-as-a-scheduling-constraint change:
 
 * **Allocator invariants (hypothesis)** — for any interleaving of
-  admissions, commits, failures and releases: a device's used blocks never
-  exceed its capacity, the pool ledger always equals the sum of holdings
-  (block conservation, ``audit()``), eviction never touches a session with
-  a copy executing, and a fully drained allocator holds zero blocks.
+  admissions, commits, failures and releases with at most one phase
+  executing per request: a device's used blocks never exceed its capacity,
+  the pool ledger always equals the sum of holdings (block conservation,
+  ``audit()``), eviction never touches a session whose phase is executing,
+  a stalled admission leaves the session's residency where it was, and a
+  fully drained allocator holds zero blocks.
 * **Parity contract** — with ample capacity, a memory-enabled run is
   bit-identical to the memory-disabled scheduler across router policies
   and device counts: same transcripts, same timings, same stats, no
@@ -78,8 +80,9 @@ class TestMemorySpec:
             MemorySpec(block_size=0)
         with pytest.raises(ValueError):
             MemorySpec(reprefill_ms_per_block=-1.0)
-        with pytest.raises(ValueError):
-            MemorySpec(reprefill_ms_per_block=float("nan"))
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MemorySpec(reprefill_ms_per_block=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -88,106 +91,104 @@ class TestMemorySpec:
 
 
 def _flat_holdings(memory):
-    """``(request, model) -> device -> holding`` over every residency."""
+    """``(request, model) -> holding`` over every residency."""
     return {
-        (request, model): hmap
+        (request, model): holding
         for request, models in memory._holdings.items()
-        for model, hmap in models.items()
+        for model, holding in models.items()
     }
 
 
+def _shape(holding):
+    return (holding.device, holding.shared, holding.private)
+
+
 class _AllocatorHarness:
-    """Interprets an op tape against ClusterKVMemory + a mirror of copies."""
+    """Interprets an op tape against ClusterKVMemory the way the scheduler
+    drives it: a request has at most one phase executing, and only an idle
+    request is released."""
 
     def __init__(self, capacities, spec):
         self.memory = ClusterKVMemory(spec, capacities)
         self.spec = spec
         self.devices = len(capacities)
-        # (request, model) -> list of (device, peak_tokens) outstanding copies
-        self.outstanding: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        # request -> (model, peak_tokens) of its one executing phase
+        self.running: dict[int, tuple[str, int]] = {}
         self.committed: dict[tuple[int, str], int] = {}
 
-    def busy_snapshot(self):
-        """Holdings of every session with a copy executing somewhere."""
-        holdings = _flat_holdings(self.memory)
-        busy = {
-            request
-            for (request, _m), hmap in holdings.items()
-            for holding in hmap.values()
-            if holding.inflight > 0
-        }
+    def running_snapshot(self):
+        """Residencies of every session with a phase executing."""
         return {
-            key: {dev: (h.shared, h.private) for dev, h in hmap.items()}
-            for key, hmap in holdings.items()
-            if key[0] in busy
+            key: _shape(holding)
+            for key, holding in _flat_holdings(self.memory).items()
+            if key[0] in self.running
         }
 
     def check(self):
         self.memory.audit()
+        assert self.memory._running == set(self.running)
         for pool in self.memory.pools:
             if pool.capacity is not None:
                 assert pool.used <= pool.capacity
 
     def admit(self, request, model, device, peak):
+        if request in self.running:
+            return  # the scheduler dispatches a session's next phase only
         key = (request, model)
         resident = self.committed.get(key, 0)
         peak = max(peak, resident)
-        before = self.busy_snapshot()
+        before = self.running_snapshot()
+        own = _flat_holdings(self.memory).get(key)
+        own_before = _shape(own) if own is not None else None
         grant = self.memory.admit(
             device, request, model, f"utt-{request % 3}", peak, resident
         )
         # Eviction (inside admit) must never have touched a running session.
-        after_holdings = _flat_holdings(self.memory)
-        for key_b, devmap in before.items():
-            if key_b[0] == request:
-                continue  # the admitted request may migrate its own blocks
-            assert key_b in after_holdings
-            for dev, shape in devmap.items():
-                holding = after_holdings[key_b].get(dev)
-                assert holding is not None, "eviction touched a running session"
-                assert (holding.shared, holding.private) == shape
-        if grant is not None:
+        after = _flat_holdings(self.memory)
+        for key_b, shape in before.items():
+            assert key_b in after, "eviction touched a running session"
+            assert _shape(after[key_b]) == shape
+        if grant is None:
+            # A stalled admission leaves the session's residency in place.
+            own = after.get(key)
+            assert (_shape(own) if own is not None else None) == own_before
+        else:
             assert grant >= 0.0
-            self.outstanding.setdefault(key, []).append((device, peak))
+            assert after[key].device == device
+            self.running[request] = (model, peak)
         self.check()
 
-    def settle(self, request, model, commit, accepted):
-        key = (request, model)
-        copies = self.outstanding.get(key)
-        if not copies:
+    def settle(self, request, commit, accepted):
+        if request not in self.running:
             return
-        device, peak = copies.pop()
+        model, peak = self.running.pop(request)
         if commit:
-            resident = self.committed.get(key, 0)
+            key = (request, model)
             # Commit may grow residency up to the billed peak plus the one
             # reserved growth block position (the verify bonus token).
-            resident = min(resident + accepted, peak + 1)
+            resident = min(self.committed.get(key, 0) + accepted, peak + 1)
             self.committed[key] = resident
-            self.memory.settle(
-                device, request, model, f"utt-{request % 3}", resident, committed=True
-            )
+            self.memory.settle(request, model, resident, committed=True)
         else:
-            self.memory.settle(
-                device, request, model, f"utt-{request % 3}", 0, committed=False
-            )
+            self.memory.settle(request, model, 0, committed=False)
         self.check()
 
     def release(self, request):
-        if any(copies for (r, _m), copies in self.outstanding.items() if r == request):
-            return  # scheduler never releases a request with copies in flight
+        if request in self.running:
+            return  # the scheduler never releases a session mid-phase
         self.memory.release_request(request)
         for model in MODELS:
             self.committed.pop((request, model), None)
         self.check()
 
     def drain(self):
-        for (request, model), copies in list(self.outstanding.items()):
-            while copies:
-                self.settle(request, model, commit=False, accepted=0)
+        for request in list(self.running):
+            self.settle(request, commit=False, accepted=0)
         for request in range(8):
             self.memory.release_request(request)
         self.check()
         assert all(used == 0 for used in self.memory.used_blocks())
+        self.memory.audit(drained=True)
 
 
 ops = st.lists(
@@ -219,13 +220,12 @@ class TestAllocatorProperties:
         )
         harness = _AllocatorHarness([capacity, capacity, None], spec)
         for op, request, model_idx, device, peak in tape:
-            model = MODELS[model_idx]
             if op == "admit":
-                harness.admit(request, model, device, peak)
+                harness.admit(request, MODELS[model_idx], device, peak)
             elif op == "commit":
-                harness.settle(request, model, commit=True, accepted=peak // 4)
+                harness.settle(request, commit=True, accepted=peak // 4)
             elif op == "fail":
-                harness.settle(request, model, commit=False, accepted=0)
+                harness.settle(request, commit=False, accepted=0)
             else:
                 harness.release(request)
         harness.drain()
@@ -236,13 +236,12 @@ class TestAllocatorProperties:
         spec = MemorySpec(device_blocks=8)  # spec default irrelevant: None caps
         harness = _AllocatorHarness([None, None, None], spec)
         for op, request, model_idx, device, peak in tape:
-            model = MODELS[model_idx]
             if op == "admit":
-                harness.admit(request, model, device, peak)
+                harness.admit(request, MODELS[model_idx], device, peak)
             elif op == "commit":
-                harness.settle(request, model, commit=True, accepted=peak // 4)
+                harness.settle(request, commit=True, accepted=peak // 4)
             elif op == "fail":
-                harness.settle(request, model, commit=False, accepted=0)
+                harness.settle(request, commit=False, accepted=0)
             else:
                 harness.release(request)
         assert harness.memory.stalls == 0
@@ -250,18 +249,28 @@ class TestAllocatorProperties:
         harness.drain()
 
 
+def _scan_drop(memory, owner, model, holding):
+    """Free one residency found by a scan and remove it from the map."""
+    freed = memory._release(model, holding)
+    models = memory._holdings[owner]
+    del models[model]
+    if not models:
+        del memory._holdings[owner]
+    return freed
+
+
 def _scan_release(memory, request, evicted=False):
     """Reference ``release_request``: find the request's residencies by
     scanning every holding."""
     freed = 0
-    for (owner, model), hmap in list(_flat_holdings(memory).items()):
+    for (owner, model), holding in list(_flat_holdings(memory).items()):
         if owner != request:
             continue
-        for device, holding in list(hmap.items()):
-            if holding.inflight == 0:
-                freed += memory._release_full((owner, model), hmap, device, holding)
-        if not hmap:
-            memory._forget((owner, model), evicted)
+        freed += _scan_drop(memory, owner, model, holding)
+        if evicted:
+            memory._evicted.add((owner, model))
+        else:
+            memory._evicted.discard((owner, model))
     if not evicted:
         memory._lru.pop(request, None)
     return freed
@@ -272,21 +281,17 @@ def _scan_evict(memory, device, shortfall, protect):
     found by scanning every holding."""
     if shortfall <= 0:
         return
-    holdings = _flat_holdings(memory)
-    busy = {
-        owner
-        for (owner, _m), hmap in holdings.items()
-        for holding in hmap.values()
-        if holding.inflight > 0
-    }
     present = {
         owner
-        for (owner, _m), hmap in holdings.items()
-        for dev, holding in hmap.items()
-        if dev == device and holding.blocks > 0
+        for (owner, _m), holding in _flat_holdings(memory).items()
+        if holding.device == device and holding.blocks > 0
     }
     candidates = sorted(
-        (owner for owner in present if owner != protect and owner not in busy),
+        (
+            owner
+            for owner in present
+            if owner != protect and owner not in memory._running
+        ),
         key=lambda owner: (memory._lru.get(owner, -1), owner),
     )
     freed = 0
@@ -294,16 +299,10 @@ def _scan_evict(memory, device, shortfall, protect):
         if freed >= shortfall:
             break
         victim_freed = 0
-        for (owner, model), hmap in list(_flat_holdings(memory).items()):
-            if owner != victim:
-                continue
-            holding = hmap.get(device)
-            if holding is not None:
-                victim_freed += memory._release_full(
-                    (owner, model), hmap, device, holding
-                )
-            if not hmap:
-                memory._forget((owner, model), evicted=True)
+        for (owner, model), holding in list(_flat_holdings(memory).items()):
+            if owner == victim and holding.device == device:
+                victim_freed += _scan_drop(memory, owner, model, holding)
+                memory._evicted.add((owner, model))
         if victim_freed:
             freed += victim_freed
             memory.evictions += 1
@@ -314,11 +313,12 @@ def _allocator_state(memory):
     """Everything release and eviction may change, in comparable form."""
     return (
         [(pool.used, pool.peak, dict(pool.shared)) for pool in memory.pools],
+        set(memory._holdings),  # no empty per-request map is left behind
         {
-            key: {dev: (h.shared, h.private, h.inflight) for dev, h in hmap.items()}
-            for key, hmap in _flat_holdings(memory).items()
+            key: (*_shape(holding), holding.prompt_key)
+            for key, holding in _flat_holdings(memory).items()
         },
-        dict(memory._prompt_keys),
+        set(memory._running),
         set(memory._evicted),
         dict(memory._lru),
         memory.evictions,
@@ -353,16 +353,17 @@ class TestResidencyLookup:
         harness = _AllocatorHarness([capacity, capacity], spec)
         memory = harness.memory
         for op, request, model_idx, device, peak in tape:
-            model = MODELS[model_idx]
             if op in ("admit", "serve"):
-                harness.admit(request, model, device, peak)
+                harness.admit(request, MODELS[model_idx], device, peak)
                 if op == "serve":  # an executed phase: the session goes idle
-                    harness.settle(request, model, True, peak // 4)
+                    harness.settle(request, True, peak // 4)
             elif op in ("commit", "fail"):
-                harness.settle(request, model, op == "commit", peak // 4)
+                harness.settle(request, op == "commit", peak // 4)
             else:
                 harness.release(request)
             for target in range(4):
+                if target in harness.running:
+                    continue  # only an idle session is ever released
                 for evicted in (False, True):
                     actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
                     freed = actual.release_request(target, evicted=evicted)
@@ -385,12 +386,12 @@ class TestAllocatorUnit:
         memory = ClusterKVMemory(spec, [64])
         # Request 0 decodes and commits 16 tokens of prompt "utt".
         assert memory.admit(0, 0, "m", "utt", 16, 0) == 0.0
-        memory.settle(0, 0, "m", "utt", 16, committed=True)
+        memory.settle(0, "m", 16, committed=True)
         used_solo = memory.used_blocks()[0]
         # Request 1, same prompt: its committed prefix rides the shared
         # blocks, costing only private scratch.
         assert memory.admit(0, 1, "m", "utt", 16, 0) == 0.0
-        memory.settle(0, 1, "m", "utt", 16, committed=True)
+        memory.settle(1, "m", 16, committed=True)
         assert memory.reuse_hits > 0
         assert memory.used_blocks()[0] < 2 * used_solo
         memory.audit()
@@ -399,21 +400,21 @@ class TestAllocatorUnit:
         spec = MemorySpec(device_blocks=64, block_size=4, prefix_sharing=False)
         memory = ClusterKVMemory(spec, [64])
         memory.admit(0, 0, "m", "utt", 16, 0)
-        memory.settle(0, 0, "m", "utt", 16, committed=True)
+        memory.settle(0, "m", 16, committed=True)
         memory.admit(0, 1, "m", "utt", 16, 0)
-        memory.settle(0, 1, "m", "utt", 16, committed=True)
+        memory.settle(1, "m", 16, committed=True)
         assert memory.reuse_hits == 0
 
     def test_eviction_marks_and_reprefill_penalty(self):
         spec = MemorySpec(device_blocks=6, block_size=4, reprefill_ms_per_block=2.0)
         memory = ClusterKVMemory(spec, [6])
         assert memory.admit(0, 0, "m", "a", 12, 0) == 0.0
-        memory.settle(0, 0, "m", "a", 12, committed=True)  # 3 blocks resident
+        memory.settle(0, "m", 12, committed=True)  # 3 blocks resident
         # Request 1 needs the space; request 0 is idle -> evicted.
         assert memory.admit(0, 1, "m", "b", 12, 0) == 0.0
         assert memory.evictions == 1
         assert memory.evicted_blocks >= 3
-        memory.settle(0, 1, "m", "b", 12, committed=True)
+        memory.settle(1, "m", 12, committed=True)
         memory.release_request(1)
         # Request 0 resumes: pays the re-prefill for its 3 resident blocks.
         penalty = memory.admit(0, 0, "m", "a", 12, 12)
@@ -427,15 +428,14 @@ class TestAllocatorUnit:
         for request, device in ((0, 0), (1, 0), (2, 1)):
             for model in MODELS:
                 memory.admit(device, request, model, f"utt-{request}", 8, 0)
-                memory.settle(device, request, model, f"utt-{request}", 8, True)
+                memory.settle(request, model, 8, True)
         # Request 0 is the least recently used: a one-block shortfall on
         # device 0 evicts both of its models there, and nothing else.
         memory._evict_until(0, 1, protect=-1)
         assert memory.evictions == 1
         remaining = {
-            (request, model, device)
-            for (request, model), hmap in _flat_holdings(memory).items()
-            for device in hmap
+            (request, model, holding.device)
+            for (request, model), holding in _flat_holdings(memory).items()
         }
         assert remaining == {(r, m, d) for r, d in ((1, 0), (2, 1)) for m in MODELS}
         memory.audit()
@@ -448,7 +448,7 @@ class TestAllocatorUnit:
         assert memory.admit(0, 1, "m", "b", 8, 0) is None
         assert memory.stalls == 1
         assert memory.evictions == 0
-        memory.settle(0, 0, "m", "a", 0, committed=False)
+        memory.settle(0, "m", 0, committed=False)
         memory.audit()
 
     def test_fits_anywhere(self):
@@ -456,6 +456,70 @@ class TestAllocatorUnit:
         assert memory.fits_anywhere(3, [0])
         assert not memory.fits_anywhere(9, [0])
         assert memory.fits_anywhere(9, [0, 1])  # unbounded device
+
+    def test_drained_audit_fails_on_leftover_kv(self):
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16])
+        memory.audit(drained=True)
+        memory.admit(0, 0, "m", "a", 8, 0)
+        memory.audit()
+        with pytest.raises(AssertionError, match="KV leaked"):
+            memory.audit(drained=True)  # a phase still executing
+        memory.settle(0, "m", 8, committed=True)
+        with pytest.raises(AssertionError, match="KV leaked"):
+            memory.audit(drained=True)  # an idle residency still held
+        memory.release_request(0)
+        memory.audit(drained=True)
+
+
+class TestAllocatorContract:
+    """A request has one phase executing at most, and an idle residency
+    moves to another device only once that device admits the phase."""
+
+    def test_second_executing_phase_raises(self):
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16, 16])
+        assert memory.admit(0, 0, MODELS[0], "a", 8, 0) == 0.0
+        for device, model in ((0, MODELS[1]), (1, MODELS[0])):
+            with pytest.raises(RuntimeError, match="already has a phase executing"):
+                memory.admit(device, 0, model, "a", 8, 0)
+        with pytest.raises(RuntimeError, match="has a phase executing"):
+            memory.release_request(0)
+        memory.settle(0, MODELS[0], 8, committed=True)
+        assert memory.admit(0, 0, MODELS[1], "a", 8, 0) == 0.0  # idle again
+        memory.audit()
+
+    def test_settle_without_executing_phase_raises(self):
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16])
+        with pytest.raises(RuntimeError, match="no phase executing"):
+            memory.settle(0, "m", 0, committed=True)
+        memory.admit(0, 0, "m", "a", 8, 0)
+        memory.settle(0, "m", 8, committed=True)
+        for committed in (True, False):
+            with pytest.raises(RuntimeError, match="no phase executing"):
+                memory.settle(0, "m", 8, committed=committed)
+        memory.audit()
+
+    def test_stalled_migration_keeps_idle_residency(self):
+        memory = ClusterKVMemory(MemorySpec(device_blocks=8, block_size=4), [8, 4])
+        # Request 0 commits 8 tokens on device 0: two shared blocks.
+        memory.admit(0, 0, "m", "a", 8, 0)
+        memory.settle(0, "m", 8, committed=True)
+        # Request 1 runs on device 1 and fills it.
+        assert memory.admit(1, 1, "m", "b", 12, 0) == 0.0
+        assert memory.used_blocks() == (2, 4)
+        residency = _shape(_flat_holdings(memory)[(0, "m")])
+        # Request 0's next phase routes to device 1 and stalls there: its
+        # idle residency stays on device 0.
+        assert memory.admit(1, 0, "m", "a", 8, 8) is None
+        assert memory.used_blocks() == (2, 4)
+        assert _shape(_flat_holdings(memory)[(0, "m")]) == residency
+        # Once device 1 frees, the residency moves with the admitted phase;
+        # it was never dropped, so no re-prefill is charged.
+        memory.settle(1, "m", 12, committed=True)
+        memory.release_request(1)
+        assert memory.admit(1, 0, "m", "a", 8, 8) == 0.0
+        assert memory.used_blocks() == (0, 3)
+        assert _flat_holdings(memory)[(0, "m")].device == 1
+        memory.audit()
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +657,33 @@ class TestSchedulerMemory:
         shed = [r for r in records if r.status == STATUS_SHED]
         assert shed
         assert all(r.shed_reason == SHED_MEMORY for r in shed)
+
+    def test_run_fails_when_kv_leaks(self, decoder, clean_dataset, trace, monkeypatch):
+        # Every request is terminal when the run ends, so KV still held
+        # then is a leak, even where no eviction would ever notice it.
+        monkeypatch.setattr(
+            ClusterKVMemory, "release_request", lambda self, request, evicted=False: 0
+        )
+        with pytest.raises(AssertionError, match="KV leaked"):
+            self._run(
+                decoder,
+                clean_dataset,
+                trace,
+                ClusterConfig(devices=1, router="colocated"),
+                memory=MemorySpec(device_blocks=1_000_000),
+            )
+
+    def test_overflowing_reprefill_penalty_raises(self, decoder, clean_dataset, trace):
+        # A finite rate whose penalty overflows to inf fails the batch
+        # instead of leaving its device busy forever.
+        with pytest.raises(ValueError, match="takes"):
+            self._run(
+                decoder,
+                clean_dataset,
+                trace,
+                ClusterConfig(devices=2, router="colocated"),
+                memory=MemorySpec(device_blocks=12, reprefill_ms_per_block=1e308),
+            )
 
     def test_device_spec_blocks_override(self, decoder, clean_dataset, trace):
         cluster = ClusterConfig(device_specs=parse_device_specs("1.0@64,1.0@32"))

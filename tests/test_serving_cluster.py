@@ -244,6 +244,21 @@ class TestDeviceModel:
         with pytest.raises(ValueError):
             device.execute(0.0, [])
 
+    @pytest.mark.parametrize(
+        "speed, ms",
+        [
+            (1.0, float("inf")),  # an infinite phase cost (NaN after overlap)
+            (1e-310, 10.0),  # a finite cost whose bill overflows to inf
+        ],
+    )
+    def test_execute_rejects_non_finite_batch_time(self, speed, ms):
+        device = Device(0, overlap=0.5, speed=speed)
+        with pytest.raises(ValueError, match="takes"):
+            device.execute(0.0, [self._phase("target", PHASE_VERIFY, ms)])
+        # The timeline stays usable: nothing was billed.
+        assert device.free_at == 0.0 and device.busy_ms == 0.0
+        assert device.batches == 0
+
 
 class TestClusterConfig:
     def test_validation(self):
