@@ -184,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--faults",
         default="",
         help="inject a deterministic fault plan, ';'-separated events: "
-        "crash@T:devI[:restart=MS], stall@T+D:devI, slow[@T+D]:devI:xF, "
-        "perr:RATE (see repro.serving.faults)",
+        "crash@T:devI[:restart=MS], perr:RATE (see repro.serving.faults); "
+        "a permanently slow device is a --device-spec such as 3x1,1x0.05",
     )
     serve_parser.add_argument(
         "--fault-seed",

@@ -10,11 +10,11 @@ answers the deployment question: how much traffic does each decoding method
 sustain at a fixed latency SLO, on how many devices?
 
 A seeded :class:`~repro.serving.faults.FaultPlan` injects chaos — device
-crashes with warm restarts, stall windows, slowdowns, transient phase
-errors — and the scheduler recovers deterministically: failed phases
-requeue with bounded exponential backoff, pools re-plan on membership
-change, and overload sheds work by priority class instead of blowing
-every SLO at once.
+crashes with warm restarts and transient phase errors — and the scheduler
+recovers deterministically: failed phases requeue with bounded exponential
+backoff, pools re-plan on membership change, and overload sheds work by
+priority class instead of blowing every SLO at once.  A permanently slow
+part is a device spec (``3x1,1x0.05``), not a fault.
 
 Memory is a first-class scheduling constraint: a paged KV-block allocator
 (:mod:`repro.serving.memory`) bills draft- and target-model cache residency
@@ -45,8 +45,6 @@ from repro.serving.devices import (
 from repro.serving.faults import (
     DeviceCrash,
     DeviceFaultProfile,
-    DeviceSlowdown,
-    DeviceStall,
     FaultPlan,
     PhaseErrorRate,
     RetryPolicy,
@@ -113,9 +111,7 @@ __all__ = [
     "Device",
     "DeviceCrash",
     "DeviceFaultProfile",
-    "DeviceSlowdown",
     "DeviceSpec",
-    "DeviceStall",
     "FaultPlan",
     "MODEL_SWITCH_COST",
     "MemorySpec",

@@ -168,13 +168,12 @@ def format_device_specs(specs: Sequence[DeviceSpec]) -> str:
 class Device:
     """One simulated accelerator with its own busy timeline.
 
-    A :class:`~repro.serving.faults.DeviceFaultProfile` (attached via
-    :meth:`set_fault_profile`; the default is healthy) folds injected
-    faults into the timeline math: :meth:`available` gates new dispatches
-    during crashes and stall windows, :meth:`effective_speed` applies
-    straggler slowdown windows (batches are priced at their *start* time's
-    effective speed), and :meth:`execute` can abort a batch mid-flight at a
-    crash — the device stays busy up to the crash (wasted work, tracked in
+    ``speed`` is fixed for the whole run.  A
+    :class:`~repro.serving.faults.DeviceFaultProfile` (attached via
+    :meth:`set_fault_profile`; the default is healthy) holds the device's
+    crash: :meth:`is_dead` tells the scheduler whether the device may take
+    new work, and :meth:`execute` can abort a batch mid-flight at a crash —
+    the device stays busy up to the crash (wasted work, tracked in
     ``wasted_ms``) and the phases never commit.
     """
 
@@ -228,19 +227,8 @@ class Device:
         """Crashed and not yet warm-restarted at ``at_ms``."""
         return self.faults.is_dead(at_ms)
 
-    def available(self, at_ms: float) -> bool:
-        """Can the device start new work at ``at_ms``? (not dead/stalled)"""
-        return self.faults.available(at_ms)
-
-    def effective_speed(self, at_ms: float) -> float:
-        """Speed after slowdown windows active at ``at_ms``."""
-        return self.speed * self.faults.speed_factor(at_ms)
-
     def batch_busy_ms(
-        self,
-        phases: Sequence[PhaseOutcome],
-        merge_verify: bool = False,
-        at_ms: float | None = None,
+        self, phases: Sequence[PhaseOutcome], merge_verify: bool = False
     ) -> float:
         """Device time one micro-batch of phases occupies.
 
@@ -251,9 +239,7 @@ class Device:
         verify group into a single batched target pass (overlap 1: busy is
         the critical path).  The whole bill scales by ``1 / speed`` — the
         cost model is linear in the per-phase costs, so a half-speed part
-        takes exactly twice the device time for any batch.  With ``at_ms``
-        the bill uses the *effective* speed at that instant, so slowdown
-        (straggler) windows inflate batches started inside them.
+        takes exactly twice the device time for any batch.
         """
         groups: dict[tuple[str, str], list[float]] = {}
         for outcome in phases:
@@ -267,8 +253,7 @@ class Device:
         models = len({model for model, _kind in groups})
         if models > 1:
             busy *= 1.0 + self.switch_cost * (models - 1)
-        speed = self.speed if at_ms is None else self.effective_speed(at_ms)
-        return busy / speed
+        return busy / self.speed
 
     def execute(
         self,
@@ -290,7 +275,7 @@ class Device:
         if not phases:
             raise ValueError("cannot execute an empty batch")
         start = max(start_ms, self.free_at)
-        busy = self.batch_busy_ms(phases, merge_verify, at_ms=start)
+        busy = self.batch_busy_ms(phases, merge_verify)
         if not math.isfinite(busy):
             raise ValueError(f"batch on {self.device_id} takes {busy} ms")
         end = start + busy

@@ -2,24 +2,21 @@
 
 A :class:`FaultPlan` is a seeded, fully deterministic description of what
 goes wrong during one serve simulation — the chaos-engineering counterpart
-of an arrival trace.  Four fault kinds compose freely:
+of an arrival trace.  Two fault kinds compose freely:
 
 * :class:`DeviceCrash` — the device dies at ``at_ms``.  With a
   ``restart_delay_ms`` it warm-restarts after a weight-reload delay (the
   device is dead for exactly that window); without one the loss is
   permanent.  A batch executing when the crash hits is *aborted*: its
   phases roll back to the waiting state and are re-dispatched elsewhere.
-* :class:`DeviceStall` — a transient unavailability window
-  ``[at_ms, at_ms + duration_ms)``: the device accepts no new work while
-  stalled (in-flight batches ride through — a stall models a hiccup in
-  dispatch, not a loss of state).
-* :class:`DeviceSlowdown` — a straggler: the device's effective speed is
-  multiplied by ``factor`` inside the window (``factor < 1`` slows it).
-  Batches are priced at the effective speed of their *start* time.
 * :class:`PhaseErrorRate` — transient phase-level errors: each executed
   phase independently fails with probability ``rate``, decided by a stable
   hash of ``(plan seed, request, phase index, attempt)`` — the same plan
   always fails the same executions, on any host.
+
+A device is therefore alive or dead, and its speed never changes during a
+run.  A permanently slow part is a device spec, not a fault: ``3x1,1x0.05``
+(see :func:`~repro.serving.devices.parse_device_specs`).
 
 The scheduler threads the plan into its devices
 (:meth:`repro.serving.devices.Device.set_fault_profile`) and its event
@@ -31,9 +28,6 @@ events::
 
     crash@2000:dev3                 # permanent crash at t=2000 ms
     crash@2000:dev3:restart=1500    # warm restart 1500 ms later
-    stall@1000+500:dev0             # no new work in [1000, 1500)
-    slow:dev2:x0.5                  # half speed for the whole run
-    slow@3000+2000:dev2:x0.25       # quarter speed in [3000, 5000)
     perr:0.02                       # 2% transient phase-error rate
 
 Device references accept ``devI`` or a bare index ``I``.
@@ -49,8 +43,6 @@ from repro.utils.hashing import hash_prefix, stable_hash_ints
 
 #: Fault event kind tags (mirrored in the spec grammar).
 FAULT_CRASH = "crash"
-FAULT_STALL = "stall"
-FAULT_SLOW = "slow"
 FAULT_PHASE_ERROR = "perr"
 
 
@@ -83,59 +75,6 @@ class DeviceCrash:
 
 
 @dataclass(frozen=True)
-class DeviceStall:
-    """No new work dispatches to ``device`` in ``[at_ms, at_ms + duration)``."""
-
-    device: int
-    at_ms: float
-    duration_ms: float
-
-    def __post_init__(self) -> None:
-        if self.device < 0:
-            raise ValueError(f"stall device index must be >= 0, got {self.device}")
-        if not math.isfinite(self.at_ms) or self.at_ms < 0:
-            raise ValueError(f"stall start must be finite and >= 0, got {self.at_ms}")
-        if not math.isfinite(self.duration_ms) or self.duration_ms <= 0:
-            raise ValueError(
-                f"stall duration must be finite and > 0, got {self.duration_ms}"
-            )
-
-    @property
-    def end_ms(self) -> float:
-        return self.at_ms + self.duration_ms
-
-
-@dataclass(frozen=True)
-class DeviceSlowdown:
-    """Multiply ``device``'s effective speed by ``factor`` inside a window."""
-
-    device: int
-    factor: float
-    at_ms: float = 0.0
-    duration_ms: float = math.inf  # default: the whole run
-
-    def __post_init__(self) -> None:
-        if self.device < 0:
-            raise ValueError(f"slowdown device index must be >= 0, got {self.device}")
-        if not math.isfinite(self.factor) or self.factor <= 0:
-            raise ValueError(
-                f"slowdown factor must be finite and > 0, got {self.factor}"
-            )
-        if not math.isfinite(self.at_ms) or self.at_ms < 0:
-            raise ValueError(
-                f"slowdown start must be finite and >= 0, got {self.at_ms}"
-            )
-        if self.duration_ms <= 0 or math.isnan(self.duration_ms):
-            raise ValueError(
-                f"slowdown duration must be > 0, got {self.duration_ms}"
-            )
-
-    @property
-    def end_ms(self) -> float:
-        return self.at_ms + self.duration_ms
-
-
-@dataclass(frozen=True)
 class PhaseErrorRate:
     """Each executed phase fails independently with probability ``rate``."""
 
@@ -147,22 +86,19 @@ class PhaseErrorRate:
 
 
 #: Any single fault event.
-FaultEvent = DeviceCrash | DeviceStall | DeviceSlowdown | PhaseErrorRate
+FaultEvent = DeviceCrash | PhaseErrorRate
 
 
 @dataclass(frozen=True)
 class DeviceFaultProfile:
-    """The slice of a fault plan that concerns one device.
+    """The slice of a fault plan that concerns one device: its crash.
 
-    This is what :class:`~repro.serving.devices.Device` consults for its
-    availability and effective speed; an all-default profile is the
-    fault-free case.
+    This is what :class:`~repro.serving.devices.Device` consults to know
+    whether it is alive; an all-default profile is the fault-free case.
     """
 
     crash_ms: float | None = None
     restart_ms: float | None = None  # absolute resume time; None = permanent
-    stalls: tuple[tuple[float, float], ...] = ()  # (start, end) windows
-    slowdowns: tuple[tuple[float, float, float], ...] = ()  # (start, end, factor)
 
     def is_dead(self, at_ms: float) -> bool:
         """True while the device is crashed (and not yet restarted)."""
@@ -170,33 +106,11 @@ class DeviceFaultProfile:
             return False
         return self.restart_ms is None or at_ms < self.restart_ms
 
-    def is_stalled(self, at_ms: float) -> bool:
-        return any(start <= at_ms < end for start, end in self.stalls)
-
-    def available(self, at_ms: float) -> bool:
-        """Can the device start new work at ``at_ms``?"""
-        return not self.is_dead(at_ms) and not self.is_stalled(at_ms)
-
-    def speed_factor(self, at_ms: float) -> float:
-        """Product of slowdown factors whose windows contain ``at_ms``."""
-        factor = 1.0
-        for start, end, window_factor in self.slowdowns:
-            if start <= at_ms < end:
-                factor *= window_factor
-        return factor
-
     def crash_during(self, start_ms: float, end_ms: float) -> float | None:
         """The crash time if it aborts work spanning ``[start, end)``."""
         if self.crash_ms is not None and start_ms < self.crash_ms < end_ms:
             return self.crash_ms
         return None
-
-    def unavailable_intervals(self) -> list[tuple[float, float]]:
-        """Dead + stalled windows (unmerged; ends may be ``inf``)."""
-        intervals = list(self.stalls)
-        if self.crash_ms is not None:
-            intervals.append((self.crash_ms, self.restart_ms or math.inf))
-        return intervals
 
 
 #: Profile every device gets when no plan is in force.
@@ -241,12 +155,13 @@ class FaultPlan:
         # The fixed head of every phase-error draw's hash payload.
         return hash_prefix(self.seed, "fault-phase-error")
 
-    def device_events(self) -> list[DeviceCrash | DeviceStall | DeviceSlowdown]:
-        return [e for e in self.events if not isinstance(e, PhaseErrorRate)]
+    def crashes(self) -> list[DeviceCrash]:
+        """The plan's crash events, in plan order."""
+        return [e for e in self.events if isinstance(e, DeviceCrash)]
 
     def validate_for(self, num_devices: int) -> None:
         """Raise if any event names a device the cluster does not have."""
-        for event in self.device_events():
+        for event in self.crashes():
             if event.device >= num_devices:
                 raise ValueError(
                     f"fault plan names device {event.device}, but the cluster "
@@ -256,49 +171,21 @@ class FaultPlan:
     def profiles(self, num_devices: int) -> list[DeviceFaultProfile]:
         """One :class:`DeviceFaultProfile` per device index."""
         self.validate_for(num_devices)
-        crash: dict[int, DeviceCrash] = {}
-        stalls: dict[int, list[tuple[float, float]]] = {}
-        slowdowns: dict[int, list[tuple[float, float, float]]] = {}
-        for event in self.device_events():
-            if isinstance(event, DeviceCrash):
-                crash[event.device] = event
-            elif isinstance(event, DeviceStall):
-                stalls.setdefault(event.device, []).append(
-                    (event.at_ms, event.end_ms)
-                )
-            elif isinstance(event, DeviceSlowdown):
-                slowdowns.setdefault(event.device, []).append(
-                    (event.at_ms, event.end_ms, event.factor)
-                )
-        profiles = []
-        for index in range(num_devices):
-            crashed = crash.get(index)
-            profiles.append(
-                DeviceFaultProfile(
-                    crash_ms=crashed.at_ms if crashed else None,
-                    restart_ms=crashed.restart_ms if crashed else None,
-                    stalls=tuple(sorted(stalls.get(index, []))),
-                    slowdowns=tuple(sorted(slowdowns.get(index, []))),
-                )
+        profiles = [HEALTHY_PROFILE] * num_devices
+        for crash in self.crashes():
+            profiles[crash.device] = DeviceFaultProfile(
+                crash_ms=crash.at_ms, restart_ms=crash.restart_ms
             )
         return profiles
 
     def wakeup_times(self) -> tuple[float, ...]:
-        """Sorted simulation times the scheduler must wake at.
-
-        Crash times (to abort and re-plan), restart times and stall ends
-        (newly available capacity), stall starts and finite slowdown
-        boundaries (dispatch pricing changes).
-        """
+        """Sorted simulation times the scheduler must wake at: crash times
+        (to abort and re-plan) and restart times (capacity comes back)."""
         times: set[float] = set()
-        for event in self.device_events():
-            times.add(event.at_ms)
-            if isinstance(event, DeviceCrash) and event.restart_ms is not None:
-                times.add(event.restart_ms)
-            elif isinstance(event, DeviceStall):
-                times.add(event.end_ms)
-            elif isinstance(event, DeviceSlowdown) and math.isfinite(event.end_ms):
-                times.add(event.end_ms)
+        for crash in self.crashes():
+            times.add(crash.at_ms)
+            if crash.restart_ms is not None:
+                times.add(crash.restart_ms)
         return tuple(sorted(times))
 
     def phase_fails(self, request_index: int, phase_index: int, attempt: int) -> bool:
@@ -318,16 +205,16 @@ class FaultPlan:
         return digest / float(1 << 64) < rate
 
     def degraded_ms(self, num_devices: int, horizon_ms: float) -> float:
-        """Sim time within ``[0, horizon]`` with >= 1 device dead or stalled."""
+        """Sim time within ``[0, horizon]`` with >= 1 device dead."""
         if horizon_ms <= 0:
             return 0.0
+        self.validate_for(num_devices)
         intervals: list[tuple[float, float]] = []
-        for profile in self.profiles(num_devices):
-            for start, end in profile.unavailable_intervals():
-                start = max(0.0, start)
-                end = min(end, horizon_ms)
-                if end > start:
-                    intervals.append((start, end))
+        for crash in self.crashes():
+            restart = math.inf if crash.restart_ms is None else crash.restart_ms
+            end = min(restart, horizon_ms)
+            if end > crash.at_ms:
+                intervals.append((crash.at_ms, end))
         if not intervals:
             return 0.0
         intervals.sort()
@@ -409,53 +296,6 @@ def parse_fault_spec(text: str, seed: int = 0) -> FaultPlan:
                     restart_delay_ms=restart,
                 )
             )
-        elif kind == FAULT_STALL:
-            start_text, sep, duration_text = when.partition("+")
-            if not sep or not rest:
-                raise ValueError(
-                    f"bad stall event {item!r} in spec {text!r}; expected "
-                    "stall@TIME+DURATION:devI"
-                )
-            events.append(
-                DeviceStall(
-                    device=_parse_device(rest, item, text),
-                    at_ms=_parse_float(start_text, "stall start", item, text),
-                    duration_ms=_parse_float(
-                        duration_text, "stall duration", item, text
-                    ),
-                )
-            )
-        elif kind == FAULT_SLOW:
-            dev_text, _, factor_text = rest.partition(":")
-            if not dev_text or not factor_text.startswith("x"):
-                raise ValueError(
-                    f"bad slowdown event {item!r} in spec {text!r}; expected "
-                    "slow:devI:xFACTOR or slow@TIME+DURATION:devI:xFACTOR"
-                )
-            factor = _parse_float(factor_text[1:], "slowdown factor", item, text)
-            if when:
-                start_text, sep, duration_text = when.partition("+")
-                if not sep:
-                    raise ValueError(
-                        f"bad slowdown window {when!r} in fault event {item!r}; "
-                        "expected TIME+DURATION"
-                    )
-                events.append(
-                    DeviceSlowdown(
-                        device=_parse_device(dev_text, item, text),
-                        factor=factor,
-                        at_ms=_parse_float(start_text, "slowdown start", item, text),
-                        duration_ms=_parse_float(
-                            duration_text, "slowdown duration", item, text
-                        ),
-                    )
-                )
-            else:
-                events.append(
-                    DeviceSlowdown(
-                        device=_parse_device(dev_text, item, text), factor=factor
-                    )
-                )
         elif kind == FAULT_PHASE_ERROR:
             if when or not rest:
                 raise ValueError(
@@ -468,7 +308,7 @@ def parse_fault_spec(text: str, seed: int = 0) -> FaultPlan:
         else:
             raise ValueError(
                 f"unknown fault kind {kind!r} in spec {text!r}; use one of "
-                f"{FAULT_CRASH}, {FAULT_STALL}, {FAULT_SLOW}, {FAULT_PHASE_ERROR}"
+                f"{FAULT_CRASH}, {FAULT_PHASE_ERROR}"
             )
     return FaultPlan(events=tuple(events), seed=seed)
 
@@ -481,16 +321,6 @@ def format_fault_plan(plan: FaultPlan) -> str:
             part = f"crash@{event.at_ms:g}:dev{event.device}"
             if event.restart_delay_ms is not None:
                 part += f":restart={event.restart_delay_ms:g}"
-        elif isinstance(event, DeviceStall):
-            part = f"stall@{event.at_ms:g}+{event.duration_ms:g}:dev{event.device}"
-        elif isinstance(event, DeviceSlowdown):
-            if math.isinf(event.duration_ms) and event.at_ms == 0.0:
-                part = f"slow:dev{event.device}:x{event.factor:g}"
-            else:
-                part = (
-                    f"slow@{event.at_ms:g}+{event.duration_ms:g}:"
-                    f"dev{event.device}:x{event.factor:g}"
-                )
         else:
             part = f"perr:{event.rate:g}"
         parts.append(part)
@@ -530,12 +360,8 @@ class RetryPolicy:
 __all__ = [
     "DeviceCrash",
     "DeviceFaultProfile",
-    "DeviceSlowdown",
-    "DeviceStall",
     "FAULT_CRASH",
     "FAULT_PHASE_ERROR",
-    "FAULT_SLOW",
-    "FAULT_STALL",
     "FaultPlan",
     "HEALTHY_PROFILE",
     "PhaseErrorRate",

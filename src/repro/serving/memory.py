@@ -166,9 +166,10 @@ class ClusterKVMemory:
         self.pools = [_BlockPool(capacity) for capacity in capacities]
         self._holdings: dict[int, dict[str, _Holding]] = {}  # request -> model
         self._running: set[int] = set()  # requests with a phase executing
-        # Residencies dropped outright (evicted / failed / preempted): their
-        # next admission pays the re-prefill penalty.
-        self._evicted: set[tuple[int, str]] = set()
+        # Residencies dropped outright (evicted / failed / preempted), as
+        # request -> models: their next admission pays the re-prefill
+        # penalty.  A finished request's entry goes with its release.
+        self._evicted: dict[int, set[str]] = {}
         self._lru: dict[int, int] = {}  # request -> last-admit tick
         self._tick = 0
         self.evictions = 0
@@ -274,8 +275,11 @@ class ClusterKVMemory:
         self._tick += 1
         self._lru[request] = self._tick
         penalty = 0.0
-        if (request, model) in self._evicted:
-            self._evicted.discard((request, model))
+        marks = self._evicted.get(request)
+        if marks is not None and model in marks:
+            marks.remove(model)
+            if not marks:
+                del self._evicted[request]
             penalty = self.spec.reprefill_ms_per_block * self.spec.blocks_for(
                 resident_tokens
             )
@@ -338,7 +342,9 @@ class ClusterKVMemory:
         Only a session whose phase is not executing may be released; a
         running one raises.  With ``evicted=True`` (queue preemption) each
         residency marks as evicted so the resumed session pays re-prefill
-        on its next dispatch.
+        on its next dispatch.  Otherwise the request is finished: its
+        re-prefill marks and LRU tick go too, including the mark of a model
+        evicted after its last phase.
         """
         if request in self._running:
             raise RuntimeError(f"request {request} has a phase executing")
@@ -346,10 +352,9 @@ class ClusterKVMemory:
         for model, holding in self._holdings.pop(request, {}).items():
             freed += self._release(model, holding)
             if evicted:
-                self._evicted.add((request, model))
-            else:
-                self._evicted.discard((request, model))
+                self._evicted.setdefault(request, set()).add(model)
         if not evicted:
+            self._evicted.pop(request, None)
             self._lru.pop(request, None)
         return freed
 
@@ -359,7 +364,7 @@ class ClusterKVMemory:
         freed = self._release(model, models.pop(model))
         if not models:
             del self._holdings[request]
-        self._evicted.add((request, model))
+        self._evicted.setdefault(request, set()).add(model)
         return freed
 
     def _release(self, model: str, holding: _Holding) -> int:

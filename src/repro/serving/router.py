@@ -230,25 +230,17 @@ class ColocatedRouter:
             raise ValueError("router needs at least one device")
         self.devices = devices
         self._members = list(devices)
-        self._available: set[int] | None = None
 
-    def plan_round(
-        self,
-        now_ms: float,
-        available: Sequence[int] | None = None,
-        speeds: dict[int, float] | None = None,
-    ) -> None:
-        """Record which devices may take work this round (None = all)."""
-        self._available = None if available is None else set(available)
+    def plan_round(self, now_ms: float) -> None:
+        """Nothing to plan each round: a request's home device depends only
+        on its index and the alive members, which
+        :meth:`on_membership_change` keeps current."""
 
     def route(self, request_index: int, phase: PhaseOutcome) -> Device | None:
-        """Home device of the request, or None while it is unavailable."""
+        """Home device of the request, or None while no device is alive."""
         if not self._members:
             return None
-        device = self._members[request_index % len(self._members)]
-        if self._available is not None and device.index not in self._available:
-            return None
-        return device
+        return self._members[request_index % len(self._members)]
 
     def on_membership_change(self, alive_indices: Sequence[int]) -> None:
         """Re-shard over the surviving devices after a crash or restart."""
@@ -256,10 +248,8 @@ class ColocatedRouter:
         self._members = [d for d in self.devices if d.index in alive]
 
     def pool_devices(self, phase: PhaseOutcome) -> list[Device]:
-        """Devices eligible for ``phase`` this round (the memory-shed check)."""
-        if self._available is None:
-            return list(self._members)
-        return [d for d in self._members if d.index in self._available]
+        """Devices that may run ``phase`` (the memory-shed check)."""
+        return list(self._members)
 
     def device_roles(self) -> tuple[str, ...]:
         """Per-device pool membership, index order (for reports)."""
@@ -297,10 +287,8 @@ class DisaggregatedRouter:
             if memory_blocks is None
             else {d.index: b for d, b in zip(devices, memory_blocks, strict=True)}
         )
-        self._available: set[int] | None = None
         self._projected: dict[int, float] = {}
         self._verify_peak: dict[int, float] = {}
-        self._speeds: dict[int, float] | None = None
         self._plan_pools(list(devices))
 
     def _plan_pools(self, members: list[Device]) -> None:
@@ -357,21 +345,13 @@ class DisaggregatedRouter:
         alive = set(alive_indices)
         self._plan_pools([d for d in self.devices if d.index in alive])
 
-    def plan_round(
-        self,
-        now_ms: float,
-        available: Sequence[int] | None = None,
-        speeds: dict[int, float] | None = None,
-    ) -> None:
-        """Reset per-round load projections to the devices' free times.
+    def plan_round(self, now_ms: float) -> None:
+        """Reset per-round load projections to the pool devices' free times.
 
-        ``available`` restricts routing to those device indices for this
-        round (transient stalls); ``speeds`` overrides per-device speeds in
-        the projections (slowdown faults), leaving nominal speeds in place
-        when omitted so fault-free routing is bit-identical to before.
+        The pools hold exactly the alive devices (see
+        :meth:`on_membership_change`), and device speeds never change
+        during a run, so nothing else about the round needs planning.
         """
-        self._available = None if available is None else set(available)
-        self._speeds = speeds
         self._projected = {
             device.index: max(now_ms, device.free_at)
             for device in {
@@ -379,17 +359,6 @@ class DisaggregatedRouter:
             }.values()
         }
         self._verify_peak = {}
-
-    def _speed(self, device: Device) -> float:
-        if self._speeds is not None:
-            return self._speeds.get(device.index, device.speed)
-        return device.speed
-
-    def _eligible(self, pool: list[Device]) -> list[Device]:
-        pool = [d for d in pool if self._speed(d) > 0]
-        if self._available is None:
-            return pool
-        return [d for d in pool if d.index in self._available]
 
     def _completion(self, device: Device, cost_ms: float, coalesce: bool) -> float:
         """Projected finish time of a ``cost_ms`` phase routed to ``device``.
@@ -409,7 +378,7 @@ class DisaggregatedRouter:
         return projected - peak + max(peak, cost_ms)
 
     def route(self, request_index: int, phase: PhaseOutcome) -> Device | None:
-        """Least-loaded *available* device of the phase's pool (or None).
+        """Least-loaded device of the phase's pool (or None).
 
         Each waiting phase goes to the pool device where it would finish
         earliest (ties: higher speed, then device index — deterministic on
@@ -417,24 +386,22 @@ class DisaggregatedRouter:
         one dispatch round spreads phases across equally-free pool devices
         instead of stacking them on a single argmin — except coalescible
         merged-verify phases, which deliberately stack (see
-        :meth:`_completion`).  Returns None when the whole pool is dead or
-        stalled this round; the phase stays queued.
+        :meth:`_completion`).  Returns None when every device is dead (both
+        pools are empty); the phase stays queued.
         """
-        pool = self._eligible(
-            self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool
-        )
+        pool = self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool
         if not pool:
             return None
         coalesce = self.merge_verify and phase.phase != PHASE_DRAFT
         device = min(
             pool,
             key=lambda d: (
-                self._completion(d, phase.ms / self._speed(d), coalesce),
-                -self._speed(d),
+                self._completion(d, phase.ms / d.speed, coalesce),
+                -d.speed,
                 d.index,
             ),
         )
-        cost = phase.ms / self._speed(device)
+        cost = phase.ms / device.speed
         self._projected[device.index] = self._completion(device, cost, coalesce)
         if coalesce:
             peak = self._verify_peak.get(device.index, 0.0)
@@ -442,10 +409,8 @@ class DisaggregatedRouter:
         return device
 
     def pool_devices(self, phase: PhaseOutcome) -> list[Device]:
-        """Devices eligible for ``phase`` this round (the memory-shed check)."""
-        return self._eligible(
-            self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool
-        )
+        """Devices that may run ``phase`` (the memory-shed check)."""
+        return list(self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool)
 
     def device_roles(self) -> tuple[str, ...]:
         """Per-device pool membership, index order (for reports)."""

@@ -12,8 +12,8 @@ runs one micro-batch of up to ``max_batch`` ready phases, and arrivals are
 admitted at every simulation event instead of waiting for a batch to drain.
 
 The loop is a discrete-event simulation.  Its event sources — request
-arrivals, batch completions, fault-plan wake-ups (crashes, restarts, stall
-boundaries) and the admissions/dispatches they enable — are processed in
+arrivals, batch completions, fault-plan wake-ups (crashes and restarts)
+and the admissions/dispatches they enable — are processed in
 deterministic order (devices by index, waiting phases FIFO by
 ``(class rank, ready time, request index)``), so one arrival trace
 schedules identically on every run, for every device count, device-spec
@@ -62,11 +62,12 @@ threads injected chaos through the loop:
 * Failed phases (crash aborts and transient phase errors) **retry with
   exponential backoff**, bounded by ``max_retries``; exhaustion sheds the
   request (reason ``"retries"``).
-* The router's projections **exclude dead and stalled devices**, and the
-  pool planner re-plans on every membership change (crash, warm restart).
-  Device fault state (alive set, available set, effective speeds) changes
-  only at the plan's wake-up times, so the loop recomputes it only when
-  ``now`` crosses one of them and reuses it for every event in between.
+* A device is alive or dead, and its speed never changes during a run.
+  Only alive devices take new work: the router's pools hold exactly the
+  alive set, re-planned on every membership change (crash, warm restart).
+  The alive set changes only at the plan's wake-up times, so the loop
+  recomputes it only when ``now`` crosses one of them and reuses it for
+  every event in between.
 
 **Memory awareness.**  With a :class:`~repro.serving.memory.MemorySpec`
 (or per-device ``@BLOCKS`` capacities) the scheduler bills KV residency
@@ -256,7 +257,7 @@ class ScheduleStats:
     preemptions: int = 0  # batch sessions bumped for interactive arrivals
     shed: int = 0  # requests dropped by the server itself
     displaced: int = 0  # queued batch entries bumped by interactive
-    degraded_ms: float = 0.0  # sim time with >= 1 device dead or stalled
+    degraded_ms: float = 0.0  # sim time with >= 1 device dead
     wasted_busy_ms: float = 0.0  # occupancy billed to crash-aborted batches
     fault_events: int = 0  # events in the injected plan
     # -- memory accounting (empty/zero when memory is unconstrained) -------
@@ -524,12 +525,10 @@ class _ServeLoop:
         self.order = itertools.count()
         self.wakeup_times = plan.wakeup_times() if plan is not None else ()
         self.now = 0.0
-        # Device fault state of the current fault epoch (the span between
-        # two wake-up times): recomputed only when ``now`` enters another.
+        # Alive devices of the current fault epoch (the span between two
+        # wake-up times): recomputed only when ``now`` enters another.
         self.epoch = -1
-        self.alive: tuple[int, ...] | None = None
-        self.available = tuple(device.index for device in self.devices)
-        self.speeds: dict[int, float] = {}
+        self.alive = tuple(device.index for device in self.devices)
         # Chaos counters, keyed by their ScheduleStats field names.
         self.tally = {
             "retries": 0,
@@ -746,11 +745,11 @@ class _ServeLoop:
             epoch = bisect_right(self.wakeup_times, now)
             if epoch != self.epoch:
                 self.enter_fault_epoch(epoch)
-        available = self.available
+        alive = self.alive
         free = [
             device
             for device in self.devices
-            if device.free_at <= now and device.index in available
+            if device.free_at <= now and device.index in alive
         ]
         waiting = []
         gated = []
@@ -776,19 +775,15 @@ class _ServeLoop:
             )
         if not free:
             return
-        if self.plan is not None:
-            self.router.plan_round(now, available=available, speeds=self.speeds)
-        else:
-            self.router.plan_round(now)
+        self.router.plan_round(now)
         self.route_and_launch(free, waiting)
 
     def enter_fault_epoch(self, epoch: int) -> None:
-        """Recompute device fault state for the epoch ``now`` lies in.
+        """Recompute the alive set for the epoch ``now`` lies in.
 
-        Crashes, restarts, stalls and slowdowns change state only at the
-        plan's wake-up times (every window is half-open), so the alive set,
-        available set and effective speeds hold until ``now`` crosses the
-        next one.
+        Crashes and restarts change it only at the plan's wake-up times
+        (every dead window is half-open), so it holds until ``now`` crosses
+        the next one.
         """
         now, router, devices = self.now, self.router, self.devices
         self.epoch = epoch
@@ -798,10 +793,6 @@ class _ServeLoop:
             # re-plans over the survivors.
             router.on_membership_change(alive)
             self.alive = alive
-        self.available = tuple(
-            device.index for device in devices if device.available(now)
-        )
-        self.speeds = {device.index: device.effective_speed(now) for device in devices}
 
     def route_and_launch(self, free: list[Device], waiting: list[_Active]) -> None:
         """Route the waiting phases, then launch on each ``free`` device."""
@@ -817,7 +808,7 @@ class _ServeLoop:
         for active in waiting:
             device = route(active.record.request.index, active.phase)
             if device is None:
-                continue  # whole pool dead/stalled; the phase waits
+                continue  # every device dead; the phase waits
             waiting_at.setdefault(device.index, []).append(active)
         memory, launch, max_batch = self.memory, self.launch, self.config.max_batch
         for device in free:
@@ -874,7 +865,7 @@ class _ServeLoop:
                     )
         crash = None
         if plan is not None and device.faults.crash_ms is not None:
-            busy = device.batch_busy_ms(phases, merge_verify=merge_verify, at_ms=start)
+            busy = device.batch_busy_ms(phases, merge_verify=merge_verify)
             crash = device.faults.crash_during(start, start + busy)
         end = device.execute(now, phases, merge_verify=merge_verify, abort_ms=crash)
         entries = []

@@ -217,6 +217,18 @@ class TestServeSimValidation:
         with pytest.raises(SystemExit, match="serve-sim: error"):
             main(["serve-sim", "--faults", "explode@100:dev0"])
 
+    @pytest.mark.parametrize(
+        "spec", ["stall@100+50:dev0", "slow:dev0:x0.5"], ids=["stall", "slow"]
+    )
+    def test_rejects_removed_fault_kinds(self, spec):
+        """A device is alive or dead: stall and slowdown windows are not
+        fault kinds (a slow part is a --device-spec), so they exit 1."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--no-max-qps", "--faults", spec])
+        message = str(excinfo.value.code)
+        assert message.startswith("specasr serve-sim: error: ")
+        assert "unknown fault kind" in message
+
     def test_rejects_fault_plan_naming_missing_device(self, capsys):
         with pytest.raises(SystemExit, match="dev0..dev1"):
             main(

@@ -4,18 +4,22 @@ The contracts under test, in rough order of appearance:
 
 * **Grammar** — ``parse_fault_spec`` and ``format_fault_plan`` round-trip,
   and malformed specs fail with actionable messages.
-* **Fault math** — per-device profiles answer dead/stalled/slowed queries
-  consistently, and :class:`~repro.serving.devices.Device` bills aborted
-  batches as wasted work.
+* **Fault math** — per-device profiles answer "is it dead?" consistently
+  (a device is alive or dead; its speed never changes during a run), and
+  :class:`~repro.serving.devices.Device` bills aborted batches as wasted
+  work.
 * **Recovery** — a crash + warm restart mid-run requeues the aborted
   phases and every surviving request's transcript stays bit-identical to
-  the fault-free run (the stepper only advances on commit).
+  the fault-free run (the stepper only advances on commit).  No batch
+  starts on a dead device, and the router's pools always hold exactly the
+  alive devices.
 * **Degradation** — retry exhaustion, permanent capacity loss, admission
   deadlines, displacement and preemption all shed *explicitly*, keeping
   the conservation invariant ``completed + rejected + shed == arrived``.
+  A permanently slow part is a device spec (``3x1,1x0.05``), and it still
+  runs each phase once.
 * **Determinism** — the same seed + plan reproduces identical reports
-  across reruns and across executor worker pools (satellite: requeue
-  determinism).
+  across reruns (requeue determinism).
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from repro.serving import (
     Device,
     DeviceCrash,
     DeviceFaultProfile,
-    DeviceSlowdown,
-    DeviceStall,
     FaultPlan,
     MemorySpec,
     PhaseErrorRate,
@@ -49,6 +51,7 @@ from repro.serving import (
     StreamSpec,
     build_decoder,
     format_fault_plan,
+    parse_device_specs,
     parse_fault_spec,
     simulate,
 )
@@ -76,10 +79,7 @@ TERMINAL = (STATUS_COMPLETED, STATUS_REJECTED, STATUS_SHED)
 
 class TestFaultSpecGrammar:
     def test_round_trip_every_kind(self):
-        spec = (
-            "crash@2000:dev3:restart=1500;stall@1000+500:dev0;"
-            "slow:dev2:x0.5;slow@3000+2000:dev1:x0.25;perr:0.02"
-        )
+        spec = "crash@2000:dev3:restart=1500;crash@100:dev1;perr:0.02"
         plan = parse_fault_spec(spec, seed=7)
         assert format_fault_plan(plan) == spec
         assert parse_fault_spec(format_fault_plan(plan), seed=7) == plan
@@ -108,14 +108,13 @@ class TestFaultSpecGrammar:
             ("crash:dev0", "crash@TIME:devI"),
             ("crash@100:dev0:reboot=5", "restart=MS"),
             ("crash@oops:dev0", "crash time"),
-            ("stall@100:dev0", "stall@TIME+DURATION:devI"),
-            ("stall@100+50", "stall@TIME+DURATION:devI"),
-            ("slow:dev0", "xFACTOR"),
-            ("slow:dev0:0.5", "xFACTOR"),
-            ("slow@100:dev0:x0.5", "TIME+DURATION"),
             ("perr", "perr:RATE"),
             ("perr@100:0.5", "perr:RATE"),
             ("fries:dev0", "unknown fault kind"),
+            # Stall and slowdown windows are not fault kinds: a device is
+            # alive or dead, and a slow part is a device spec.
+            ("stall@100+50:dev0", "unknown fault kind"),
+            ("slow:dev0:x0.5", "unknown fault kind"),
             ("crash@100:devX", "device reference"),
             ("crash@100:dev-1", "device index must be >= 0"),
         ],
@@ -130,10 +129,6 @@ class TestFaultSpecGrammar:
             DeviceCrash(device=0, at_ms=-1.0)
         with pytest.raises(ValueError, match="restart delay"):
             DeviceCrash(device=0, at_ms=1.0, restart_delay_ms=0.0)
-        with pytest.raises(ValueError, match="stall duration"):
-            DeviceStall(device=0, at_ms=0.0, duration_ms=0.0)
-        with pytest.raises(ValueError, match="slowdown factor"):
-            DeviceSlowdown(device=0, factor=0.0)
         with pytest.raises(ValueError, match="rate"):
             PhaseErrorRate(rate=1.0)
 
@@ -150,22 +145,20 @@ class TestFaultSpecGrammar:
 
 class TestFaultPlanViews:
     def test_profiles_slice_per_device(self):
-        plan = parse_fault_spec(
-            "crash@100:dev1:restart=50;stall@10+5:dev0;slow:dev0:x0.5"
-        )
-        healthy, crashed = plan.profiles(2)[0], plan.profiles(2)[1]
-        assert healthy.crash_ms is None
-        assert healthy.stalls == ((10.0, 15.0),)
-        assert healthy.slowdowns == ((0.0, math.inf, 0.5),)
+        plan = parse_fault_spec("crash@100:dev1:restart=50;crash@20:dev2;perr:0.1")
+        healthy, crashed, lost = plan.profiles(3)
+        assert healthy == HEALTHY_PROFILE
         assert crashed.crash_ms == 100.0 and crashed.restart_ms == 150.0
+        assert lost.crash_ms == 20.0 and lost.restart_ms is None
 
     def test_wakeup_times(self):
         plan = parse_fault_spec(
-            "crash@100:dev0:restart=50;stall@10+5:dev1;slow@20+30:dev1:x0.5"
+            "crash@100:dev0:restart=50;crash@10:dev1;crash@50:dev2:restart=100"
         )
-        assert plan.wakeup_times() == (10.0, 15.0, 20.0, 50.0, 100.0, 150.0)
-        # an unbounded slowdown contributes only its start
-        assert parse_fault_spec("slow:dev0:x0.5").wakeup_times() == (0.0,)
+        # crash and restart times, deduplicated (dev0 and dev2 both resume
+        # at 150); a permanent crash contributes only its start
+        assert plan.wakeup_times() == (10.0, 50.0, 100.0, 150.0)
+        assert parse_fault_spec("perr:0.5").wakeup_times() == ()
 
     def test_phase_error_rates_combine_independently(self):
         plan = parse_fault_spec("perr:0.5;perr:0.5")
@@ -210,13 +203,15 @@ class TestFaultPlanViews:
 
     def test_degraded_ms_merges_overlapping_windows(self):
         plan = parse_fault_spec(
-            "stall@100+200:dev0;stall@200+300:dev1;crash@1000:dev0:restart=500"
+            "crash@100:dev0:restart=200;crash@200:dev1:restart=300;"
+            "crash@1000:dev2:restart=500"
         )
-        # [100,500) merged from the stalls, [1000,1500) from the crash
-        assert plan.degraded_ms(2, 2000.0) == pytest.approx(900.0)
-        # the horizon clips the crash window
-        assert plan.degraded_ms(2, 1200.0) == pytest.approx(600.0)
-        assert plan.degraded_ms(2, 0.0) == 0.0
+        # [100,500) merged from the first two dead windows, [1000,1500)
+        # from the third
+        assert plan.degraded_ms(3, 2000.0) == pytest.approx(900.0)
+        # the horizon clips the last dead window
+        assert plan.degraded_ms(3, 1200.0) == pytest.approx(600.0)
+        assert plan.degraded_ms(3, 0.0) == 0.0
         assert FaultPlan().degraded_ms(2, 1000.0) == 0.0
         # a permanent crash degrades until the horizon
         forever = parse_fault_spec("crash@500:dev0")
@@ -232,20 +227,6 @@ class TestDeviceFaultProfile:
         permanent = DeviceFaultProfile(crash_ms=100.0)
         assert permanent.is_dead(1e9)
 
-    def test_stall_gates_availability_not_death(self):
-        profile = DeviceFaultProfile(stalls=((10.0, 20.0),))
-        assert profile.is_stalled(10.0) and not profile.is_stalled(20.0)
-        assert not profile.is_dead(15.0)
-        assert not profile.available(15.0) and profile.available(20.0)
-
-    def test_slowdown_factors_stack(self):
-        profile = DeviceFaultProfile(
-            slowdowns=((0.0, 100.0, 0.5), (50.0, 100.0, 0.5))
-        )
-        assert profile.speed_factor(25.0) == pytest.approx(0.5)
-        assert profile.speed_factor(75.0) == pytest.approx(0.25)
-        assert profile.speed_factor(100.0) == 1.0
-
     def test_crash_during_is_strictly_interior(self):
         profile = DeviceFaultProfile(crash_ms=100.0)
         assert profile.crash_during(50.0, 150.0) == 100.0
@@ -259,19 +240,6 @@ def _phase(ms: float, model: str = "draft-model") -> PhaseOutcome:
 
 
 class TestDeviceFaultMath:
-    def test_effective_speed_prices_batch_at_start(self):
-        device = Device(0, overlap=1.0, speed=2.0)
-        device.set_fault_profile(
-            DeviceFaultProfile(slowdowns=((100.0, 200.0, 0.5),))
-        )
-        assert device.effective_speed(50.0) == pytest.approx(2.0)
-        assert device.effective_speed(150.0) == pytest.approx(1.0)
-        batch = [_phase(100.0)]
-        assert device.batch_busy_ms(batch, at_ms=150.0) == pytest.approx(100.0)
-        assert device.batch_busy_ms(batch, at_ms=250.0) == pytest.approx(50.0)
-        # without at_ms the nominal speed applies (fault-free pricing)
-        assert device.batch_busy_ms(batch) == pytest.approx(50.0)
-
     def test_execute_abort_bills_wasted_work(self):
         device = Device(0, overlap=1.0)
         end = device.execute(0.0, [_phase(100.0)], abort_ms=60.0)
@@ -473,7 +441,7 @@ class TestCrashRecovery:
     ):
         trace = _trace(self.TRACE)
         plan = parse_fault_spec(
-            "crash@800:dev3:restart=1200;stall@300+400:dev1", seed=3
+            "crash@800:dev3:restart=1200;crash@300:dev1:restart=400", seed=3
         )
         _, scheduler = _run(
             chaos_decoder, clean_dataset, trace, cluster=self.CLUSTER, faults=plan
@@ -481,13 +449,13 @@ class TestCrashRecovery:
         profiles = plan.profiles(4)
         assert scheduler.last_dispatch_log, "expected dispatches"
         for device_index, start, end, phases, _aborted in scheduler.last_dispatch_log:
-            assert profiles[device_index].available(start)
+            assert not profiles[device_index].is_dead(start)
             assert end >= start and phases >= 1
-        # the crash aborted at least one in-flight batch on dev3
+        # only the crashing devices ever abort a batch
         aborted_on = {
             entry[0] for entry in scheduler.last_dispatch_log if entry[4]
         }
-        assert aborted_on <= {3}
+        assert aborted_on <= {1, 3}
 
     def test_crash_rerun_is_bit_identical(self, chaos_decoder, clean_dataset):
         """One scheduler instance run twice on the same trace replays it
@@ -530,14 +498,12 @@ class TestCrashRecovery:
 
 
 class TestFaultEpochs:
-    """Device fault state changes only at plan wake-up times, so the loop
-    recomputes it only when ``now`` crosses one; whatever it hands the
-    router must equal fresh per-device queries at that instant."""
+    """The alive set changes only at plan wake-up times, so the loop
+    recomputes it only when ``now`` crosses one; the loop's alive tuple and
+    the router's pools must equal fresh per-device queries at that
+    instant."""
 
-    SPEC = (
-        "slow@200+900:dev2:x0.5;stall@350+300:dev1;"
-        "crash@500:dev3:restart=400;crash@1300:dev0"
-    )
+    SPEC = "crash@350:dev1:restart=300;crash@500:dev3:restart=400;crash@1300:dev0"
 
     def test_router_sees_fresh_fault_state_at_every_dispatch(
         self, chaos_decoder, clean_dataset, monkeypatch
@@ -547,24 +513,21 @@ class TestFaultEpochs:
         dispatch = _ServeLoop.dispatch
         plan_round = DisaggregatedRouter.plan_round
 
+        def alive_at(devices, now_ms):
+            return tuple(d.index for d in devices if not d.is_dead(now_ms))
+
         def recorded_dispatch(loop):
             seen.append(loop.now)
             dispatch(loop)
             # free devices are picked from this, planned or not
-            fresh = tuple(d.index for d in loop.devices if d.available(loop.now))
-            assert loop.available == fresh
+            assert loop.alive == alive_at(loop.devices, loop.now)
 
-        def checked_plan_round(router, now_ms, available=None, speeds=None):
-            devices = router.devices
-            assert tuple(available) == tuple(
-                d.index for d in devices if d.available(now_ms)
-            )
-            assert speeds == {d.index: d.effective_speed(now_ms) for d in devices}
+        def checked_plan_round(router, now_ms):
             # the pools span exactly the devices alive now
             members = {d.index for d in (*router.draft_pool, *router.target_pool)}
-            assert members == {d.index for d in devices if not d.is_dead(now_ms)}
+            assert members == set(alive_at(router.devices, now_ms))
             planned.append(now_ms)
-            plan_round(router, now_ms, available, speeds)
+            plan_round(router, now_ms)
 
         monkeypatch.setattr(_ServeLoop, "dispatch", recorded_dispatch)
         monkeypatch.setattr(DisaggregatedRouter, "plan_round", checked_plan_round)
@@ -675,22 +638,24 @@ class TestDegradation:
         assert records[0].status == records[2].status == STATUS_COMPLETED
         assert stats.displaced == 1
 
-    def test_permanent_slowdown_runs_each_phase_once(self, chaos_decoder, clean_dataset):
-        # A 20x-slow dev3 leaves healthy devices idle while its phases run
-        # far past their pool's median.  Each phase still has exactly one
-        # dispatched copy: the slowed run executes as many phases as the
-        # fault-free one, only later, with the same transcripts.
+    def test_permanent_slowdown_runs_each_phase_once(
+        self, chaos_decoder, clean_dataset
+    ):
+        # A 20x-slow dev3 (a device spec, not a fault) leaves healthy
+        # devices idle while its phases run far past their pool's median.
+        # Each phase still has exactly one dispatched copy: the slowed run
+        # executes as many phases as the all-fast one, only later, with the
+        # same transcripts.
         trace = _trace([(i % 6, 5.0 * i) for i in range(24)])
-        cluster = ClusterConfig(devices=4)
-        plan = parse_fault_spec("slow:dev3:x0.05")
-        baseline, fault_free = _run(chaos_decoder, clean_dataset, trace, cluster=cluster)
-        records, scheduler = _run(
-            chaos_decoder, clean_dataset, trace, cluster=cluster, faults=plan
+        baseline, fast = _run(
+            chaos_decoder, clean_dataset, trace, cluster=ClusterConfig(devices=4)
         )
+        slowed = ClusterConfig(device_specs=parse_device_specs("3x1,1x0.05"))
+        records, scheduler = _run(chaos_decoder, clean_dataset, trace, cluster=slowed)
         stats = scheduler.last_stats
         _assert_conservation(records, stats)
-        assert stats.rounds == fault_free.last_stats.rounds
-        assert stats.sim_end_ms > fault_free.last_stats.sim_end_ms
+        assert stats.rounds == fast.last_stats.rounds
+        assert stats.sim_end_ms > fast.last_stats.sim_end_ms
         for record, reference in zip(records, baseline, strict=True):
             assert record.status == STATUS_COMPLETED
             assert record.tokens == reference.tokens

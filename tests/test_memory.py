@@ -6,9 +6,11 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
   admissions, commits, failures and releases with at most one phase
   executing per request: a device's used blocks never exceed its capacity,
   the pool ledger always equals the sum of holdings (block conservation,
-  ``audit()``), eviction never touches a session whose phase is executing,
-  a stalled admission leaves the session's residency where it was, and a
-  fully drained allocator holds zero blocks.
+  ``audit()``), eviction never touches a session whose phase is executing
+  or the session being admitted, a stalled admission leaves the session's
+  residencies where they were, and a fully drained allocator holds zero
+  blocks.  The tapes are built so that admissions do evict idle sessions.
+  A finished request leaves no re-prefill mark or LRU tick behind.
 * **Parity contract** — with ample capacity, a memory-enabled run is
   bit-identical to the memory-disabled scheduler across router policies
   and device counts: same transcripts, same timings, same stats, no
@@ -116,12 +118,12 @@ class _AllocatorHarness:
         self.running: dict[int, tuple[str, int]] = {}
         self.committed: dict[tuple[int, str], int] = {}
 
-    def running_snapshot(self):
-        """Residencies of every session with a phase executing."""
+    def snapshot(self, requests):
+        """Residencies of the sessions of ``requests``."""
         return {
             key: _shape(holding)
             for key, holding in _flat_holdings(self.memory).items()
-            if key[0] in self.running
+            if key[0] in requests
         }
 
     def check(self):
@@ -137,9 +139,8 @@ class _AllocatorHarness:
         key = (request, model)
         resident = self.committed.get(key, 0)
         peak = max(peak, resident)
-        before = self.running_snapshot()
-        own = _flat_holdings(self.memory).get(key)
-        own_before = _shape(own) if own is not None else None
+        before = self.snapshot(self.running)
+        own_before = self.snapshot({request})
         grant = self.memory.admit(
             device, request, model, f"utt-{request % 3}", peak, resident
         )
@@ -148,13 +149,17 @@ class _AllocatorHarness:
         for key_b, shape in before.items():
             assert key_b in after, "eviction touched a running session"
             assert _shape(after[key_b]) == shape
+        own_after = self.snapshot({request})
         if grant is None:
-            # A stalled admission leaves the session's residency in place.
-            own = after.get(key)
-            assert (_shape(own) if own is not None else None) == own_before
+            # A stalled admission leaves the session's residencies in place.
+            assert own_after == own_before
         else:
             assert grant >= 0.0
             assert after[key].device == device
+            # Nor does eviction take the admitted session's other residency.
+            own_before.pop(key, None)
+            own_after.pop(key)
+            assert own_after == own_before
             self.running[request] = (model, peak)
         self.check()
 
@@ -193,15 +198,33 @@ class _AllocatorHarness:
 
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["admit", "commit", "fail", "release"]),
-        st.integers(min_value=0, max_value=5),  # request
+        # "fill" drawn twice as often, and tapes of 12+ ops, so idle sessions
+        # pile up and later admissions have to evict them
+        st.sampled_from(["admit", "commit", "fail", "release"] + ["fill"] * 2),
+        st.integers(min_value=0, max_value=3),  # request
         st.integers(min_value=0, max_value=1),  # model index
         st.integers(min_value=0, max_value=2),  # device
         st.integers(min_value=1, max_value=90),  # peak tokens
     ),
-    min_size=1,
+    min_size=12,
     max_size=60,
 )
+
+
+def _play(harness, tape):
+    for op, request, model_idx, device, peak in tape:
+        if op in ("admit", "fill"):
+            harness.admit(request, MODELS[model_idx], device, peak)
+            if op == "fill":
+                # The phase commits its whole peak: the session goes idle
+                # holding every block it reserved.
+                harness.settle(request, commit=True, accepted=peak)
+        elif op == "commit":
+            harness.settle(request, commit=True, accepted=peak // 4)
+        elif op == "fail":
+            harness.settle(request, commit=False, accepted=0)
+        else:
+            harness.release(request)
 
 
 class TestAllocatorProperties:
@@ -219,15 +242,7 @@ class TestAllocatorProperties:
             device_blocks=capacity, block_size=block_size, prefix_sharing=sharing
         )
         harness = _AllocatorHarness([capacity, capacity, None], spec)
-        for op, request, model_idx, device, peak in tape:
-            if op == "admit":
-                harness.admit(request, MODELS[model_idx], device, peak)
-            elif op == "commit":
-                harness.settle(request, commit=True, accepted=peak // 4)
-            elif op == "fail":
-                harness.settle(request, commit=False, accepted=0)
-            else:
-                harness.release(request)
+        _play(harness, tape)
         harness.drain()
 
     @given(tape=ops)
@@ -235,15 +250,7 @@ class TestAllocatorProperties:
     def test_unbounded_pools_never_stall(self, tape):
         spec = MemorySpec(device_blocks=8)  # spec default irrelevant: None caps
         harness = _AllocatorHarness([None, None, None], spec)
-        for op, request, model_idx, device, peak in tape:
-            if op == "admit":
-                harness.admit(request, MODELS[model_idx], device, peak)
-            elif op == "commit":
-                harness.settle(request, commit=True, accepted=peak // 4)
-            elif op == "fail":
-                harness.settle(request, commit=False, accepted=0)
-            else:
-                harness.release(request)
+        _play(harness, tape)
         assert harness.memory.stalls == 0
         assert harness.memory.evictions == 0
         harness.drain()
@@ -268,10 +275,9 @@ def _scan_release(memory, request, evicted=False):
             continue
         freed += _scan_drop(memory, owner, model, holding)
         if evicted:
-            memory._evicted.add((owner, model))
-        else:
-            memory._evicted.discard((owner, model))
+            memory._evicted.setdefault(owner, set()).add(model)
     if not evicted:
+        memory._evicted.pop(request, None)
         memory._lru.pop(request, None)
     return freed
 
@@ -302,7 +308,7 @@ def _scan_evict(memory, device, shortfall, protect):
         for (owner, model), holding in list(_flat_holdings(memory).items()):
             if owner == victim and holding.device == device:
                 victim_freed += _scan_drop(memory, owner, model, holding)
-                memory._evicted.add((owner, model))
+                memory._evicted.setdefault(owner, set()).add(model)
         if victim_freed:
             freed += victim_freed
             memory.evictions += 1
@@ -319,7 +325,7 @@ def _allocator_state(memory):
             for key, holding in _flat_holdings(memory).items()
         },
         set(memory._running),
-        set(memory._evicted),
+        {request: set(models) for request, models in memory._evicted.items()},
         dict(memory._lru),
         memory.evictions,
         memory.evicted_blocks,
@@ -439,6 +445,26 @@ class TestAllocatorUnit:
         }
         assert remaining == {(r, m, d) for r, d in ((1, 0), (2, 1)) for m in MODELS}
         memory.audit()
+
+    def test_finished_request_leaves_no_reprefill_mark(self):
+        memory = ClusterKVMemory(MemorySpec(device_blocks=4, block_size=4), [4, 4])
+        draft, target = MODELS
+        # Request 0's last draft phase commits 8 tokens on device 0.
+        memory.admit(0, 0, draft, "a", 8, 0)
+        memory.settle(0, draft, 8, committed=True)
+        # Request 1 needs all of device 0: the idle draft residency goes.
+        assert memory.admit(0, 1, draft, "b", 12, 0) == 0.0
+        assert memory.evictions == 1
+        memory.settle(1, draft, 12, committed=True)
+        memory.release_request(1)
+        # Request 0 runs its last phase, a verify on device 1, and completes.
+        memory.admit(1, 0, target, "a", 8, 0)
+        memory.settle(0, target, 8, committed=True)
+        memory.release_request(0)
+        # The draft model's re-prefill mark went with the request.
+        assert not memory._evicted
+        assert not memory._lru
+        memory.audit(drained=True)
 
     def test_running_session_never_evicted_even_under_pressure(self):
         spec = MemorySpec(device_blocks=4, block_size=4)

@@ -15,13 +15,13 @@ and cluster shape, not just the hand-picked fixtures of the unit suites:
   is monotonically non-increasing in ``overlap``.
 
 * **Chaos invariants** — for *any* seeded fault plan (crashes with or
-  without warm restart, stall windows, slowdowns, transient phase
-  errors), any priority mix, with or without a KV block limit and with
-  offline or streamed arrivals: conservation extends to
+  without warm restart, transient phase errors) on a cluster of unequal
+  device speeds, any priority mix, with or without a KV block limit and
+  with offline or streamed arrivals: conservation extends to
   ``completed + rejected + shed == arrived``, no micro-batch ever starts
-  on a dead or stalled device, per-device dispatch timelines stay
-  monotone across failure gaps, and every request that completes does so
-  with a transcript bit-identical to the fault-free decode.
+  on a dead device, per-device dispatch timelines stay monotone across
+  failure gaps, and every request that completes does so with a
+  transcript bit-identical to the fault-free decode.
 
 All examples are bounded and deadline-free (``deadline=None``,
 ``derandomize=True``) so the suite is CI-stable by construction.
@@ -40,8 +40,7 @@ from repro.serving import (
     ContinuousBatchScheduler,
     Device,
     DeviceCrash,
-    DeviceSlowdown,
-    DeviceStall,
+    DeviceSpec,
     FaultPlan,
     PhaseErrorRate,
     SchedulerConfig,
@@ -258,7 +257,7 @@ chaos_device_indices = st.integers(min_value=0, max_value=CHAOS_DEVICES - 1)
 
 @st.composite
 def fault_plans(draw):
-    """Any composition of the four fault kinds on a 4-device cluster."""
+    """Any composition of crashes and phase errors on a 4-device cluster."""
     events = []
     if draw(st.booleans()):  # at most one crash keeps the plan valid
         events.append(
@@ -273,23 +272,6 @@ def fault_plans(draw):
                 ),
             )
         )
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        events.append(
-            DeviceStall(
-                device=draw(chaos_device_indices),
-                at_ms=draw(event_times),
-                duration_ms=draw(st.floats(min_value=10.0, max_value=800.0)),
-            )
-        )
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        events.append(
-            DeviceSlowdown(
-                device=draw(chaos_device_indices),
-                factor=draw(st.floats(min_value=0.1, max_value=2.0)),
-                at_ms=draw(event_times),
-                duration_ms=draw(st.floats(min_value=50.0, max_value=1500.0)),
-            )
-        )
     if draw(st.booleans()):
         events.append(
             PhaseErrorRate(rate=draw(st.floats(min_value=0.0, max_value=0.25)))
@@ -298,11 +280,11 @@ def fault_plans(draw):
 
 
 def _check_chaos_run(
-    decoder, dataset, plan, arrival_gaps, priorities, max_batch, kv_blocks, rtf
+    decoder, dataset, plan, speeds, arrival_gaps, priorities, max_batch, kv_blocks, rtf
 ):
-    """Serve one chaos trace on the 4-device disaggregated cluster and
-    assert conservation, dead-device timelines, lossless completers and
-    one dispatched copy per phase."""
+    """Serve one chaos trace on a 4-device disaggregated cluster with the
+    drawn device ``speeds`` and assert conservation, dead-device timelines,
+    lossless completers and one dispatched copy per phase."""
     trace = []
     now = 0.0
     for index, gap in enumerate(arrival_gaps):
@@ -311,7 +293,10 @@ def _check_chaos_run(
     scheduler = ContinuousBatchScheduler(
         decoder,
         SchedulerConfig(max_batch=max_batch, max_inflight=max_batch + 2),
-        ClusterConfig(devices=CHAOS_DEVICES, router="disaggregated"),
+        ClusterConfig(
+            router="disaggregated",
+            device_specs=tuple(DeviceSpec(speed=speed) for speed in speeds),
+        ),
         faults=plan,
         memory=MemorySpec(device_blocks=kv_blocks),
     )
@@ -334,12 +319,12 @@ def _check_chaos_run(
                 "memory",
             )
 
-    # no micro-batch ever starts on a dead or stalled device, and each
-    # device's dispatch timeline stays monotone across failure gaps
+    # no micro-batch ever starts on a dead device, and each device's
+    # dispatch timeline stays monotone across failure gaps
     profiles = plan.profiles(CHAOS_DEVICES)
     per_device_end = [0.0] * CHAOS_DEVICES
     for device_index, start, end, phases, _aborted in scheduler.last_dispatch_log:
-        assert profiles[device_index].available(start)
+        assert not profiles[device_index].is_dead(start)
         assert phases >= 1
         assert start >= per_device_end[device_index] - 1e-9
         assert end >= start
@@ -379,11 +364,18 @@ def _check_chaos_run(
 
 
 priority_lists = st.lists(st.sampled_from(PRIORITY_CLASSES), min_size=10, max_size=10)
+# Unequal speeds give the least-loaded router real choices under chaos.
+chaos_speeds = st.lists(
+    st.sampled_from((0.25, 0.5, 1.0, 2.0)),
+    min_size=CHAOS_DEVICES,
+    max_size=CHAOS_DEVICES,
+)
 
 
 class TestChaosInvariants:
     @given(
         plan=fault_plans(),
+        speeds=chaos_speeds,
         arrival_gaps=st.lists(
             st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
             min_size=2,
@@ -400,6 +392,7 @@ class TestChaosInvariants:
         serving_decoder,
         clean_dataset,
         plan,
+        speeds,
         arrival_gaps,
         priorities,
         max_batch,
@@ -410,6 +403,7 @@ class TestChaosInvariants:
             serving_decoder,
             clean_dataset,
             plan,
+            speeds,
             arrival_gaps,
             priorities,
             max_batch,
@@ -419,6 +413,7 @@ class TestChaosInvariants:
 
     @given(
         plan=fault_plans(),
+        speeds=chaos_speeds,
         arrival_gaps=st.lists(
             st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
             min_size=6,
@@ -434,6 +429,7 @@ class TestChaosInvariants:
         serving_decoder,
         clean_dataset,
         plan,
+        speeds,
         arrival_gaps,
         priorities,
         max_batch,
@@ -445,6 +441,7 @@ class TestChaosInvariants:
             serving_decoder,
             clean_dataset,
             plan,
+            speeds,
             arrival_gaps,
             priorities,
             max_batch,
