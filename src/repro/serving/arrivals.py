@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.data.corpus import Utterance
 from repro.serving.request import (
     PRIORITY_BATCH,
@@ -63,9 +65,14 @@ class Arrival:
 
 
 def _assign_utterances(rng: RngStream, count: int, dataset_size: int) -> list[int]:
+    """Uniform utterance draws, one per arrival.
+
+    One ``integers(size=count)`` call consumes the stream exactly like
+    ``count`` scalar draws, so the result equals the per-arrival loop.
+    """
     if dataset_size < 1:
         raise ValueError("dataset must hold at least one utterance")
-    return [rng.integers(0, dataset_size) for _ in range(count)]
+    return rng.numpy.integers(0, dataset_size, size=count).tolist()
 
 
 def _assign_priorities(seed: int, count: int, batch_fraction: float) -> list[str]:
@@ -100,25 +107,26 @@ def poisson_trace(
     are drawn uniformly from the corpus.  Deterministic in ``seed``.
     ``rtf > 0`` tags every arrival as a streamed audio source at that
     real-time factor (chunk timing is derived later, per utterance).
+    All gaps come from one ``exponential(size=n)`` call and add up in one
+    ``cumsum``: the same draws, summed left to right in the same order, as
+    a per-gap loop.
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
     if not qps > 0:
         raise ValueError(f"qps must be positive, got {qps}")
     gaps = RngStream(seed, "serve-arrivals", "gaps")
-    mean_gap_ms = 1000.0 / qps
+    times = np.cumsum(gaps.numpy.exponential(1000.0 / qps, size=num_requests))
     utterances = _assign_utterances(
         RngStream(seed, "serve-arrivals", "utterances"), num_requests, dataset_size
     )
     priorities = _assign_priorities(seed, num_requests, batch_fraction)
-    arrivals = []
-    now = 0.0
-    for index in range(num_requests):
-        now += gaps.numpy.exponential(mean_gap_ms)
-        arrivals.append(
-            Arrival(index, utterances[index], float(now), priorities[index], rtf)
+    return [
+        Arrival(index, utterance, at_ms, priority, rtf)
+        for index, (utterance, at_ms, priority) in enumerate(
+            zip(utterances, times.tolist(), priorities, strict=True)
         )
-    return arrivals
+    ]
 
 
 def uniform_trace(

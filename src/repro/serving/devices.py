@@ -239,8 +239,12 @@ class Device:
         verify group into a single batched target pass (overlap 1: busy is
         the critical path).  The whole bill scales by ``1 / speed`` — the
         cost model is linear in the per-phase costs, so a half-speed part
-        takes exactly twice the device time for any batch.
+        takes exactly twice the device time for any batch.  A one-phase
+        batch costs ``ms / speed``: its one group reduces to
+        ``c + (1 - overlap) * (c - c)``, which is ``c`` for any finite cost.
         """
+        if len(phases) == 1:
+            return phases[0].ms / self.speed
         groups: dict[tuple[str, str], list[float]] = {}
         for outcome in phases:
             groups.setdefault((outcome.model, outcome.phase), []).append(outcome.ms)

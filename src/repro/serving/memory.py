@@ -437,7 +437,8 @@ class ClusterKVMemory:
         ``used == private blocks + distinct shared blocks`` per device, and
         nothing exceeds capacity.  With ``drained=True`` (every request is
         terminal, as at the end of a scheduler run) any used block,
-        residency or running phase left over is a leak and fails too.
+        residency, running phase, re-prefill mark or LRU tick left over is
+        a leak and fails too.
         """
         private = [0] * len(self.pools)
         for models in self._holdings.values():
@@ -455,9 +456,16 @@ class ClusterKVMemory:
                     f"device {device}: {pool.used} blocks used exceeds "
                     f"capacity {pool.capacity}"
                 )
-        if drained and (self._holdings or self._running or any(self.used_blocks())):
+        if drained and (
+            self._holdings
+            or self._running
+            or self._evicted
+            or self._lru
+            or any(self.used_blocks())
+        ):
             raise AssertionError(
                 f"KV leaked: requests {sorted(self._holdings)} still resident, "
                 f"{sorted(self._running)} running, blocks used "
-                f"{self.used_blocks()}"
+                f"{self.used_blocks()}, re-prefill marks on "
+                f"{sorted(self._evicted)}, LRU ticks on {sorted(self._lru)}"
             )

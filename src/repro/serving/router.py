@@ -40,11 +40,16 @@ one dict entry — there is no dispatch chain a new policy can silently miss.
   DistServe/Splitwise-style answer to asymmetric phase compute.
 
 **Within-pool routing** is least-loaded instead of ``request_index %
-len(pool)``: at each dispatch round the router projects every pool
-device's next free time and sends each waiting phase to the device with
-the earliest projection (ties broken by higher speed, then device index —
-fully deterministic).  On heterogeneous pools this keeps slow devices from
-becoming static hash-bucket hotspots.
+len(pool)``: in each dispatch round the router projects a pool device's
+next free time (``max(now, free_at)``, filled when a route first reads it)
+and sends each waiting phase to the device with the earliest projected
+finish (ties broken by higher speed, then device index — fully
+deterministic).  On heterogeneous pools this keeps slow devices from
+becoming static hash-bucket hotspots.  A round routes only the phases that
+can start in it: a phase whose pool has no device free at ``now`` waits
+for a later round, which changes no launch (see
+:meth:`DisaggregatedRouter.route`; ``tests/test_router_planner.py`` keeps
+the router that routed every phase as the reference).
 
 :class:`ClusterConfig` is the serialisable knob set threaded through
 :class:`~repro.serving.simulator.ServeSimConfig` and the CLI.
@@ -287,6 +292,8 @@ class DisaggregatedRouter:
             if memory_blocks is None
             else {d.index: b for d, b in zip(devices, memory_blocks, strict=True)}
         )
+        # Round state, set by plan_round.
+        self._now = 0.0
         self._projected: dict[int, float] = {}
         self._verify_peak: dict[int, float] = {}
         self._plan_pools(list(devices))
@@ -295,8 +302,11 @@ class DisaggregatedRouter:
         """(Re)compute the draft/target pools over ``members``.
 
         With one survivor, both pools collapse onto it (degraded colocated
-        operation); with none, both pools empty and every route waits.
+        operation); with none, both pools empty and every route waits.  A
+        re-plan closes the open round, whose free marks describe the old
+        pools: routes return None until the next :meth:`plan_round`.
         """
+        self._draft_free = self._target_free = False
         if len(members) >= 2:
             if self._split == SPLIT_FIXED:
                 # Verify is the heavier side (the target model is the big
@@ -346,67 +356,74 @@ class DisaggregatedRouter:
         self._plan_pools([d for d in self.devices if d.index in alive])
 
     def plan_round(self, now_ms: float) -> None:
-        """Reset per-round load projections to the pool devices' free times.
+        """Open a dispatch round at ``now_ms``.
 
-        The pools hold exactly the alive devices (see
-        :meth:`on_membership_change`), and device speeds never change
+        Records ``now_ms``, empties the load projections and marks each
+        pool that has a device free by then (``free_at <= now_ms``).  A
+        projection is filled only when a route first reads it, as
+        ``max(now_ms, free_at)``.  The pools hold exactly the alive devices
+        (see :meth:`on_membership_change`), and device speeds never change
         during a run, so nothing else about the round needs planning.
         """
-        self._projected = {
-            device.index: max(now_ms, device.free_at)
-            for device in {
-                d.index: d for d in (*self.draft_pool, *self.target_pool)
-            }.values()
-        }
+        self._now = now_ms
+        self._projected = {}
         self._verify_peak = {}
-
-    def _completion(self, device: Device, cost_ms: float, coalesce: bool) -> float:
-        """Projected finish time of a ``cost_ms`` phase routed to ``device``.
-
-        Ordinarily each routed phase extends the device's projection by its
-        full cost.  Under merged verification, co-scheduled verify phases on
-        one device coalesce to their critical path, so an extra verify phase
-        only extends the projection past the round's current peak — which is
-        what makes stacking verify work on one target device (the merged
-        policy's whole point) look as cheap to the router as it is to
-        :meth:`~repro.serving.devices.Device.batch_busy_ms`.
-        """
-        projected = self._projected.get(device.index, device.free_at)
-        if not coalesce:
-            return projected + cost_ms
-        peak = self._verify_peak.get(device.index, 0.0)
-        return projected - peak + max(peak, cost_ms)
+        self._draft_free = any(d.free_at <= now_ms for d in self.draft_pool)
+        self._target_free = any(d.free_at <= now_ms for d in self.target_pool)
 
     def route(self, request_index: int, phase: PhaseOutcome) -> Device | None:
-        """Least-loaded device of the phase's pool (or None).
+        """Least-loaded device of the phase's pool, or None when no device
+        of that pool is free this round.
 
         Each waiting phase goes to the pool device where it would finish
         earliest (ties: higher speed, then device index — deterministic on
         any cluster shape), and the projection then charges that device, so
         one dispatch round spreads phases across equally-free pool devices
-        instead of stacking them on a single argmin — except coalescible
-        merged-verify phases, which deliberately stack (see
-        :meth:`_completion`).  Returns None when every device is dead (both
-        pools are empty); the phase stays queued.
+        instead of stacking them on a single argmin.  Coalescible
+        merged-verify phases deliberately stack: co-scheduled verify phases
+        on one device coalesce to their critical path, so an extra verify
+        phase only extends the projection past the round's current peak —
+        which makes stacking verify work on one target device (the merged
+        policy's whole point) look as cheap to the router as it is to
+        :meth:`~repro.serving.devices.Device.batch_busy_ms`.
+
+        A phase whose pool has no free device could only be placed on a
+        busy one, which launches nothing this round; since the pools are
+        disjoint (or one shared device), skipping it changes no projection
+        another pool reads.  So it returns None at once, as it does before
+        any :meth:`plan_round` and while every device is dead (both pools
+        empty); the phase stays queued.
         """
-        pool = self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool
-        if not pool:
-            return None
-        coalesce = self.merge_verify and phase.phase != PHASE_DRAFT
-        device = min(
-            pool,
-            key=lambda d: (
-                self._completion(d, phase.ms / d.speed, coalesce),
-                -d.speed,
-                d.index,
-            ),
-        )
-        cost = phase.ms / device.speed
-        self._projected[device.index] = self._completion(device, cost, coalesce)
+        if phase.phase == PHASE_DRAFT:
+            if not self._draft_free:
+                return None
+            pool = self.draft_pool
+            coalesce = False
+        else:
+            if not self._target_free:
+                return None
+            pool = self.target_pool
+            coalesce = self.merge_verify
+        now, projected, verify_peak = self._now, self._projected, self._verify_peak
+        best = None
+        for device in pool:
+            index = device.index
+            start = projected.get(index)
+            if start is None:
+                start = projected[index] = max(now, device.free_at)
+            cost = phase.ms / device.speed
+            if coalesce:
+                peak = verify_peak.get(index, 0.0)
+                finish = start - peak + max(peak, cost)
+            else:
+                finish = start + cost
+            key = (finish, -device.speed, index)
+            if best is None or key < best_key:
+                best, best_key, best_cost = device, key, cost
+        projected[best.index] = best_key[0]
         if coalesce:
-            peak = self._verify_peak.get(device.index, 0.0)
-            self._verify_peak[device.index] = max(peak, cost)
-        return device
+            verify_peak[best.index] = max(verify_peak.get(best.index, 0.0), best_cost)
+        return best
 
     def pool_devices(self, phase: PhaseOutcome) -> list[Device]:
         """Devices that may run ``phase`` (the memory-shed check)."""

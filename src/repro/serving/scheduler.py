@@ -130,6 +130,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from repro.data.corpus import Dataset
@@ -148,6 +149,7 @@ from repro.serving.request import (
     SHED_MEMORY,
     SHED_RETRIES,
     STATUS_COMPLETED,
+    STATUS_REJECTED,
     STATUS_SHED,
     RequestRecord,
     ServeRequest,
@@ -288,6 +290,8 @@ class ScheduleStats:
 class _Active:
     """One in-flight request: its record, resumable decode, and next phase.
 
+    ``rank`` (the request's class rank) and ``index`` (its arrival index)
+    are fixed at admission; with ``ready_ms`` they order waiting phases.
     ``running`` is True while the one dispatched copy of ``phase`` is
     inside a device batch; the phase advances only when that copy settles.
     ``attempts`` counts the phase's failures so far (for the retry budget
@@ -313,6 +317,8 @@ class _Active:
 
     __slots__ = (
         "record",
+        "rank",
+        "index",
         "stepper",
         "phase",
         "ready_ms",
@@ -334,6 +340,8 @@ class _Active:
         self, record: RequestRecord, stepper: DecodeStepper, ready_ms: float
     ) -> None:
         self.record = record
+        self.rank = priority_rank(record.request.priority)
+        self.index = record.request.index
         self.stepper = stepper
         self.phase: PhaseOutcome = stepper.step_phase()  # next phase to place
         self.ready_ms = ready_ms  # when that phase became runnable
@@ -354,6 +362,9 @@ class _Active:
 # The dispatched copy of a session's phase: (active, attempt, transient
 # failure).  ``active.phase`` is the dispatched phase until this copy settles.
 _Entry = tuple[_Active, int, bool]
+
+#: Dispatch order of waiting phases: class rank, ready time, request index.
+_WAITING_ORDER = attrgetter("rank", "ready_ms", "index")
 
 
 class ContinuousBatchScheduler:
@@ -639,8 +650,15 @@ class _ServeLoop:
         the newest idle batch session for its slot."""
         now = self.now
         pending, queue, inflight = self.pending, self.queue, self.inflight
+        displaced = queue.displaced
         while pending and pending[0].request.arrival_ms <= now:
             queue.offer(pending.popleft())
+        if queue.displaced != displaced:
+            # Interactive arrivals bumped queued batch entries out: a
+            # preempted session among them will never resume.
+            for active in list(self.preempted.values()):
+                if active.record.status == STATUS_REJECTED:
+                    self.forget_preempted(active.index)
         while queue:
             if len(inflight) >= self.config.max_inflight:
                 if queue.next_priority() != PRIORITY_INTERACTIVE or not self.preempt():
@@ -652,7 +670,6 @@ class _ServeLoop:
             if deadline is not None and now - record.request.arrival_ms > deadline:
                 # The SLO is already blown while still queued: shed now
                 # instead of burning device time on a lost cause.
-                self.preempted.pop(index, None)
                 self.shed_record(record, SHED_DEADLINE)
                 continue
             resumed = self.preempted.pop(index, None)
@@ -690,22 +707,24 @@ class _ServeLoop:
         ]
         if not victims:
             return False
-        victim = max(victims, key=lambda a: a.record.request.index)
+        victim = max(victims, key=attrgetter("index"))
         self.inflight.remove(victim)
         victim.record.preemptions += 1
         self.tally["preemptions"] += 1
-        if self.memory is not None:
-            # The bumped session's KV leaves the cluster; resume pays a
-            # re-prefill like any evicted session.
-            self.memory.release_request(victim.record.request.index, evicted=True)
         queue = self.queue
-        if len(queue) >= queue.capacity:
+        requeued = len(queue) < queue.capacity
+        if self.memory is not None:
+            # The bumped session's KV leaves the cluster.  A requeued one
+            # pays a re-prefill on resume like any evicted session; a shed
+            # one is finished, so its marks go too.
+            self.memory.release_request(victim.index, evicted=requeued)
+        if requeued:
+            self.preempted[victim.index] = victim
+            queue.offer(victim.record)
+        else:
             # Nowhere to park the session: give up on it rather than
             # deadlock the slot it was just bumped from.
             self.shed_record(victim.record, SHED_CAPACITY)
-        else:
-            self.preempted[victim.record.request.index] = victim
-            queue.offer(victim.record)
         return True
 
     def deadline_for(self, record: RequestRecord) -> float | None:
@@ -718,6 +737,16 @@ class _ServeLoop:
         record.status = STATUS_SHED
         record.shed_reason = reason
         self.tally["shed"] += 1
+        self.forget_preempted(record.request.index)
+
+    def forget_preempted(self, index: int) -> None:
+        """Drop a queued preempted session that will never resume.
+
+        Its KV left the cluster when it was bumped; the re-prefill marks of
+        that release go now, since the request is finished.
+        """
+        if self.preempted.pop(index, None) is not None and self.memory is not None:
+            self.memory.release_request(index)
 
     def shed_active(self, active: _Active, reason: str) -> None:
         # Only an idle session sheds (no phase of it is executing), so all
@@ -725,7 +754,7 @@ class _ServeLoop:
         self.shed_record(active.record, reason)
         self.inflight.remove(active)
         if self.memory is not None:
-            self.memory.release_request(active.record.request.index)
+            self.memory.release_request(active.index)
 
     # -- dispatch -------------------------------------------------------------
     def dispatch(self) -> None:
@@ -770,9 +799,7 @@ class _ServeLoop:
             waiting.append(active)
         for active in gated:
             self.inflight.remove(active)
-            heapq.heappush(
-                self.parked, (active.ready_ms, active.record.request.index, active)
-            )
+            heapq.heappush(self.parked, (active.ready_ms, active.index, active))
         if not free:
             return
         self.router.plan_round(now)
@@ -796,19 +823,13 @@ class _ServeLoop:
 
     def route_and_launch(self, free: list[Device], waiting: list[_Active]) -> None:
         """Route the waiting phases, then launch on each ``free`` device."""
-        waiting.sort(
-            key=lambda a: (
-                priority_rank(a.record.request.priority),
-                a.ready_ms,
-                a.record.request.index,
-            )
-        )
+        waiting.sort(key=_WAITING_ORDER)
         route = self.router.route
         waiting_at: dict[int, list[_Active]] = {}
         for active in waiting:
-            device = route(active.record.request.index, active.phase)
+            device = route(active.index, active.phase)
             if device is None:
-                continue  # every device dead; the phase waits
+                continue  # no device of its pool is free; the phase waits
             waiting_at.setdefault(device.index, []).append(active)
         memory, launch, max_batch = self.memory, self.launch, self.config.max_batch
         for device in free:
@@ -872,7 +893,7 @@ class _ServeLoop:
         for active in batch:
             attempt = active.attempts + 1
             failed = plan is not None and plan.phase_fails(
-                active.record.request.index, active.phase_index, attempt
+                active.index, active.phase_index, attempt
             )
             entries.append((active, attempt, failed))
             active.running = True
@@ -893,9 +914,7 @@ class _ServeLoop:
         if self.memory is not None:
             # The failed phase's KV is gone: the retry pays a re-prefill on
             # admission.
-            self.memory.settle(
-                active.record.request.index, active.phase.model, 0, committed=False
-            )
+            self.memory.settle(active.index, active.phase.model, 0, committed=False)
         active.record.retries += 1
         self.tally["retries"] += 1
         active.running = False
@@ -972,7 +991,7 @@ class _ServeLoop:
         phase = active.phase
         return self.memory.admit(
             device_index,
-            active.record.request.index,
+            active.index,
             phase.model,
             active.prompt_key,
             phase.kv_peak,

@@ -4,14 +4,27 @@ Edge cases the cluster suite's end-to-end runs never pin down directly:
 odd pool splits, K=2 minimum pools, degenerate planner ratios, the
 deterministic tie-breaks of least-loaded routing on heterogeneous pools,
 alias normalisation, and the ``ROUTER_REGISTRY`` dispatch contract.
+
+**Gated routing is exact.**  A round routes only the phases whose pool has
+a free device, and fills each projection lazily.  ``ReferenceRouter``
+keeps the ungated least-loaded router (every pool device projected at
+``plan_round``, every phase routed, busy devices included) as the
+reference: per drawn phase the gated router must pick the reference's
+device when the phase's pool has a free device and None otherwise, and
+whole scheduler runs must give identical records and dispatch logs under
+either router.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decoding.base import PHASE_DRAFT, PHASE_VERIFY, PhaseOutcome
+from repro.harness.methods import build_method
 from repro.serving import router as router_module
+from repro.serving.arrivals import poisson_trace
 from repro.serving.devices import (
     Device,
     DeviceSpec,
@@ -19,7 +32,10 @@ from repro.serving.devices import (
     make_devices,
     parse_device_specs,
 )
+from repro.serving.faults import parse_fault_spec
 from repro.serving.router import (
+    ROUTER_DISAGGREGATED,
+    ROUTER_MERGED,
     ROUTER_POLICIES,
     ROUTER_REGISTRY,
     ClusterConfig,
@@ -30,6 +46,7 @@ from repro.serving.router import (
     measure_draft_share,
     plan_pool_split,
 )
+from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
 
 
 def _phase(kind: str, ms: float = 10.0) -> PhaseOutcome:
@@ -210,14 +227,30 @@ class TestLeastLoadedRouting:
         router.plan_round(0.0)
         assert router.route(0, _phase(PHASE_VERIFY)).index == 2  # now earlier
 
-    def test_busy_devices_still_accept_routes_for_later(self):
-        # routing never raises when every pool device is busy; phases just
-        # queue behind the earliest projected finisher
+    def test_busy_pool_routes_nothing(self):
+        # a phase whose pool has no free device could not launch this
+        # round: it routes nowhere, while the other pool still routes
         devices, router = self._router([1.0, 1.0], share=0.5)
-        for device in devices:
-            device.free_at = 100.0
+        (busy,) = router.draft_pool
+        busy.free_at = 100.0
         router.plan_round(0.0)
-        assert router.route(0, _phase(PHASE_DRAFT)) is router.draft_pool[0]
+        assert router.route(0, _phase(PHASE_DRAFT)) is None
+        assert router.route(1, _phase(PHASE_VERIFY)) is router.target_pool[0]
+        # a device free exactly at ``now`` can start: its pool routes
+        router.plan_round(100.0)
+        assert router.route(0, _phase(PHASE_DRAFT)) is busy
+
+    def test_route_outside_a_round_waits(self):
+        # before the first plan_round, and after a re-plan of the pools,
+        # no round is open: routes return None instead of raising
+        devices, router = self._router([1.0, 1.0], share=0.5)
+        assert router.route(0, _phase(PHASE_DRAFT)) is None
+        assert router.route(0, _phase(PHASE_VERIFY)) is None
+        router.plan_round(0.0)
+        router.on_membership_change([0])
+        assert router.route(0, _phase(PHASE_VERIFY)) is None
+        router.plan_round(0.0)
+        assert router.route(0, _phase(PHASE_VERIFY)) is devices[0]
 
     def test_merged_verify_phases_stack_for_coalescing(self):
         # merged verification coalesces co-scheduled verify passes to their
@@ -253,6 +286,219 @@ class TestLeastLoadedRouting:
                 ]
             )
         assert picks[0] == picks[1]
+
+
+class ReferenceRouter(DisaggregatedRouter):
+    """The ungated least-loaded router: ``plan_round``, ``_completion`` and
+    ``route`` as they were before pool gating, kept as the reference."""
+
+    def plan_round(self, now_ms: float) -> None:
+        self._projected = {
+            device.index: max(now_ms, device.free_at)
+            for device in {
+                d.index: d for d in (*self.draft_pool, *self.target_pool)
+            }.values()
+        }
+        self._verify_peak = {}
+
+    def _completion(self, device: Device, cost_ms: float, coalesce: bool) -> float:
+        projected = self._projected.get(device.index, device.free_at)
+        if not coalesce:
+            return projected + cost_ms
+        peak = self._verify_peak.get(device.index, 0.0)
+        return projected - peak + max(peak, cost_ms)
+
+    def route(self, request_index: int, phase: PhaseOutcome) -> Device | None:
+        pool = self.draft_pool if phase.phase == PHASE_DRAFT else self.target_pool
+        if not pool:
+            return None
+        coalesce = self.merge_verify and phase.phase != PHASE_DRAFT
+        device = min(
+            pool,
+            key=lambda d: (
+                self._completion(d, phase.ms / d.speed, coalesce),
+                -d.speed,
+                d.index,
+            ),
+        )
+        cost = phase.ms / device.speed
+        self._projected[device.index] = self._completion(device, cost, coalesce)
+        if coalesce:
+            peak = self._verify_peak.get(device.index, 0.0)
+            self._verify_peak[device.index] = max(peak, cost)
+        return device
+
+
+class ReferenceMergedRouter(ReferenceRouter):
+    name = ROUTER_MERGED
+    merge_verify = True
+
+
+@st.composite
+def routing_rounds(draw):
+    """A cluster and 1-3 dispatch rounds over it.
+
+    Speeds repeat so tie-breaks matter; each round draws its alive subset
+    (every device, one survivor, none, or any subset), a ``now`` and
+    per-device ``free_at`` values below, at and above ``now``, and a
+    sequence of phases with repeating costs.
+    """
+    speeds = draw(
+        st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=2, max_size=6)
+    )
+    count = len(speeds)
+    split = draw(st.sampled_from(["fixed", "balanced"]))
+    share = draw(st.floats(0.0, 1.0))
+    merged = draw(st.booleans())
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        alive = draw(
+            st.one_of(
+                st.just(list(range(count))),
+                st.builds(lambda i: [i], st.integers(0, count - 1)),
+                st.just([]),
+                st.lists(st.integers(0, count - 1), unique=True).map(sorted),
+            )
+        )
+        now = float(draw(st.integers(0, 40)))
+        free_at = [
+            draw(
+                st.one_of(
+                    st.just(now),
+                    st.integers(0, 40).map(float),
+                    st.floats(0.0, 60.0),
+                )
+            )
+            for _ in range(count)
+        ]
+        phases = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([PHASE_DRAFT, PHASE_VERIFY]),
+                    st.one_of(
+                        st.sampled_from([1.0, 2.5, 10.0, 12.0]),
+                        st.floats(0.1, 40.0),
+                    ),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        rounds.append((alive, now, free_at, phases))
+    return speeds, split, share, merged, rounds
+
+
+#: Clusters the scheduler-level comparison serves the same trace on.
+EXACT_CASES = {
+    "disaggregated-4x": (ClusterConfig(devices=4, router=ROUTER_DISAGGREGATED), ""),
+    "merged-4x": (ClusterConfig(devices=4, router=ROUTER_MERGED), ""),
+    "merged-balanced-mixed": (
+        ClusterConfig(
+            router=ROUTER_MERGED,
+            split="balanced",
+            device_specs=parse_device_specs("1.0,0.5,2.0,1.0,0.5"),
+        ),
+        "",
+    ),
+    "disaggregated-balanced-mixed": (
+        ClusterConfig(
+            router=ROUTER_DISAGGREGATED,
+            split="balanced",
+            device_specs=parse_device_specs("2x1.0,2x0.5"),
+        ),
+        "",
+    ),
+    "merged-one-survivor": (
+        ClusterConfig(devices=3, router=ROUTER_MERGED),
+        "crash@300:dev0;crash@500:dev2:restart=900",
+    ),
+    "disaggregated-one-survivor": (
+        ClusterConfig(
+            router=ROUTER_DISAGGREGATED,
+            device_specs=parse_device_specs("1.0,0.5,2.0"),
+        ),
+        "crash@200:dev1;crash@400:dev2;perr:0.05",
+    ),
+}
+
+
+class TestGatedRoutingIsExact:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=routing_rounds())
+    def test_route_matches_reference_where_a_phase_can_start(self, case):
+        speeds, split, share, merged, rounds = case
+        specs = tuple(DeviceSpec(speed=s) for s in speeds)
+        devices = make_devices(len(speeds), overlap=0.8, specs=specs)
+        gated_cls = MergedVerifyRouter if merged else DisaggregatedRouter
+        reference_cls = ReferenceMergedRouter if merged else ReferenceRouter
+        gated = gated_cls(devices, split=split, draft_share=share)
+        reference = reference_cls(devices, split=split, draft_share=share)
+        for alive, now, free_at, phases in rounds:
+            for device, at in zip(devices, free_at, strict=True):
+                device.free_at = at
+            gated.on_membership_change(alive)
+            reference.on_membership_change(alive)
+            gated.plan_round(now)
+            reference.plan_round(now)
+            for request, (kind, ms) in enumerate(phases):
+                phase = _phase(kind, ms)
+                expected = reference.route(request, phase)
+                pool = reference.pool_devices(phase)
+                assert gated.pool_devices(phase) == pool
+                if any(device.free_at <= now for device in pool):
+                    assert gated.route(request, phase) is expected
+                else:
+                    assert gated.route(request, phase) is None
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_scheduler_runs_match_reference(
+        self, case, whisper_pair, clean_dataset, monkeypatch
+    ):
+        cluster, faults = EXACT_CASES[case]
+        decoder = build_method("specasr-asp", *whisper_pair)
+        trace = poisson_trace(24, 16.0, len(clean_dataset), seed=3)
+        gated_none = 0
+        route = DisaggregatedRouter.route
+
+        def counted_route(router, request_index, phase):
+            nonlocal gated_none
+            device = route(router, request_index, phase)
+            gated_none += device is None
+            return device
+
+        def serve():
+            scheduler = ContinuousBatchScheduler(
+                decoder,
+                SchedulerConfig(max_batch=2, max_inflight=6),
+                cluster,
+                faults=parse_fault_spec(faults, seed=5),
+            )
+            records = scheduler.run(trace, clean_dataset)
+            signature = [
+                (
+                    r.status,
+                    r.shed_reason,
+                    tuple(r.tokens),
+                    r.service_start_ms,
+                    r.first_token_ms,
+                    r.finish_ms,
+                    r.decode_ms,
+                    r.retries,
+                )
+                for r in records
+            ]
+            return signature, scheduler.last_dispatch_log, scheduler.last_stats
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DisaggregatedRouter, "route", counted_route)
+            gated = serve()
+        with monkeypatch.context() as patch:
+            patch.setitem(ROUTER_REGISTRY, ROUTER_DISAGGREGATED, ReferenceRouter)
+            patch.setitem(ROUTER_REGISTRY, ROUTER_MERGED, ReferenceMergedRouter)
+            reference = serve()
+        assert gated == reference
+        # The gate did skip routes, so the runs compare something.
+        assert gated_none > 0
 
 
 class TestRouterRegistry:

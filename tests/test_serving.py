@@ -13,6 +13,8 @@ The two contracts the continuous-batching scheduler must uphold:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decoding.base import PhaseOutcome, begin_decode
 from repro.harness.methods import build_method
@@ -31,12 +33,14 @@ from repro.serving import (
     simulate,
     uniform_trace,
 )
+from repro.serving.arrivals import Arrival, _assign_priorities
 from repro.serving.request import (
     STATUS_COMPLETED,
     STATUS_REJECTED,
     RequestRecord,
     ServeRequest,
 )
+from repro.utils.rng import RngStream
 
 STEPPED_METHODS = (
     "autoregressive",
@@ -47,6 +51,35 @@ STEPPED_METHODS = (
     "spec-sampling",
     "specasr-tsp",
 )
+
+
+def _scalar_utterances(seed: int, count: int, dataset_size: int) -> list[int]:
+    """One scalar draw per arrival: the reference for the vectorised draw."""
+    rng = RngStream(seed, "serve-arrivals", "utterances")
+    return [rng.integers(0, dataset_size) for _ in range(count)]
+
+
+def _scalar_poisson_trace(
+    num_requests: int,
+    qps: float,
+    dataset_size: int,
+    seed: int,
+    batch_fraction: float,
+    rtf: float,
+) -> list[Arrival]:
+    """The per-gap loop ``poisson_trace`` vectorises, kept as its reference."""
+    gaps = RngStream(seed, "serve-arrivals", "gaps")
+    mean_gap_ms = 1000.0 / qps
+    utterances = _scalar_utterances(seed, num_requests, dataset_size)
+    priorities = _assign_priorities(seed, num_requests, batch_fraction)
+    arrivals = []
+    now = 0.0
+    for index in range(num_requests):
+        now += gaps.numpy.exponential(mean_gap_ms)
+        arrivals.append(
+            Arrival(index, utterances[index], float(now), priorities[index], rtf)
+        )
+    return arrivals
 
 
 def _record(index: int, utterance, arrival_ms: float = 0.0) -> RequestRecord:
@@ -88,6 +121,35 @@ class TestArrivals:
         b = poisson_trace(20, 2.0, 8, seed=7)
         assert a == b
         assert poisson_trace(20, 2.0, 8, seed=8) != a
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**63),
+        num_requests=st.integers(1, 300),
+        qps=st.one_of(
+            st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]), st.floats(0.01, 500.0)
+        ),
+        dataset_size=st.integers(1, 200),
+        batch_fraction=st.sampled_from([0.0, 0.3]),
+        rtf=st.sampled_from([0.0, 1.0]),
+    )
+    def test_vectorised_traces_equal_scalar_draws(
+        self, seed, num_requests, qps, dataset_size, batch_fraction, rtf
+    ):
+        # One sized draw per stream consumes it exactly like the per-arrival
+        # scalar draws, and cumsum adds the gaps left to right like the loop.
+        trace = poisson_trace(
+            num_requests, qps, dataset_size, seed, batch_fraction, rtf
+        )
+        assert trace == _scalar_poisson_trace(
+            num_requests, qps, dataset_size, seed, batch_fraction, rtf
+        )
+        assert all(type(a.arrival_ms) is float for a in trace)
+        assert all(type(a.utterance_index) is int for a in trace)
+        paced = uniform_trace(num_requests, qps, dataset_size, seed)
+        assert [a.utterance_index for a in paced] == _scalar_utterances(
+            seed, num_requests, dataset_size
+        )
 
     def test_poisson_rate_roughly_matches(self):
         trace = poisson_trace(400, 4.0, 8, seed=1)

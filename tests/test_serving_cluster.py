@@ -19,6 +19,8 @@ The contract under test, from the multi-device refactor:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decoding.base import (
     PHASE_DRAFT,
@@ -189,9 +191,54 @@ class TestDecodeTapes:
         assert first.result is second.result  # one shared, read-only result
 
 
+def _grouped_busy_ms(device: Device, phases, merge_verify: bool) -> float:
+    """The grouped-overlap bill written out for any batch, one phase too:
+    the reference for ``Device.batch_busy_ms`` and its one-phase price."""
+    groups: dict[tuple[str, str], list[float]] = {}
+    for outcome in phases:
+        groups.setdefault((outcome.model, outcome.phase), []).append(outcome.ms)
+    busy = 0.0
+    for (_model, kind), costs in groups.items():
+        overlap = 1.0 if merge_verify and kind == PHASE_VERIFY else device.overlap
+        critical = max(costs)
+        busy += critical + (1.0 - overlap) * (sum(costs) - critical)
+    models = len({model for model, _kind in groups})
+    if models > 1:
+        busy *= 1.0 + device.switch_cost * (models - 1)
+    return busy / device.speed
+
+
 class TestDeviceModel:
     def _phase(self, model: str, kind: str, ms: float) -> PhaseOutcome:
         return PhaseOutcome(kind, model, ms, (), True, False)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        costs=st.lists(
+            st.tuples(
+                st.sampled_from([("draft", PHASE_DRAFT), ("target", PHASE_VERIFY)]),
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 10.0, 33.3]), st.floats(0.0, 1e12)
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        overlap=st.floats(0.0, 1.0),
+        speed=st.one_of(st.sampled_from([0.25, 1.0, 3.0]), st.floats(1e-3, 1e3)),
+        switch_cost=st.floats(0.0, 1.0),
+        merge_verify=st.booleans(),
+    )
+    def test_bill_equals_grouped_formula(
+        self, costs, overlap, speed, switch_cost, merge_verify
+    ):
+        # A one-phase batch is priced as ms / speed; for every finite cost
+        # that equals the grouped formula exactly, as every larger batch does.
+        device = Device(0, overlap=overlap, switch_cost=switch_cost, speed=speed)
+        batch = [self._phase(model, kind, ms) for (model, kind), ms in costs]
+        assert device.batch_busy_ms(batch, merge_verify) == _grouped_busy_ms(
+            device, batch, merge_verify
+        )
 
     def test_single_model_group_overlap(self):
         device = Device(0, overlap=0.8)
@@ -247,7 +294,7 @@ class TestDeviceModel:
     @pytest.mark.parametrize(
         "speed, ms",
         [
-            (1.0, float("inf")),  # an infinite phase cost (NaN after overlap)
+            (1.0, float("inf")),  # an infinite phase cost
             (1e-310, 10.0),  # a finite cost whose bill overflows to inf
         ],
     )
