@@ -19,7 +19,10 @@ model *memory* too, with the vLLM-style paged discipline:
 * Under pressure the allocator **evicts idle sessions LRU** (never one whose
   phase is executing); an evicted session's decode state survives — only
   its KV blocks are dropped — and its next dispatch pays a **re-prefill
-  penalty** proportional to the blocks it must re-materialise.
+  penalty** proportional to the blocks it must re-materialise.  A failed
+  phase drops its residency the same way; eviction and failure are the
+  only sources of re-prefill.  A finished request (completed or shed)
+  releases its residencies, re-prefill marks and LRU tick at once.
 * Full blocks of the committed region are **shared copy-on-write across
   requests** decoding the same prompt, keyed ``(model, utterance, block)``
   — the cross-request extension of the per-(model, utterance) prefix trie
@@ -155,7 +158,7 @@ class ClusterKVMemory:
     block budgets (``None`` = unbounded); holdings are keyed by request
     index, then model — a speculative session holds draft-model and
     target-model residencies independently, each on one device, and
-    completion, preemption or eviction reaches one request's residencies
+    completion, shedding or eviction reaches one request's residencies
     without scanning anyone else's.  A request has at most one phase
     executing, from :meth:`admit` to :meth:`settle`; a second admission
     before the settle raises, as does a settle with nothing executing.
@@ -166,9 +169,10 @@ class ClusterKVMemory:
         self.pools = [_BlockPool(capacity) for capacity in capacities]
         self._holdings: dict[int, dict[str, _Holding]] = {}  # request -> model
         self._running: set[int] = set()  # requests with a phase executing
-        # Residencies dropped outright (evicted / failed / preempted), as
-        # request -> models: their next admission pays the re-prefill
-        # penalty.  A finished request's entry goes with its release.
+        # Residencies dropped outright (evicted, or lost with a failed
+        # phase), as request -> models: their next admission pays the
+        # re-prefill penalty.  A finished request's entry goes with its
+        # release.
         self._evicted: dict[int, set[str]] = {}
         self._lru: dict[int, int] = {}  # request -> last-admit tick
         self._tick = 0
@@ -336,26 +340,20 @@ class ClusterKVMemory:
             holding.private = private_target
 
     # -- eviction / release ------------------------------------------------
-    def release_request(self, request: int, evicted: bool = False) -> int:
-        """Free every residency of ``request`` (completion/shed/preempt).
+    def release_request(self, request: int) -> int:
+        """Free every residency of a finished ``request`` (completed/shed).
 
         Only a session whose phase is not executing may be released; a
-        running one raises.  With ``evicted=True`` (queue preemption) each
-        residency marks as evicted so the resumed session pays re-prefill
-        on its next dispatch.  Otherwise the request is finished: its
-        re-prefill marks and LRU tick go too, including the mark of a model
-        evicted after its last phase.
+        running one raises.  Its re-prefill marks and LRU tick go too,
+        including the mark of a model evicted after its last phase.
         """
         if request in self._running:
             raise RuntimeError(f"request {request} has a phase executing")
         freed = 0
         for model, holding in self._holdings.pop(request, {}).items():
             freed += self._release(model, holding)
-            if evicted:
-                self._evicted.setdefault(request, set()).add(model)
-        if not evicted:
-            self._evicted.pop(request, None)
-            self._lru.pop(request, None)
+        self._evicted.pop(request, None)
+        self._lru.pop(request, None)
         return freed
 
     def _drop(self, request: int, model: str) -> int:
@@ -390,8 +388,8 @@ class ClusterKVMemory:
         phase executing (eviction never touches a running session) and is
         not the session being admitted.  Eviction drops the victim's
         residencies on ``device``; the decode state itself survives in the
-        stepper, so this is memory-pressure preemption with state-intact
-        resume.
+        stepper, and the victim's next admission re-prefills the dropped
+        blocks.
         """
         if shortfall <= 0:
             return

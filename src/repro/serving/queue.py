@@ -12,7 +12,9 @@ Requests carry a priority class (see :mod:`repro.serving.request`):
 order within each class.  When the queue is full, an arriving interactive
 request *displaces* the newest waiting batch entry (which is rejected in its
 place) — batch traffic absorbs overload so interactive SLOs survive.  A
-batch arrival at a full queue is simply rejected, as before.
+batch arrival at a full queue is simply rejected.  Only arrivals enter the
+queue: a request leaves it once, into a free in-flight slot or shed, so a
+displaced or rejected entry was never served.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.serving.request import (
-    PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
     STATUS_REJECTED,
     RequestRecord,
@@ -75,11 +76,3 @@ class AdmissionQueue:
         if self._interactive:
             return self._interactive.popleft()
         return self._batch.popleft()
-
-    def next_priority(self) -> str | None:
-        """Class of the entry :meth:`pop` would return (None when empty)."""
-        if self._interactive:
-            return PRIORITY_INTERACTIVE
-        if self._batch:
-            return PRIORITY_BATCH
-        return None

@@ -4,9 +4,10 @@ Collapses the per-request timelines of one scheduler run into the quantities
 a capacity planner asks for: client-latency percentiles (completion and
 time-to-first-token), goodput under a deadline, rejection/shed rates,
 per-priority-class goodput, device utilisation, and — when a fault plan was
-injected — the chaos accounting (retries, requeues, preemptions, wasted
-work, time in degraded state).  ``max_sustainable_qps`` is attached by the
-simulator's load search (:func:`repro.serving.simulator.max_sustainable_qps`).
+injected — the chaos accounting (retries, requeues, shed and displaced
+requests, wasted work, time in degraded state).  ``max_sustainable_qps`` is
+attached by the simulator's load search
+(:func:`repro.serving.simulator.max_sustainable_qps`).
 """
 
 from __future__ import annotations
@@ -198,7 +199,6 @@ class ServeReport:
             stats.fault_events
             or stats.retries
             or stats.requeues
-            or stats.preemptions
             or stats.displaced
             or self.shed
         )
@@ -210,7 +210,6 @@ class ServeReport:
             "fault_events": stats.fault_events,
             "retries": stats.retries,
             "requeues": stats.requeues,
-            "preemptions": stats.preemptions,
             "shed": self.shed,
             "displaced": stats.displaced,
             "degraded_ms": round(stats.degraded_ms, 3),
@@ -354,8 +353,7 @@ class ServeReport:
             stats = self.stats
             lines.append(
                 f"  chaos     : {stats.fault_events} fault event(s), "
-                f"{stats.retries} retries, {stats.requeues} requeues, "
-                f"{self.shed} shed, {stats.preemptions} preemptions"
+                f"{stats.retries} retries, {stats.requeues} requeues, {self.shed} shed"
             )
             lines.append(
                 f"  degraded  : {stats.degraded_ms:.0f} ms with impaired "

@@ -18,8 +18,9 @@ Two latency notions coexist and must not be conflated:
 
 Requests carry a **priority class**: ``interactive`` traffic (the default —
 live captioning, voice assistants) outranks ``batch`` transcription jobs in
-admission and dispatch order, and under pressure the scheduler preempts
-waiting batch sessions to make room for interactive arrivals.
+admission and dispatch order, and an interactive arrival at a full queue
+displaces the newest queued batch request.  A request holds its in-flight
+slot from admission until it finishes, parks or sheds.
 
 Beyond completion and queue rejection, a request can end **shed**: dropped
 by the server itself, either because its SLO was already unreachable when a
@@ -109,7 +110,6 @@ class RequestRecord:
     # -- chaos accounting (failure-aware scheduling) -----------------------
     retries: int = 0  # failed phase executions (crash aborts + transients)
     requeues: int = 0  # phases returned to the waiting state after failure
-    preemptions: int = 0  # times this (batch) session was bumped from a slot
     shed_reason: str | None = None  # deadline | retries | capacity | memory
 
     # -- streaming timeline (populated only for rtf > 0 requests) ----------

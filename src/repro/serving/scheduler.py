@@ -32,16 +32,16 @@ streams that are due, admit arrivals, dispatch waiting phases, move ``now``
 to the next event, and settle every batch that has finished by then.
 ``max_inflight`` bounds the *runnable* sessions: a streamed session the
 audio gate holds until its next chunk is parked outside the in-flight list,
-so it holds no slot and is no preemption victim (its KV stays resident
-until memory pressure evicts it).  A due stream wakes into a free slot
-ahead of the admission queue; while every slot is taken it stays parked,
-so the in-flight list never outgrows the bound.  Admission, dispatch,
-launch, settle and commit are the loop's methods, as are the shedding,
-memory and streaming helpers they share.  Each phase has exactly one
-dispatched copy from launch to settle, and only its own settle commits or
-retries it; a committed phase computes the session's next phase on the
-spot.  Nothing survives from one run to the next, so one scheduler
-replays a trace identically however often it runs.
+so it holds no slot (its KV stays resident until memory pressure evicts
+it).  A due stream wakes into a free slot ahead of the admission queue;
+while every slot is taken it stays parked, so the in-flight list never
+outgrows the bound.  Admission, dispatch, launch, settle and commit are
+the loop's methods, as are the shedding, memory and streaming helpers
+they share.  Each phase has exactly one dispatched copy from launch to
+settle, and only its own settle commits or retries it; a committed phase
+computes the session's next phase on the spot.  Nothing survives from one
+run to the next, so one scheduler replays a trace identically however
+often it runs.
 
 Device time for one micro-batch is priced by
 :meth:`~repro.serving.devices.Device.batch_busy_ms`: the ``overlap``
@@ -89,20 +89,21 @@ on one device — through a paged block allocator
   simulated **re-prefill penalty** billed to device time only (transcripts
   and ``decode_ms`` stay scheduler-independent).
 * Full committed-prefix blocks are shared copy-on-write across requests
-  decoding the same utterance; queue preemption releases the victim's
-  blocks (resume re-prefills them).
+  decoding the same utterance.
 * A phase whose demand exceeds every pool device's total capacity is
   unservable and sheds with reason ``"memory"``.
 * Every request is terminal when a run ends, so a block, residency or
   executing phase still held then fails the run as a leak.
 
-**Graceful degradation.**  ``interactive`` requests dispatch ahead of
-``batch`` ones and may preempt idle batch sessions for in-flight slots
-(preempted sessions re-queue with their decode state intact); per-class
-admission deadlines shed requests whose SLO is already unreachable before
-they waste device time; and when capacity is permanently gone (all pool
-devices dead with no restart pending) the remaining work is shed (reason
-``"capacity"``) instead of hanging the loop.  The conservation invariant
+**Graceful degradation.**  ``interactive`` requests leave the queue and
+dispatch ahead of ``batch`` ones, and an interactive arrival at a full
+queue displaces the newest queued batch entry.  An admitted session keeps
+its slot until it finishes, parks or sheds, so a waiting interactive
+request waits for a free slot.  Per-class admission deadlines shed
+requests whose SLO is already unreachable before they waste device time;
+and when capacity is permanently gone (all pool devices dead with no
+restart pending) the remaining work is shed (reason ``"capacity"``)
+instead of hanging the loop.  The conservation invariant
 ``completed + rejected + shed == arrived`` always holds.
 
 Determinism: given one arrival trace, every quantity here is a pure
@@ -143,13 +144,11 @@ from repro.serving.memory import ClusterKVMemory, MemorySpec
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import (
     PRIORITY_BATCH,
-    PRIORITY_INTERACTIVE,
     SHED_CAPACITY,
     SHED_DEADLINE,
     SHED_MEMORY,
     SHED_RETRIES,
     STATUS_COMPLETED,
-    STATUS_REJECTED,
     STATUS_SHED,
     RequestRecord,
     ServeRequest,
@@ -256,7 +255,6 @@ class ScheduleStats:
     # -- chaos accounting (all zero on a fault-free run) -------------------
     retries: int = 0  # failed phase executions (crash aborts + transients)
     requeues: int = 0  # phases rolled back to the waiting state
-    preemptions: int = 0  # batch sessions bumped for interactive arrivals
     shed: int = 0  # requests dropped by the server itself
     displaced: int = 0  # queued batch entries bumped by interactive
     degraded_ms: float = 0.0  # sim time with >= 1 device dead
@@ -529,7 +527,6 @@ class _ServeLoop:
         # Streamed sessions the audio gate holds until their next chunk:
         # (wake_ms, request index, session).  They hold no in-flight slot.
         self.parked: list[tuple[float, int, _Active]] = []
-        self.preempted: dict[int, _Active] = {}  # request index -> saved session
         # Batches in flight: (end_ms, tiebreak, entries, aborted).  The
         # counter keeps heap ordering total without comparing entries.
         self.executing: list[tuple[float, int, list[_Entry], bool]] = []
@@ -541,12 +538,7 @@ class _ServeLoop:
         self.epoch = -1
         self.alive = tuple(device.index for device in self.devices)
         # Chaos counters, keyed by their ScheduleStats field names.
-        self.tally = {
-            "retries": 0,
-            "requeues": 0,
-            "preemptions": 0,
-            "shed": 0,
-        }
+        self.tally = {"retries": 0, "requeues": 0, "shed": 0}
         self.dispatch_log: list[tuple[int, float, float, int, bool]] = []
 
     def run(self) -> list[RequestRecord]:
@@ -646,38 +638,22 @@ class _ServeLoop:
     def admit(self) -> None:
         """Move arrivals up to ``now`` into the queue (or bounce them off
         it), then drain the queue into free in-flight slots in
-        class-then-FIFO order.  A waiting interactive request may preempt
-        the newest idle batch session for its slot."""
+        class-then-FIFO order, shedding entries already past their
+        deadline."""
         now = self.now
         pending, queue, inflight = self.pending, self.queue, self.inflight
-        displaced = queue.displaced
+        max_inflight = self.config.max_inflight
         while pending and pending[0].request.arrival_ms <= now:
             queue.offer(pending.popleft())
-        if queue.displaced != displaced:
-            # Interactive arrivals bumped queued batch entries out: a
-            # preempted session among them will never resume.
-            for active in list(self.preempted.values()):
-                if active.record.status == STATUS_REJECTED:
-                    self.forget_preempted(active.index)
-        while queue:
-            if len(inflight) >= self.config.max_inflight:
-                if queue.next_priority() != PRIORITY_INTERACTIVE or not self.preempt():
-                    break
-                continue
+        while queue and len(inflight) < max_inflight:
             record = queue.pop()
-            index = record.request.index
             deadline = self.deadline_for(record)
             if deadline is not None and now - record.request.arrival_ms > deadline:
                 # The SLO is already blown while still queued: shed now
                 # instead of burning device time on a lost cause.
                 self.shed_record(record, SHED_DEADLINE)
                 continue
-            resumed = self.preempted.pop(index, None)
-            if resumed is not None:
-                resumed.ready_ms = now
-                inflight.append(resumed)
-            else:
-                inflight.append(self.open_session(record))
+            inflight.append(self.open_session(record))
 
     def open_session(self, record: RequestRecord) -> _Active:
         """Start the decode of a newly admitted request."""
@@ -693,40 +669,6 @@ class _ServeLoop:
             )
         return active
 
-    def preempt(self) -> bool:
-        """Bump the newest idle batch session; False when none is bumpable.
-
-        The victim re-queues with its decode state intact and resumes
-        later, or sheds when the queue has no room to park it.
-        """
-        victims = [
-            active
-            for active in self.inflight
-            if active.record.request.priority == PRIORITY_BATCH
-            and not active.running
-        ]
-        if not victims:
-            return False
-        victim = max(victims, key=attrgetter("index"))
-        self.inflight.remove(victim)
-        victim.record.preemptions += 1
-        self.tally["preemptions"] += 1
-        queue = self.queue
-        requeued = len(queue) < queue.capacity
-        if self.memory is not None:
-            # The bumped session's KV leaves the cluster.  A requeued one
-            # pays a re-prefill on resume like any evicted session; a shed
-            # one is finished, so its marks go too.
-            self.memory.release_request(victim.index, evicted=requeued)
-        if requeued:
-            self.preempted[victim.index] = victim
-            queue.offer(victim.record)
-        else:
-            # Nowhere to park the session: give up on it rather than
-            # deadlock the slot it was just bumped from.
-            self.shed_record(victim.record, SHED_CAPACITY)
-        return True
-
     def deadline_for(self, record: RequestRecord) -> float | None:
         if record.request.priority == PRIORITY_BATCH:
             return self.config.batch_deadline_ms
@@ -737,16 +679,6 @@ class _ServeLoop:
         record.status = STATUS_SHED
         record.shed_reason = reason
         self.tally["shed"] += 1
-        self.forget_preempted(record.request.index)
-
-    def forget_preempted(self, index: int) -> None:
-        """Drop a queued preempted session that will never resume.
-
-        Its KV left the cluster when it was bumped; the re-prefill marks of
-        that release go now, since the request is finished.
-        """
-        if self.preempted.pop(index, None) is not None and self.memory is not None:
-            self.memory.release_request(index)
 
     def shed_active(self, active: _Active, reason: str) -> None:
         # Only an idle session sheds (no phase of it is executing), so all

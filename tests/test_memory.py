@@ -10,9 +10,8 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
   or the session being admitted, a stalled admission leaves the session's
   residencies where they were, and a fully drained allocator holds zero
   blocks.  The tapes are built so that admissions do evict idle sessions.
-  A finished request leaves no re-prefill mark or LRU tick behind, nor
-  does a preempted request shed or displaced from the queue before it
-  resumes, and a drained audit fails on a leftover one.
+  A finished request leaves no re-prefill mark or LRU tick behind, and a
+  drained audit fails on a leftover one.
 * **Parity contract** — with ample capacity, a memory-enabled run is
   bit-identical to the memory-disabled scheduler across router policies
   and device counts: same transcripts, same timings, same stats, no
@@ -45,11 +44,7 @@ from repro.serving import (
     poisson_trace,
     simulate,
 )
-from repro.serving.arrivals import Arrival
 from repro.serving.request import (
-    PRIORITY_BATCH,
-    SHED_CAPACITY,
-    SHED_DEADLINE,
     SHED_MEMORY,
     STATUS_COMPLETED,
     STATUS_REJECTED,
@@ -272,7 +267,7 @@ def _scan_drop(memory, owner, model, holding):
     return freed
 
 
-def _scan_release(memory, request, evicted=False):
+def _scan_release(memory, request):
     """Reference ``release_request``: find the request's residencies by
     scanning every holding."""
     freed = 0
@@ -280,11 +275,8 @@ def _scan_release(memory, request, evicted=False):
         if owner != request:
             continue
         freed += _scan_drop(memory, owner, model, holding)
-        if evicted:
-            memory._evicted.setdefault(owner, set()).add(model)
-    if not evicted:
-        memory._evicted.pop(request, None)
-        memory._lru.pop(request, None)
+    memory._evicted.pop(request, None)
+    memory._lru.pop(request, None)
     return freed
 
 
@@ -376,12 +368,11 @@ class TestResidencyLookup:
             for target in range(4):
                 if target in harness.running:
                     continue  # only an idle session is ever released
-                for evicted in (False, True):
-                    actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
-                    freed = actual.release_request(target, evicted=evicted)
-                    assert freed == _scan_release(reference, target, evicted)
-                    assert _allocator_state(actual) == _allocator_state(reference)
-                    actual.audit()
+                actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
+                freed = actual.release_request(target)
+                assert freed == _scan_release(reference, target)
+                assert _allocator_state(actual) == _allocator_state(reference)
+                actual.audit()
             for target_device in (0, 1):
                 for shortfall in (1, capacity):
                     actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
@@ -505,13 +496,12 @@ class TestAllocatorUnit:
     def test_drained_audit_fails_on_leftover_reprefill_marks(self):
         memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16])
         memory.admit(0, 0, "m", "a", 8, 0)
-        memory.settle(0, "m", 8, committed=True)
-        # Preempted: the blocks go, the marks stay for the resume.
-        memory.release_request(0, evicted=True)
+        # The phase failed: its blocks go, the mark stays for the retry.
+        memory.settle(0, "m", 0, committed=False)
         assert not any(memory.used_blocks())
         with pytest.raises(AssertionError, match=r"marks on \[0\], LRU ticks on \[0\]"):
             memory.audit(drained=True)
-        memory.release_request(0)  # the request finished without resuming
+        memory.release_request(0)  # the request was shed without a retry
         memory.audit(drained=True)
 
 
@@ -705,9 +695,7 @@ class TestSchedulerMemory:
     def test_run_fails_when_kv_leaks(self, decoder, clean_dataset, trace, monkeypatch):
         # Every request is terminal when the run ends, so KV still held
         # then is a leak, even where no eviction would ever notice it.
-        monkeypatch.setattr(
-            ClusterKVMemory, "release_request", lambda self, request, evicted=False: 0
-        )
+        monkeypatch.setattr(ClusterKVMemory, "release_request", lambda self, request: 0)
         with pytest.raises(AssertionError, match="KV leaked"):
             self._run(
                 decoder,
@@ -728,61 +716,6 @@ class TestSchedulerMemory:
                 ClusterConfig(devices=2, router="colocated"),
                 memory=MemorySpec(device_blocks=12, reprefill_ms_per_block=1e308),
             )
-
-    @pytest.mark.parametrize(
-        "knobs, late_arrivals, status, reason",
-        [
-            # No room in the queue to park the bumped session: shed at once.
-            ({"queue_capacity": 1}, (), STATUS_SHED, SHED_CAPACITY),
-            # Parked, then shed at its deadline when popped.
-            (
-                {"queue_capacity": 4, "batch_deadline_ms": 50.0},
-                (),
-                STATUS_SHED,
-                SHED_DEADLINE,
-            ),
-            # Parked, then displaced by interactive arrivals at a full queue.
-            ({"queue_capacity": 2}, (60.0, 61.0), STATUS_REJECTED, None),
-        ],
-        ids=["capacity", "deadline", "displaced"],
-    )
-    def test_preempted_request_that_never_resumes_leaves_no_marks(
-        self,
-        whisper_pair,
-        clean_dataset,
-        monkeypatch,
-        knobs,
-        late_arrivals,
-        status,
-        reason,
-    ):
-        # A batch request at 0 ms is preempted by an interactive one at
-        # 1 ms and never resumes: its KV left the cluster with the
-        # preemption, and its re-prefill marks must go once it is terminal.
-        audited = []
-        audit = ClusterKVMemory.audit
-
-        def recorded_audit(memory, drained=False):
-            audited.append(memory)
-            audit(memory, drained)
-
-        monkeypatch.setattr(ClusterKVMemory, "audit", recorded_audit)
-        trace = [Arrival(0, 0, 0.0, PRIORITY_BATCH), Arrival(1, 1, 1.0)]
-        trace += [Arrival(2 + i, 2 + i, at) for i, at in enumerate(late_arrivals)]
-        scheduler = ContinuousBatchScheduler(
-            build_method("spec(8,1)", *whisper_pair),
-            SchedulerConfig(max_batch=1, max_inflight=1, **knobs),
-            ClusterConfig(devices=1),
-            memory=MemorySpec(device_blocks=64),
-        )
-        records = scheduler.run(trace, clean_dataset)
-        victim = records[0]
-        assert (victim.status, victim.shed_reason) == (status, reason)
-        assert victim.preemptions == 1
-        assert all(r.status == STATUS_COMPLETED for r in records[1:])
-        (memory,) = audited
-        assert memory._evicted == {}
-        assert memory._lru == {}
 
     def test_device_spec_blocks_override(self, decoder, clean_dataset, trace):
         cluster = ClusterConfig(device_specs=parse_device_specs("1.0@64,1.0@32"))

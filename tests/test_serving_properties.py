@@ -5,7 +5,8 @@ and cluster shape, not just the hand-picked fixtures of the unit suites:
 
 * **Request conservation** — every request a trace admits is accounted
   for when the scheduler drains: completed + rejected == offered, with no
-  request left in flight and no status invented.
+  request left in flight and no status invented.  A rejected request was
+  never served: no service start, no rounds.
 * **Device timeline monotonicity** — a device's ``free_at`` never
   decreases, its busy intervals never overlap, and its ``busy_ms`` is
   exactly the sum of its interval lengths.
@@ -16,10 +17,11 @@ and cluster shape, not just the hand-picked fixtures of the unit suites:
 
 * **Chaos invariants** — for *any* seeded fault plan (crashes with or
   without warm restart, transient phase errors) on a cluster of unequal
-  device speeds, any priority mix, with or without a KV block limit and
-  with offline or streamed arrivals: conservation extends to
-  ``completed + rejected + shed == arrived``, no micro-batch ever starts
-  on a dead device, per-device dispatch timelines stay monotone across
+  device speeds, any priority mix and queue capacity, with or without a
+  KV block limit and with offline or streamed arrivals: conservation
+  extends to ``completed + rejected + shed == arrived``, a rejected or
+  displaced request was never served, no micro-batch ever starts on a
+  dead device, per-device dispatch timelines stay monotone across
   failure gaps, and every request that completes does so with a
   transcript bit-identical to the fault-free decode.
 
@@ -241,7 +243,9 @@ class TestRequestConservation:
             assert record.finish_ms <= last_end
             assert record.finish_ms <= stats.sim_end_ms + 1e-9
         for record in rejected:
+            # bounced at admission: never served
             assert record.finish_ms is None and not record.tokens
+            assert record.service_start_ms is None and record.rounds == 0
 
         # cluster accounting is self-consistent
         assert stats.devices == cluster.devices
@@ -280,11 +284,21 @@ def fault_plans(draw):
 
 
 def _check_chaos_run(
-    decoder, dataset, plan, speeds, arrival_gaps, priorities, max_batch, kv_blocks, rtf
+    decoder,
+    dataset,
+    plan,
+    speeds,
+    arrival_gaps,
+    priorities,
+    max_batch,
+    kv_blocks,
+    rtf,
+    queue_capacity,
 ):
     """Serve one chaos trace on a 4-device disaggregated cluster with the
     drawn device ``speeds`` and assert conservation, dead-device timelines,
-    lossless completers and one dispatched copy per phase."""
+    lossless completers, never-served rejections and one dispatched copy
+    per phase."""
     trace = []
     now = 0.0
     for index, gap in enumerate(arrival_gaps):
@@ -292,7 +306,11 @@ def _check_chaos_run(
         trace.append(Arrival(index, index % len(dataset), now, priorities[index], rtf))
     scheduler = ContinuousBatchScheduler(
         decoder,
-        SchedulerConfig(max_batch=max_batch, max_inflight=max_batch + 2),
+        SchedulerConfig(
+            max_batch=max_batch,
+            max_inflight=max_batch + 2,
+            queue_capacity=queue_capacity,
+        ),
         ClusterConfig(
             router="disaggregated",
             device_specs=tuple(DeviceSpec(speed=speed) for speed in speeds),
@@ -318,6 +336,9 @@ def _check_chaos_run(
                 "capacity",
                 "memory",
             )
+        elif record.status == STATUS_REJECTED:
+            # bounced at admission or displaced from the queue: never served
+            assert record.service_start_ms is None and record.rounds == 0
 
     # no micro-batch ever starts on a dead device, and each device's
     # dispatch timeline stays monotone across failure gaps
@@ -370,6 +391,8 @@ chaos_speeds = st.lists(
     min_size=CHAOS_DEVICES,
     max_size=CHAOS_DEVICES,
 )
+# Small queues make mixed-class runs reject and displace requests.
+queue_capacities = st.sampled_from((1, 2, 4, 32))
 
 
 class TestChaosInvariants:
@@ -385,6 +408,7 @@ class TestChaosInvariants:
         max_batch=st.integers(min_value=1, max_value=3),
         kv_blocks=st.one_of(st.none(), st.sampled_from((8, 12, 16, 24, 32, 48))),
         rtf=st.sampled_from((0.0, 1.0)),
+        queue_capacity=queue_capacities,
     )
     @STABLE
     def test_conservation_and_timelines_hold_under_any_plan(
@@ -398,6 +422,7 @@ class TestChaosInvariants:
         max_batch,
         kv_blocks,
         rtf,
+        queue_capacity,
     ):
         _check_chaos_run(
             serving_decoder,
@@ -409,6 +434,7 @@ class TestChaosInvariants:
             max_batch,
             kv_blocks,
             rtf,
+            queue_capacity,
         )
 
     @given(
@@ -422,6 +448,7 @@ class TestChaosInvariants:
         priorities=priority_lists,
         max_batch=st.integers(min_value=1, max_value=3),
         kv_blocks=st.integers(min_value=8, max_value=16),
+        queue_capacity=queue_capacities,
     )
     @STABLE_SMALL
     def test_streams_under_memory_pressure_hold_the_same_invariants(
@@ -434,6 +461,7 @@ class TestChaosInvariants:
         priorities,
         max_batch,
         kv_blocks,
+        queue_capacity,
     ):
         """Streamed arrivals packed tight on 8-16 KV blocks per device, so
         parked streams' KV is evicted and re-prefilled."""
@@ -447,4 +475,5 @@ class TestChaosInvariants:
             max_batch,
             kv_blocks,
             1.0,
+            queue_capacity,
         )
