@@ -21,7 +21,7 @@ from repro.harness.experiments import list_experiments, run_experiment
 from repro.harness.methods import STANDARD_METHODS, standard_methods
 from repro.harness.runner import ExperimentConfig, load_split, shared_vocabulary
 from repro.models.registry import PAIRINGS, get_spec, list_models, model_pair
-from repro.serving.router import ROUTER_POLICIES, SPLIT_POLICIES
+from repro.serving.router import ROUTER_POLICIES
 from repro.version import PAPER_TITLE, __version__
 
 
@@ -161,7 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=ROUTER_POLICIES,
         default="colocated",
         help="placement policy: colocated K-way sharding, disaggregated "
-        "draft/target pools, or merged cross-request verification",
+        "draft/target pools, or merged cross-request verification; pools "
+        "are sized from the measured draft:verify cost ratio and device "
+        "speeds",
     )
     serve_parser.add_argument(
         "--device-spec",
@@ -171,14 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "2x1.0@64,2x0.5 = two full-speed devices with 64 KV blocks each "
         "+ two half-speed ones); sets the device count, so --devices may "
         "be omitted",
-    )
-    serve_parser.add_argument(
-        "--split",
-        choices=SPLIT_POLICIES,
-        default="fixed",
-        help="draft/target pool sizing for disaggregating routers: 'fixed' "
-        "keeps the K//2 prefix split, 'balanced' sizes pools from the "
-        "measured draft:verify cost ratio and device speeds",
     )
     serve_parser.add_argument(
         "--faults",
@@ -431,7 +425,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             cluster=ClusterSpec(
                 devices=args.devices,
                 router=args.router,
-                pool_split=args.split,
                 device_spec=args.device_spec,
             ),
             chaos=ChaosSpec(

@@ -48,7 +48,6 @@ from repro.serving.faults import (
     FaultPlan,
     PhaseErrorRate,
     RetryPolicy,
-    format_fault_plan,
     parse_fault_spec,
 )
 from repro.serving.memory import DEFAULT_BLOCK_SIZE, ClusterKVMemory, MemorySpec
@@ -76,9 +75,6 @@ from repro.serving.router import (
     ROUTER_MERGED,
     ROUTER_POLICIES,
     ROUTER_REGISTRY,
-    SPLIT_BALANCED,
-    SPLIT_FIXED,
-    SPLIT_POLICIES,
     ClusterConfig,
     build_router,
     measure_draft_share,
@@ -130,9 +126,6 @@ __all__ = [
     "SHED_DEADLINE",
     "SHED_MEMORY",
     "SHED_RETRIES",
-    "SPLIT_BALANCED",
-    "SPLIT_FIXED",
-    "SPLIT_POLICIES",
     "STATUS_COMPLETED",
     "STATUS_PENDING",
     "STATUS_REJECTED",
@@ -148,7 +141,6 @@ __all__ = [
     "build_router",
     "chunk_schedule",
     "format_device_specs",
-    "format_fault_plan",
     "load_trace",
     "make_devices",
     "make_trace",

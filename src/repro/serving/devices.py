@@ -189,7 +189,6 @@ class Device:
         "phases",
         "faults",
         "wasted_ms",
-        "aborted_batches",
     )
 
     def __init__(
@@ -216,7 +215,6 @@ class Device:
         self.phases = 0  # phases executed (sum of batch sizes)
         self.faults: DeviceFaultProfile = HEALTHY_PROFILE
         self.wasted_ms = 0.0  # occupancy billed to crash-aborted batches
-        self.aborted_batches = 0
 
     # -- fault-plan timeline -----------------------------------------------
     def set_fault_profile(self, profile: DeviceFaultProfile) -> None:
@@ -292,7 +290,6 @@ class Device:
             if abort_ms < end:
                 end = abort_ms
                 self.wasted_ms += end - start
-                self.aborted_batches += 1
         self.free_at = end
         self.busy_ms += end - start
         self.batches += 1

@@ -313,20 +313,6 @@ def parse_fault_spec(text: str, seed: int = 0) -> FaultPlan:
     return FaultPlan(events=tuple(events), seed=seed)
 
 
-def format_fault_plan(plan: FaultPlan) -> str:
-    """Render a plan back into the spec grammar (inverse of the parser)."""
-    parts = []
-    for event in plan.events:
-        if isinstance(event, DeviceCrash):
-            part = f"crash@{event.at_ms:g}:dev{event.device}"
-            if event.restart_delay_ms is not None:
-                part += f":restart={event.restart_delay_ms:g}"
-        else:
-            part = f"perr:{event.rate:g}"
-        parts.append(part)
-    return ";".join(parts)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff for failed phase dispatches.
@@ -366,6 +352,5 @@ __all__ = [
     "HEALTHY_PROFILE",
     "PhaseErrorRate",
     "RetryPolicy",
-    "format_fault_plan",
     "parse_fault_spec",
 ]

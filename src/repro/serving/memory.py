@@ -277,6 +277,8 @@ class ClusterKVMemory:
         holding.private = private_target
         self._running.add(request)
         self._tick += 1
+        # Re-insert, so the dict's order is tick order (oldest first).
+        self._lru.pop(request, None)
         self._lru[request] = self._tick
         penalty = 0.0
         marks = self._evicted.get(request)
@@ -393,29 +395,28 @@ class ClusterKVMemory:
         """
         if shortfall <= 0:
             return
-        running = self._running
-        candidates = sorted(
-            (
-                request
-                for request, models in self._holdings.items()
-                if request != protect
-                and request not in running
-                and any(h.device == device and h.blocks > 0 for h in models.values())
-            ),
-            key=lambda r: (self._lru.get(r, -1), r),
-        )
+        running, holdings = self._running, self._holdings
         freed = 0
-        for victim in candidates:
-            if freed >= shortfall:
-                break
+        # Every resident request has an LRU tick (its holdings come from an
+        # admission), and ``_lru`` iterates least recently admitted first.
+        for victim in self._lru:
+            if victim == protect or victim in running:
+                continue
+            models = holdings.get(victim)
+            if models is None or not any(
+                h.device == device and h.blocks > 0 for h in models.values()
+            ):
+                continue
             victim_freed = 0
-            for model, holding in list(self._holdings[victim].items()):
+            for model, holding in list(models.items()):
                 if holding.device == device:
                     victim_freed += self._drop(victim, model)
-            if victim_freed:
+            if victim_freed:  # shared blocks a peer still holds free nothing
                 freed += victim_freed
                 self.evictions += 1
                 self.evicted_blocks += victim_freed
+                if freed >= shortfall:
+                    return
 
     # -- reporting / invariants --------------------------------------------
     @property

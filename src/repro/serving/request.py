@@ -143,14 +143,6 @@ class RequestRecord:
             return None
         return self.finish_ms - self.request.arrival_ms
 
-    @property
-    def per_token_ms(self) -> float | None:
-        """Mean client-observed latency per emitted token."""
-        completion = self.completion_ms
-        if completion is None or not self.tokens:
-            return None
-        return completion / len(self.tokens)
-
     # -- streaming-derived latencies ---------------------------------------
     @property
     def streaming(self) -> bool:

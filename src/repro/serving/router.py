@@ -27,17 +27,15 @@ Policies live in ``ROUTER_REGISTRY`` (name → class); ``build_router`` and
 :class:`ClusterConfig` validation both read it, so registering a policy is
 one dict entry — there is no dispatch chain a new policy can silently miss.
 
-**Pool planning.**  The draft/target split is itself a placement decision:
-
-* ``split="fixed"`` keeps the legacy ``K // 2`` prefix split (odd device to
-  the target pool — verify is the heavy side).
-* ``split="balanced"`` sizes the pools from the *workload*: the scheduler
-  measures the draft:verify cost ratio of the decoder on sample utterances
-  (``measure_draft_share``) and :func:`plan_pool_split` picks the split
-  whose draft-pool share of total cluster speed best matches the draft
-  share of total decode cost.  Devices are considered slowest-first for the
-  draft pool, so on a heterogeneous cluster the fast parts verify — the
-  DistServe/Splitwise-style answer to asymmetric phase compute.
+**Pool planning.**  The draft/target split is itself a placement decision,
+sized from the *workload*: the scheduler measures the draft:verify cost
+ratio of the decoder on sample utterances (``measure_draft_share``) and
+:func:`plan_pool_split` picks the split whose draft-pool share of total
+cluster speed best matches the draft share of total decode cost.  Devices
+are considered slowest-first for the draft pool, so on a heterogeneous
+cluster the fast parts verify — the DistServe/Splitwise-style answer to
+asymmetric phase compute.  On equal devices with a draft share near one
+half this is the ``K // 2`` prefix split (an odd device verifies).
 
 **Within-pool routing** is least-loaded instead of ``request_index %
 len(pool)``: in each dispatch round the router projects a pool device's
@@ -67,14 +65,9 @@ ROUTER_COLOCATED = "colocated"
 ROUTER_DISAGGREGATED = "disaggregated"
 ROUTER_MERGED = "merged"
 
-SPLIT_FIXED = "fixed"
-SPLIT_BALANCED = "balanced"
-
-#: Pool-split policies accepted by :class:`ClusterConfig`.
-SPLIT_POLICIES = (SPLIT_FIXED, SPLIT_BALANCED)
-
-#: Draft share :func:`plan_pool_split` assumes when no measurement is
-#: available (an empty trace, or a caller that never sampled the decoder).
+#: Draft share :func:`plan_pool_split` assumes for a router built without
+#: a measured share.  The scheduler always measures one (0.0 for an empty
+#: trace), so only callers that never sampled the decoder use this.
 DEFAULT_DRAFT_SHARE = 0.5
 
 #: Utterances sampled by the scheduler to measure the draft:verify ratio.
@@ -88,14 +81,11 @@ class ClusterConfig:
     ``devices`` may be omitted (``None``): it defaults to 1, or to
     ``len(device_specs)`` when a heterogeneous spec list is provided.  An
     *explicit* count that disagrees with the spec list — including 1 — is
-    an error, never silently reinterpreted.  ``split`` picks the
-    draft/target pool-sizing policy for disaggregating routers
-    (``colocated`` has no pools and ignores it).
+    an error, never silently reinterpreted.
     """
 
     devices: int | None = None  # resolved to a concrete count in __post_init__
     router: str = ROUTER_COLOCATED
-    split: str = SPLIT_FIXED
     device_specs: tuple[DeviceSpec, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -120,11 +110,6 @@ class ClusterConfig:
                 f"unknown router policy {self.router!r}; "
                 f"use one of {', '.join(ROUTER_REGISTRY)}"
             )
-        if self.split not in SPLIT_POLICIES:
-            raise ValueError(
-                f"unknown split policy {self.split!r}; "
-                f"use one of {', '.join(SPLIT_POLICIES)}"
-            )
         if self.router != ROUTER_COLOCATED and self.devices < 2:
             raise ValueError(
                 f"router {self.router!r} needs a draft pool and a target "
@@ -133,59 +118,37 @@ class ClusterConfig:
 
 
 def plan_pool_split(
-    speeds: Sequence[float],
-    draft_share: float,
-    memory_blocks: Sequence[int | None] | None = None,
+    speeds: Sequence[float], draft_share: float
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partition device indices into ``(draft_pool, target_pool)``.
 
     ``draft_share`` is the fraction of total decode cost spent in draft
     phases (0 = all verify, 1 = all draft).  Candidate draft pools are
-    prefixes of the devices ordered lightest-first (ties by index), so
-    heavyweight parts default to the heavy verify side; the chosen prefix
-    is the one whose share of total cluster capability is closest to
-    ``draft_share``.  Ties prefer the smaller draft pool (verify is the
-    heavy side), which also makes the choice deterministic on all-equal
-    clusters.  Both pools always keep at least one device; degenerate
-    shares clamp to the 1-device / (K-1)-device extremes.  Returned index
-    tuples are sorted, so pool iteration order never depends on the
-    planner's internal ordering.
-
-    **Memory-aware placement.**  With ``memory_blocks`` (per-device KV
-    capacities) on a non-uniform cluster, a device's capability is the
-    mean of its speed share and its block share — a draft pool must hold
-    the draft-model KV of every in-flight session, so its block budget
-    sizes it as much as its speed.  Uniform or absent capacities reduce to
-    the pure speed planner, which keeps memory-disabled (and ample-uniform)
-    runs bit-identical to the legacy split.
+    prefixes of the devices ordered slowest-first (ties by index), so fast
+    parts default to the heavy verify side; the chosen prefix is the one
+    whose share of total cluster speed is closest to ``draft_share``.
+    Ties prefer the smaller draft pool (verify is the heavy side), which
+    also makes the choice deterministic on all-equal clusters: at share
+    0.5 the draft pool is the ``K // 2`` prefix.  Both pools always keep
+    at least one device; degenerate shares clamp to the 1-device /
+    (K-1)-device extremes.  Returned index tuples are sorted, so pool
+    iteration order never depends on the planner's internal ordering.
     """
     if len(speeds) < 2:
         raise ValueError("pool planning needs at least 2 devices")
     if not 0.0 <= draft_share <= 1.0:
         raise ValueError(f"draft_share must be in [0, 1], got {draft_share}")
-    weights = list(speeds)
-    if memory_blocks is not None:
-        if len(memory_blocks) != len(speeds):
-            raise ValueError(
-                f"memory_blocks has {len(memory_blocks)} entries for "
-                f"{len(speeds)} devices"
-            )
-        blocks = [b for b in memory_blocks if b is not None]
-        if len(blocks) == len(speeds) and len(set(blocks)) > 1:
-            total_speed = sum(speeds)
-            total_blocks = sum(blocks)
-            weights = [
-                0.5 * (speed / total_speed) + 0.5 * (cap / total_blocks)
-                for speed, cap in zip(speeds, blocks, strict=True)
-            ]
-    order = sorted(range(len(weights)), key=lambda i: (weights[i], i))
-    total = sum(weights)
+    order = sorted(range(len(speeds)), key=lambda i: (speeds[i], i))
+    # Compared in speed units rather than as fractions of the total speed:
+    # the division rounds, and would break exact ties (3 equal devices at
+    # share 0.5) toward the larger draft pool.
+    target_speed = draft_share * sum(speeds)
     best_k = 1
     best_error = None
-    prefix_weight = 0.0
-    for k in range(1, len(weights)):
-        prefix_weight += weights[order[k - 1]]
-        error = abs(prefix_weight / total - draft_share)
+    prefix_speed = 0.0
+    for k in range(1, len(speeds)):
+        prefix_speed += speeds[order[k - 1]]
+        error = abs(prefix_speed - target_speed)
         if best_error is None or error < best_error:
             best_error = error
             best_k = k
@@ -224,13 +187,7 @@ class ColocatedRouter:
     name = ROUTER_COLOCATED
     merge_verify = False
 
-    def __init__(
-        self,
-        devices: list[Device],
-        split: str = SPLIT_FIXED,
-        draft_share: float | None = None,
-        memory_blocks: Sequence[int | None] | None = None,
-    ) -> None:
+    def __init__(self, devices: list[Device], draft_share: float | None = None) -> None:
         if not devices:
             raise ValueError("router needs at least one device")
         self.devices = devices
@@ -270,28 +227,11 @@ class DisaggregatedRouter:
     name = ROUTER_DISAGGREGATED
     merge_verify = False
 
-    def __init__(
-        self,
-        devices: list[Device],
-        split: str = SPLIT_FIXED,
-        draft_share: float | None = None,
-        memory_blocks: Sequence[int | None] | None = None,
-    ) -> None:
+    def __init__(self, devices: list[Device], draft_share: float | None = None) -> None:
         if len(devices) < 2:
             raise ValueError("disaggregation needs at least 2 devices")
-        if split not in SPLIT_POLICIES:
-            raise ValueError(
-                f"unknown split policy {split!r}; use one of "
-                f"{', '.join(SPLIT_POLICIES)}"
-            )
         self.devices = devices
-        self._split = split
-        self._draft_share = draft_share
-        self._memory_blocks = (
-            None
-            if memory_blocks is None
-            else {d.index: b for d, b in zip(devices, memory_blocks, strict=True)}
-        )
+        self._draft_share = DEFAULT_DRAFT_SHARE if draft_share is None else draft_share
         # Round state, set by plan_round.
         self._now = 0.0
         self._projected: dict[int, float] = {}
@@ -308,27 +248,9 @@ class DisaggregatedRouter:
         """
         self._draft_free = self._target_free = False
         if len(members) >= 2:
-            if self._split == SPLIT_FIXED:
-                # Verify is the heavier side (the target model is the big
-                # one), so an odd device goes to the target pool.
-                cut = len(members) // 2
-                draft_pos = tuple(range(cut))
-                target_pos = tuple(range(cut, len(members)))
-            else:
-                share = (
-                    DEFAULT_DRAFT_SHARE
-                    if self._draft_share is None
-                    else self._draft_share
-                )
-                draft_pos, target_pos = plan_pool_split(
-                    [device.speed for device in members],
-                    share,
-                    memory_blocks=(
-                        None
-                        if self._memory_blocks is None
-                        else [self._memory_blocks[d.index] for d in members]
-                    ),
-                )
+            draft_pos, target_pos = plan_pool_split(
+                [device.speed for device in members], self._draft_share
+            )
             self.draft_pool = [members[i] for i in draft_pos]
             self.target_pool = [members[i] for i in target_pos]
         else:
@@ -455,28 +377,18 @@ ROUTER_POLICIES = tuple(ROUTER_REGISTRY)
 
 
 def build_router(
-    config: ClusterConfig,
-    overlap: float,
-    draft_share: float | None = None,
-    memory_blocks: Sequence[int | None] | None = None,
+    config: ClusterConfig, overlap: float, draft_share: float | None = None
 ):
     """Devices + router for one scheduler run.
 
     Returns ``(devices, router)``; the devices are freshly timed (state is
     per-run, never shared between simulations).  ``draft_share`` feeds the
-    balanced pool planner (measured by the scheduler from the decoder; see
-    :func:`measure_draft_share`), and ``memory_blocks`` — the resolved
-    per-device KV capacities when memory accounting is on — makes the
-    balanced planner weigh block budgets alongside speed.
+    pool planner (measured by the scheduler from the decoder; see
+    :func:`measure_draft_share`); without it the planner assumes
+    :data:`DEFAULT_DRAFT_SHARE`.
     """
     devices = make_devices(config.devices, overlap, specs=config.device_specs)
     router_cls = ROUTER_REGISTRY.get(config.router)
     if router_cls is None:
         raise ValueError(f"unknown router policy {config.router!r}")
-    router = router_cls(
-        devices,
-        split=config.split,
-        draft_share=draft_share,
-        memory_blocks=memory_blocks,
-    )
-    return devices, router
+    return devices, router_cls(devices, draft_share=draft_share)

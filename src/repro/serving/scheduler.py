@@ -17,9 +17,9 @@ and the admissions/dispatches they enable — are processed in
 deterministic order (devices by index, waiting phases FIFO by
 ``(class rank, ready time, request index)``), so one arrival trace
 schedules identically on every run, for every device count, device-spec
-mix, split policy, router policy and fault plan.  Under
-``split="balanced"`` the scheduler first measures the decoder's
-draft:verify cost ratio on the trace's leading utterances
+mix, router policy and fault plan.  Under a pooled router
+(``disaggregated`` or ``merged``) the scheduler first measures the
+decoder's draft:verify cost ratio on the trace's leading utterances
 (:func:`~repro.serving.router.measure_draft_share` — a pure, deterministic
 simulation) and hands it to the workload-aware pool planner.
 
@@ -157,7 +157,6 @@ from repro.serving.request import (
 from repro.serving.router import (
     PLANNER_SAMPLE_UTTERANCES,
     ROUTER_COLOCATED,
-    SPLIT_BALANCED,
     ClusterConfig,
     build_router,
     measure_draft_share,
@@ -427,14 +426,14 @@ class ContinuousBatchScheduler:
 def _planner_draft_share(
     decoder, cluster: ClusterConfig, arrivals: list[Arrival], dataset: Dataset
 ) -> float | None:
-    """The draft:verify cost ratio the balanced pool planner needs.
+    """The draft:verify cost ratio the pool planner needs.
 
     Workload-aware pool planning measures it on the first few distinct
     utterances of the trace.  Phase costs are pure functions of (decoder,
     utterance), so this is deterministic and leaves transcripts untouched.
-    None when no planner consumes it.
+    None for a colocated cluster, which has no pools to plan.
     """
-    if cluster.split != SPLIT_BALANCED or cluster.router == ROUTER_COLOCATED:
+    if cluster.router == ROUTER_COLOCATED:
         return None
     sample_indices: list[int] = []
     for arrival in arrivals:
@@ -504,16 +503,13 @@ class _ServeLoop:
             ]
         else:
             capacities = [memspec.device_blocks] * (cluster.devices or 1)
-        self.memory = memory = (
+        self.memory = (
             ClusterKVMemory(memspec, capacities)
             if any(cap is not None for cap in capacities)
             else None
         )
         self.devices, self.router = build_router(
-            cluster,
-            config.overlap,
-            self.draft_share,
-            memory_blocks=capacities if memory is not None else None,
+            cluster, config.overlap, self.draft_share
         )
         if plan is not None:
             for device, profile in zip(

@@ -21,7 +21,7 @@ from repro.serving.devices import parse_device_specs
 from repro.serving.faults import FaultPlan, parse_fault_spec
 from repro.serving.memory import MemorySpec
 from repro.serving.report import ServeReport
-from repro.serving.router import SPLIT_FIXED, ClusterConfig
+from repro.serving.router import ClusterConfig
 from repro.serving.scheduler import (
     ContinuousBatchScheduler,
     SchedulerConfig,
@@ -31,11 +31,15 @@ from repro.serving.scheduler import (
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Shape and placement policy of the simulated accelerator cluster."""
+    """Shape and placement policy of the simulated accelerator cluster.
+
+    The ``disaggregated`` and ``merged`` routers size their draft and
+    target pools from the measured draft:verify cost ratio and the device
+    speeds (:func:`~repro.serving.router.plan_pool_split`).
+    """
 
     devices: int | None = None  # accelerator count; None = 1 or len(device_spec)
     router: str = "colocated"  # placement policy (see serving.router)
-    pool_split: str = SPLIT_FIXED  # draft/target pool sizing: fixed | balanced
     device_spec: str = ""  # heterogeneous shorthand, e.g. "2x1.0,2x0.5@64"
 
 
@@ -113,7 +117,6 @@ class ServeSimConfig:
         return ClusterConfig(
             devices=cluster.devices,
             router=cluster.router,
-            split=cluster.pool_split,
             device_specs=specs,
         )
 

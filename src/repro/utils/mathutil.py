@@ -48,18 +48,3 @@ def softmax(scores: Sequence[float], temperature: float = 1.0) -> list[float]:
     """
     return softmax_array(scores, temperature).tolist()
 
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sequence."""
-    seq = list(values)
-    if not seq:
-        return 0.0
-    return float(sum(seq)) / len(seq)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of ``values``; 0.0 if empty."""
-    seq = list(values)
-    if not seq:
-        return 0.0
-    return float(np.percentile(np.asarray(seq, dtype=np.float64), q))

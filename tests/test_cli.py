@@ -168,8 +168,13 @@ class TestServeSimValidation:
         assert "does not match" in str(excinfo.value)
 
     def test_rejects_unknown_split(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve-sim", "--split", "optimal"])
+        """The planner alone sizes the pools: serve-sim has no --split
+        (``decode --split`` picks the corpus split)."""
+        for policy in ("fixed", "balanced"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve-sim", "--split", policy])
+            assert excinfo.value.code == 2
+            assert "--split" in self._error_text(capsys)
 
     def test_serve_sim_cluster_runs(self, capsys):
         assert (
@@ -314,8 +319,6 @@ class TestServeSimValidation:
                     "2x1.0,2x0.5",
                     "--router",
                     "merged",
-                    "--split",
-                    "balanced",
                     "--no-max-qps",
                 ]
             )

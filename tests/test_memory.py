@@ -443,6 +443,21 @@ class TestAllocatorUnit:
         assert remaining == {(r, m, d) for r, d in ((1, 0), (2, 1)) for m in MODELS}
         memory.audit()
 
+    def test_eviction_walks_least_recently_admitted_first(self):
+        memory = ClusterKVMemory(MemorySpec(device_blocks=12, block_size=4), [12])
+        for request in (0, 1, 2, 0):  # request 0 runs again last
+            memory.admit(0, request, "m", f"utt-{request}", 4, 0)
+            memory.settle(request, "m", 4, committed=True)
+        assert list(memory._lru) == [1, 2, 0]
+        # A one-block shortfall takes the oldest idle session and stops.
+        memory._evict_until(0, 1, protect=-1)
+        assert set(memory._holdings) == {0, 2}
+        # The walk skips the protected session.
+        memory._evict_until(0, 1, protect=2)
+        assert set(memory._holdings) == {2}
+        assert memory.evictions == 2
+        memory.audit()
+
     def test_finished_request_leaves_no_reprefill_mark(self):
         memory = ClusterKVMemory(MemorySpec(device_blocks=4, block_size=4), [4, 4])
         draft, target = MODELS
@@ -565,12 +580,12 @@ PARITY_CLUSTERS = (
     ClusterConfig(devices=2, router="colocated"),
     ClusterConfig(devices=2, router="disaggregated"),
     ClusterConfig(devices=3, router="merged"),
-    ClusterConfig(devices=4, router="disaggregated", split="balanced"),
+    ClusterConfig(devices=4, router="disaggregated"),
 )
 
 
 def _cluster_id(config: ClusterConfig) -> str:
-    return f"{config.devices}x-{config.router}-{config.split}"
+    return f"{config.devices}x-{config.router}"
 
 
 def _signature(records):

@@ -169,6 +169,11 @@ class TestPoolPlanner:
         # shares 1/4 and 2/4 are equidistant from 0.375: keep draft small
         draft, _ = plan_pool_split([1.0, 1.0, 1.0, 1.0], 0.375)
         assert len(draft) == 1
+        # at share 0.5 every equal cluster keeps the K // 2 prefix, also
+        # where the two nearest fractions (1/3 and 2/3, 3/7 and 4/7) round
+        for count in range(2, 10):
+            draft, _ = plan_pool_split([1.0] * count, 0.5)
+            assert draft == tuple(range(count // 2))
 
     def test_equal_speed_ties_break_by_index(self):
         draft, target = plan_pool_split([1.0, 1.0, 1.0], 0.34)
@@ -182,29 +187,27 @@ class TestPoolPlanner:
             plan_pool_split([1.0, 1.0], 1.5)
 
     def test_odd_k_fixed_split_favours_target(self):
+        # Without a measured share the planner keeps the K // 2 prefix
+        # split: the odd device verifies.
         devices = make_devices(5, overlap=0.8)
-        router = DisaggregatedRouter(devices, split="fixed")
-        assert len(router.draft_pool) == 2
-        assert len(router.target_pool) == 3
+        router = DisaggregatedRouter(devices)
+        assert [d.index for d in router.draft_pool] == [0, 1]
+        assert [d.index for d in router.target_pool] == [2, 3, 4]
 
     def test_balanced_split_reshapes_pools(self):
         devices = make_devices(4, overlap=0.8)
-        fixed = DisaggregatedRouter(devices, split="fixed")
-        balanced = DisaggregatedRouter(devices, split="balanced", draft_share=0.1)
-        assert len(fixed.draft_pool) == 2
-        assert len(balanced.draft_pool) == 1
-        assert len(balanced.target_pool) == 3
-
-    def test_unknown_split_rejected(self):
-        with pytest.raises(ValueError, match="split"):
-            DisaggregatedRouter(make_devices(2, overlap=0.8), split="optimal")
+        default = DisaggregatedRouter(devices)
+        light = DisaggregatedRouter(devices, draft_share=0.1)
+        assert len(default.draft_pool) == 2
+        assert len(light.draft_pool) == 1
+        assert len(light.target_pool) == 3
 
 
 class TestLeastLoadedRouting:
     def _router(self, speeds, share=0.5):
         specs = tuple(DeviceSpec(speed=s) for s in speeds)
         devices = make_devices(len(speeds), overlap=0.8, specs=specs)
-        router = DisaggregatedRouter(devices, split="balanced", draft_share=share)
+        router = DisaggregatedRouter(devices, draft_share=share)
         return devices, router
 
     def test_round_projection_spreads_phases(self):
@@ -258,7 +261,7 @@ class TestLeastLoadedRouting:
         # instead of spreading the exact phases it exists to merge
         specs = tuple(DeviceSpec(speed=1.0) for _ in range(4))
         devices = make_devices(4, overlap=0.8, specs=specs)
-        router = MergedVerifyRouter(devices, split="balanced", draft_share=0.5)
+        router = MergedVerifyRouter(devices, draft_share=0.5)
         router.plan_round(0.0)
         first = router.route(0, _phase(PHASE_VERIFY, 10.0))
         second = router.route(1, _phase(PHASE_VERIFY, 10.0))
@@ -347,7 +350,6 @@ def routing_rounds(draw):
         st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=2, max_size=6)
     )
     count = len(speeds)
-    split = draw(st.sampled_from(["fixed", "balanced"]))
     share = draw(st.floats(0.0, 1.0))
     merged = draw(st.booleans())
     rounds = []
@@ -385,25 +387,23 @@ def routing_rounds(draw):
             )
         )
         rounds.append((alive, now, free_at, phases))
-    return speeds, split, share, merged, rounds
+    return speeds, share, merged, rounds
 
 
 #: Clusters the scheduler-level comparison serves the same trace on.
 EXACT_CASES = {
     "disaggregated-4x": (ClusterConfig(devices=4, router=ROUTER_DISAGGREGATED), ""),
     "merged-4x": (ClusterConfig(devices=4, router=ROUTER_MERGED), ""),
-    "merged-balanced-mixed": (
+    "merged-mixed": (
         ClusterConfig(
             router=ROUTER_MERGED,
-            split="balanced",
             device_specs=parse_device_specs("1.0,0.5,2.0,1.0,0.5"),
         ),
         "",
     ),
-    "disaggregated-balanced-mixed": (
+    "disaggregated-mixed": (
         ClusterConfig(
             router=ROUTER_DISAGGREGATED,
-            split="balanced",
             device_specs=parse_device_specs("2x1.0,2x0.5"),
         ),
         "",
@@ -426,13 +426,13 @@ class TestGatedRoutingIsExact:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=routing_rounds())
     def test_route_matches_reference_where_a_phase_can_start(self, case):
-        speeds, split, share, merged, rounds = case
+        speeds, share, merged, rounds = case
         specs = tuple(DeviceSpec(speed=s) for s in speeds)
         devices = make_devices(len(speeds), overlap=0.8, specs=specs)
         gated_cls = MergedVerifyRouter if merged else DisaggregatedRouter
         reference_cls = ReferenceMergedRouter if merged else ReferenceRouter
-        gated = gated_cls(devices, split=split, draft_share=share)
-        reference = reference_cls(devices, split=split, draft_share=share)
+        gated = gated_cls(devices, draft_share=share)
+        reference = reference_cls(devices, draft_share=share)
         for alive, now, free_at, phases in rounds:
             for device, at in zip(devices, free_at, strict=True):
                 device.free_at = at
@@ -568,15 +568,9 @@ class TestClusterConfigSpecs:
         with pytest.raises(ValueError, match="empty"):
             ClusterConfig(device_specs=())
 
-    def test_unknown_split_rejected(self):
-        with pytest.raises(ValueError, match="split"):
-            ClusterConfig(devices=2, router="merged", split="optimal")
-
     def test_build_router_heterogeneous_speeds(self):
         config = ClusterConfig(
-            router="disaggregated",
-            split="balanced",
-            device_specs=parse_device_specs("2x1.0,2x0.5"),
+            router="disaggregated", device_specs=parse_device_specs("2x1.0,2x0.5")
         )
         devices, router = build_router(config, overlap=0.8, draft_share=1.0 / 3.0)
         assert [d.speed for d in devices] == [1.0, 1.0, 0.5, 0.5]

@@ -29,6 +29,7 @@ from repro.decoding.base import (
     begin_decode,
 )
 from repro.harness.methods import build_method
+from repro.harness.runner import load_split
 from repro.models.simulated import SimulatedASRModel
 from repro.serving import (
     ClusterConfig,
@@ -37,12 +38,17 @@ from repro.serving import (
     Device,
     SchedulerConfig,
     ServeSimConfig,
+    build_decoder,
+    make_devices,
+    make_trace,
+    measure_draft_share,
     parse_device_specs,
     poisson_trace,
     simulate,
     uniform_trace,
 )
 from repro.serving.request import STATUS_COMPLETED
+from repro.serving.router import DEFAULT_DRAFT_SHARE, MergedVerifyRouter
 
 PHASED_METHODS = (
     "autoregressive",
@@ -61,31 +67,22 @@ CLUSTERS = (
     ClusterConfig(devices=2, router="colocated"),
     ClusterConfig(devices=2, router="disaggregated"),
     ClusterConfig(devices=2, router="merged"),
+    ClusterConfig(devices=3, router="disaggregated"),
     ClusterConfig(devices=4, router="colocated"),
     ClusterConfig(devices=4, router="disaggregated"),
     ClusterConfig(devices=4, router="merged"),
-    # workload-aware pool splits, homogeneous and heterogeneous
-    ClusterConfig(devices=4, router="disaggregated", split="balanced"),
-    ClusterConfig(devices=4, router="merged", split="balanced"),
+    # heterogeneous clusters: the planner gives the fast parts to verify
     ClusterConfig(devices=4, router="colocated", device_specs=HETERO),
     ClusterConfig(devices=4, router="disaggregated", device_specs=HETERO),
+    ClusterConfig(devices=4, router="merged", device_specs=HETERO),
     ClusterConfig(
-        devices=4, router="disaggregated", split="balanced", device_specs=HETERO
-    ),
-    ClusterConfig(devices=4, router="merged", split="balanced", device_specs=HETERO),
-    ClusterConfig(
-        devices=3,
-        router="merged",
-        split="balanced",
-        device_specs=parse_device_specs("2.0,2x0.5"),
+        devices=3, router="merged", device_specs=parse_device_specs("2.0,2x0.5")
     ),
 )
 
 
 def _cluster_id(config: ClusterConfig) -> str:
     parts = [f"{config.devices}x-{config.router}"]
-    if config.split != "fixed":
-        parts.append(config.split)
     if config.device_specs:
         parts.append("hetero")
     return "-".join(parts)
@@ -452,7 +449,7 @@ class TestPlacementSemantics:
         stats = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=4, router="disaggregated", split="balanced"),
+            ClusterConfig(devices=4, router="disaggregated"),
             "specasr-asp",
         )
         assert stats.draft_share is not None
@@ -461,15 +458,56 @@ class TestPlacementSemantics:
         assert stats.device_roles.count("target") >= 1
         assert len(stats.device_roles) == 4
 
-    def test_fixed_split_measures_nothing(self, whisper_pair, clean_dataset):
-        stats = self._stats(
+    def test_only_pooled_runs_measure_a_share(self, whisper_pair, clean_dataset):
+        # The planner measures the share on the first three distinct
+        # utterances of the trace _stats serves.
+        trace = uniform_trace(8, 4.0, len(clean_dataset), seed=3)
+        sample = list(dict.fromkeys(a.utterance_index for a in trace))[:3]
+        decoder = build_method("specasr-asp", *whisper_pair)
+        share = measure_draft_share(decoder, [clean_dataset[i] for i in sample])
+        colocated = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=2, router="disaggregated"),
+            ClusterConfig(devices=2, router="colocated"),
             "specasr-asp",
         )
-        assert stats.draft_share is None
-        assert stats.device_roles == ("draft", "target")
+        assert colocated.draft_share is None
+        assert colocated.device_roles == ("any", "any")
+        for router in ("disaggregated", "merged"):
+            pooled = self._stats(
+                whisper_pair,
+                clean_dataset,
+                ClusterConfig(devices=2, router=router),
+                "specasr-asp",
+            )
+            assert pooled.draft_share == share
+            assert pooled.device_roles == ("draft", "target")
+
+    def test_planner_keeps_half_split_at_serve_capacity_shares(self):
+        # serve-capacity's shape: specasr-asp on 4 equal merged devices,
+        # 32 test-clean utterances, Poisson traces at seed 2025.  Every
+        # ladder rate measures a draft share at which the planner keeps
+        # the K // 2 prefix split, as it does without a measurement.
+        config = ServeSimConfig(cluster=ClusterSpec(devices=4, router="merged"))
+        decoder = build_decoder(config)
+        dataset = load_split(config.split, config.experiment_config())
+        halves = ("draft", "draft", "target", "target")
+        shares = [DEFAULT_DRAFT_SHARE]
+        for qps in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16):
+            trace = make_trace("poisson", 256, qps, len(dataset), config.seed)
+            scheduler = ContinuousBatchScheduler(
+                decoder, config.scheduler_config(), config.cluster_config()
+            )
+            scheduler.run(trace[:8], dataset)
+            assert scheduler.last_stats.device_roles == halves
+            shares.append(scheduler.last_stats.draft_share)
+        for share in shares:
+            router = MergedVerifyRouter(make_devices(4, overlap=0.8), share)
+            assert router.device_roles() == halves
+            # a crash leaves three devices: one drafts, two verify
+            router.on_membership_change([0, 1, 2])
+            assert [d.index for d in router.draft_pool] == [0]
+            assert [d.index for d in router.target_pool] == [1, 2]
 
     def test_balanced_hetero_gives_fast_devices_to_verify(
         self, whisper_pair, clean_dataset
@@ -477,12 +515,7 @@ class TestPlacementSemantics:
         stats = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(
-                devices=4,
-                router="disaggregated",
-                split="balanced",
-                device_specs=HETERO,
-            ),
+            ClusterConfig(devices=4, router="disaggregated", device_specs=HETERO),
             "specasr-asp",
         )
         assert stats.device_speeds == (1.0, 1.0, 0.5, 0.5)
@@ -492,14 +525,14 @@ class TestPlacementSemantics:
         assert fast_roles == {"target"}
 
     def test_least_loaded_routing_uses_whole_pool(self, whisper_pair, clean_dataset):
-        # 1 draft + 3 target devices: least-loaded verify routing must
-        # spread work across every target device, not a static hash bucket
+        # least-loaded verify routing must spread work across every target
+        # device, not a static hash bucket
         draft, target = whisper_pair
         decoder = build_method("specasr-asp", draft, target)
         scheduler = ContinuousBatchScheduler(
             decoder,
             SchedulerConfig(max_batch=2, max_inflight=8),
-            ClusterConfig(devices=4, router="disaggregated", split="balanced"),
+            ClusterConfig(devices=4, router="disaggregated"),
         )
         trace = uniform_trace(12, 8.0, len(clean_dataset), seed=11)
         records = scheduler.run(trace, clean_dataset)

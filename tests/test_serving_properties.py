@@ -177,8 +177,8 @@ cluster_shapes = st.sampled_from(
     (
         ClusterConfig(devices=1),
         ClusterConfig(devices=2, router="disaggregated"),
-        ClusterConfig(devices=3, router="merged", split="balanced"),
-        ClusterConfig(devices=4, router="disaggregated", split="balanced"),
+        ClusterConfig(devices=3, router="merged"),
+        ClusterConfig(devices=4, router="disaggregated"),
     )
 )
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.mathutil import clamp, mean, percentile, softmax
+from repro.utils.mathutil import clamp, softmax
 
 
 class TestClamp:
@@ -45,17 +45,3 @@ class TestSoftmax:
         probs = softmax(scores)
         assert all(0.0 <= p <= 1.0 for p in probs)
         assert math.isclose(sum(probs), 1.0, rel_tol=1e-9)
-
-
-class TestAggregates:
-    def test_mean_empty(self):
-        assert mean([]) == 0.0
-
-    def test_mean_values(self):
-        assert mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_percentile(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == pytest.approx(3.0)
-
-    def test_percentile_empty(self):
-        assert percentile([], 90) == 0.0

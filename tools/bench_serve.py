@@ -10,9 +10,9 @@ For each method in the suite this bench:
   device utilisation) at a common reference load ``--ref-qps``;
 * sweeps the **cluster grid** — device count × router policy (colocated
   sharding, draft/target disaggregation, merged cross-request verification)
-  × pool-split policy (fixed ``K // 2`` vs the workload-aware balanced
-  planner) × device mix (homogeneous vs a ``2x1.0,2x0.5`` fast/slow
-  heterogeneous cluster) — and records max sustainable QPS per point;
+  × device mix (homogeneous vs a ``2x1.0,2x0.5`` fast/slow heterogeneous
+  cluster) — and records max sustainable QPS per point; the workload-aware
+  planner sizes the draft and target pools;
 * sweeps the **streaming grid** — chunked audio delivery at several
   chunk-size × lookahead × real-time-factor points — recording word-level
   TTFT / chunk-emission / final-latency percentiles and asserting each
@@ -23,8 +23,8 @@ For each method in the suite this bench:
   configurations produce bit-identical transcripts and per-request decode
   times, re-running the batched simulation reproduces identical completion
   latencies, and transcripts/decode times are identical across device
-  counts, device specs, split policies and router policies — and equal to
-  a fresh decode, since every serve replays the same decode tape.
+  counts, device specs and router policies — and equal to a fresh decode,
+  since every serve replays the same decode tape.
 
 Wall-clock throughput (simulated requests per second of host time) is also
 measured, and ``--smoke`` compares it against the checked-in
@@ -75,22 +75,18 @@ SERVE_METHODS = (
 #: Fast/slow device mix used by the heterogeneous grid points.
 HETERO_SPEC = "2x1.0,2x0.5"
 
-#: Cluster grid swept by the full bench:
-#: (devices, router policy, pool split, device spec).
+#: Cluster grid swept by the full bench: (devices, router policy, device spec).
 CLUSTER_POINTS = (
-    (1, "colocated", "fixed", ""),
-    (2, "colocated", "fixed", ""),
-    (2, "disaggregated", "fixed", ""),
-    (2, "merged", "fixed", ""),
-    (4, "colocated", "fixed", ""),
-    (4, "disaggregated", "fixed", ""),
-    (4, "disaggregated", "balanced", ""),
-    (4, "merged", "fixed", ""),
-    (4, "merged", "balanced", ""),
-    (4, "colocated", "fixed", HETERO_SPEC),
-    (4, "disaggregated", "fixed", HETERO_SPEC),
-    (4, "disaggregated", "balanced", HETERO_SPEC),
-    (4, "merged", "balanced", HETERO_SPEC),
+    (1, "colocated", ""),
+    (2, "colocated", ""),
+    (2, "disaggregated", ""),
+    (2, "merged", ""),
+    (4, "colocated", ""),
+    (4, "disaggregated", ""),
+    (4, "merged", ""),
+    (4, "colocated", HETERO_SPEC),
+    (4, "disaggregated", HETERO_SPEC),
+    (4, "merged", HETERO_SPEC),
 )
 
 #: Speculative methods the cluster grid is evaluated for.
@@ -100,7 +96,7 @@ CLUSTER_METHODS = ("spec(8,1)", "specasr-asp")
 #: on the 4-device disaggregated cluster (crashes are permanent — the
 #: harshest case; warm restarts are covered by the determinism check).
 CHAOS_METHOD = "specasr-asp"
-CHAOS_CLUSTER = (4, "disaggregated", "fixed", "")
+CHAOS_CLUSTER = (4, "disaggregated", "")
 CHAOS_POINTS = (
     ("0-failures", ""),
     ("1-failure", "crash@500:dev3"),
@@ -116,7 +112,7 @@ CHAOS_DETERMINISM_FAULTS = "crash@2000:dev3:restart=1500;perr:0.02"
 #: once with the block-vectorised oracle, cold caches each leg.  Reports
 #: must be bit-identical; only host wall time may differ.
 WALL_AB_METHOD = "specasr-asp"
-WALL_AB_CLUSTER = (4, "merged", "fixed", "")
+WALL_AB_CLUSTER = (4, "merged", "")
 WALL_AB_REPS = 3
 
 #: Streaming grid: (label, chunk_s, lookahead_s, rtf) points swept with
@@ -155,22 +151,18 @@ MEMORY_SHARED_UTTERANCES = 4
 MEMORY_REUSE_CAPACITY = 48
 
 
-def _point_key(devices: int, router: str, split: str, device_spec: str) -> str:
-    """Stable grid-entry key; legacy points keep their PR-3 names."""
+def _point_key(devices: int, router: str, device_spec: str) -> str:
+    """Stable grid-entry key: ``4x-merged``, ``4x-merged-hetero[2x1.0,2x0.5]``."""
     key = f"{devices}x-{router}"
-    if split != "fixed":
-        key += f"-{split}"
     if device_spec:
         key += f"-hetero[{device_spec}]"
     return key
 
 
 def _point_config(
-    base: ServeSimConfig, devices: int, router: str, split: str, device_spec: str
+    base: ServeSimConfig, devices: int, router: str, device_spec: str
 ) -> ServeSimConfig:
-    cluster = ClusterSpec(
-        devices=devices, router=router, pool_split=split, device_spec=device_spec
-    )
+    cluster = ClusterSpec(devices=devices, router=router, device_spec=device_spec)
     return replace(base, cluster=cluster)
 
 
@@ -252,15 +244,15 @@ def _check_determinism(config: ServeSimConfig) -> dict:
             "determinism contract violated"
         )
     # Cluster contract, per request: same trace, any device count, any
-    # device spec, any split policy, any router policy — bit-identical
-    # transcripts and decode times.
+    # device spec, any router policy — bit-identical transcripts and
+    # decode times.
     dataset = load_split(config.split, config.experiment_config())
     trace = make_trace(
         config.arrival, config.num_requests, config.qps, len(dataset), config.seed
     )
     reference = None
-    for devices, router, split, device_spec in CLUSTER_POINTS:
-        point = _point_config(config, devices, router, split, device_spec)
+    for devices, router, device_spec in CLUSTER_POINTS:
+        point = _point_config(config, devices, router, device_spec)
         scheduler = ContinuousBatchScheduler(
             decoder, config.scheduler_config(), point.cluster_config()
         )
@@ -268,7 +260,7 @@ def _check_determinism(config: ServeSimConfig) -> dict:
         if not fresh.matches(records):
             raise AssertionError(
                 "served transcripts or decode times differ from a fresh "
-                f"decode on {_point_key(devices, router, split, device_spec)}"
+                f"decode on {_point_key(devices, router, device_spec)}"
             )
         outputs = [(r.tokens, r.decode_ms) for r in records]
         if reference is None:
@@ -276,7 +268,7 @@ def _check_determinism(config: ServeSimConfig) -> dict:
         elif outputs != reference:
             raise AssertionError(
                 "transcripts or decode times changed on "
-                f"{_point_key(devices, router, split, device_spec)} "
+                f"{_point_key(devices, router, device_spec)} "
                 "— cluster determinism contract violated"
             )
     # Memory parity contract: ample capacity admits every phase, so the
@@ -305,8 +297,8 @@ def _check_determinism(config: ServeSimConfig) -> dict:
     # run.
     from repro.serving import parse_fault_spec
 
-    devices, router, split, device_spec = CHAOS_CLUSTER
-    point = _point_config(config, devices, router, split, device_spec)
+    devices, router, device_spec = CHAOS_CLUSTER
+    point = _point_config(config, devices, router, device_spec)
     plan = parse_fault_spec(CHAOS_DETERMINISM_FAULTS)
     runs = []
     for _ in range(2):
@@ -351,8 +343,8 @@ def _cluster_entry(
     """
     decoder = build_decoder(replace(_base_config(args, num_requests), method=method))
     grid = {}
-    for devices, router, split, device_spec in CLUSTER_POINTS:
-        key = _point_key(devices, router, split, device_spec)
+    for devices, router, device_spec in CLUSTER_POINTS:
+        key = _point_key(devices, router, device_spec)
         if key == "1x-colocated" and colocated_1x is not None:
             grid[key] = colocated_1x
             continue
@@ -360,7 +352,6 @@ def _cluster_entry(
             replace(_base_config(args, num_requests), method=method),
             devices,
             router,
-            split,
             device_spec,
         )
         max_qps, _ = max_sustainable_qps(
@@ -387,12 +378,11 @@ def _method_entry(args, method: str, num_requests: int) -> dict:
 
 def _chaos_entry(args, num_requests: int) -> dict:
     """Sustained QPS at the SLO with 0/1/2 injected failures (K=4 disaggregated)."""
-    devices, router, split, device_spec = CHAOS_CLUSTER
+    devices, router, device_spec = CHAOS_CLUSTER
     base = _point_config(
         replace(_base_config(args, num_requests), method=CHAOS_METHOD),
         devices,
         router,
-        split,
         device_spec,
     )
     decoder = build_decoder(base)
@@ -406,7 +396,7 @@ def _chaos_entry(args, num_requests: int) -> dict:
     fault_free = grid["0-failures"]
     return {
         "method": CHAOS_METHOD,
-        "cluster": _point_key(devices, router, split, device_spec),
+        "cluster": _point_key(devices, router, device_spec),
         "faults": dict(CHAOS_POINTS),
         "max_sustainable_qps": grid,
         "retention_vs_fault_free": {
@@ -585,12 +575,11 @@ def _environment() -> dict:
 def _wall_ab_entry(args, num_requests: int, reps: int = WALL_AB_REPS) -> dict:
     """Measured (not simulated) wall time: scalar vs vectorised oracle on
     the merged-verify cluster, best-of-``reps`` cold runs per leg."""
-    devices, router, split, device_spec = WALL_AB_CLUSTER
+    devices, router, device_spec = WALL_AB_CLUSTER
     config = _point_config(
         replace(_base_config(args, num_requests), method=WALL_AB_METHOD),
         devices,
         router,
-        split,
         device_spec,
     )
     walls = {}
@@ -607,7 +596,7 @@ def _wall_ab_entry(args, num_requests: int, reps: int = WALL_AB_REPS) -> dict:
         reports[label] = report.to_dict()
     return {
         "method": WALL_AB_METHOD,
-        "cluster": _point_key(devices, router, split, device_spec),
+        "cluster": _point_key(devices, router, device_spec),
         "requests": num_requests,
         "reps": reps,
         "scalar_wall_s": round(walls["scalar"], 4),
@@ -689,11 +678,10 @@ def run_bench(args) -> dict:
 
 #: Cluster points probed by the smoke guard, for one speculative method.
 SMOKE_CLUSTER_POINTS = (
-    (1, "colocated", "fixed", ""),
-    (2, "colocated", "fixed", ""),
-    (2, "disaggregated", "fixed", ""),
-    (4, "disaggregated", "fixed", ""),
-    (4, "disaggregated", "balanced", ""),
+    (1, "colocated", ""),
+    (2, "colocated", ""),
+    (2, "disaggregated", ""),
+    (4, "disaggregated", ""),
 )
 SMOKE_CLUSTER_METHOD = "specasr-asp"
 
@@ -736,13 +724,13 @@ def _smoke_measure_once(args) -> tuple[dict, dict, int]:
         entries[method] = round(max_qps, 3)
         simulated += args.smoke_requests * len(probes)
         if method == SMOKE_CLUSTER_METHOD:
-            for devices, router, split, device_spec in SMOKE_CLUSTER_POINTS:
-                key = _point_key(devices, router, split, device_spec)
+            for devices, router, device_spec in SMOKE_CLUSTER_POINTS:
+                key = _point_key(devices, router, device_spec)
                 if key == "1x-colocated":
                     # identical to the search just done for entries[method]
                     cluster[key] = entries[method]
                     continue
-                point = _point_config(config, devices, router, split, device_spec)
+                point = _point_config(config, devices, router, device_spec)
                 point_qps, point_probes = max_sustainable_qps(
                     point,
                     target_ratio=args.slo_target,
@@ -784,7 +772,7 @@ def _chaos_smoke(args) -> int:
             file=sys.stderr,
         )
         return 1
-    devices, router, split, device_spec = CHAOS_CLUSTER
+    devices, router, device_spec = CHAOS_CLUSTER
     point = _point_config(
         replace(
             _base_config(args, args.smoke_requests),
@@ -793,7 +781,6 @@ def _chaos_smoke(args) -> int:
         ),
         devices,
         router,
-        split,
         device_spec,
     )
     decoder = build_decoder(point)
@@ -987,21 +974,17 @@ def run_smoke(args) -> int:
         return 1
 
     # Multi-device guard: sharding across 2 devices must retain (almost)
-    # single-device capacity, draft/target disaggregation must not fall
-    # behind colocated sharding at equal device count, and the workload-
-    # aware balanced split must sustain at least the fixed K//2 split on a
-    # homogeneous 4-device cluster.
+    # single-device capacity, and draft/target disaggregation must not fall
+    # behind colocated sharding at equal device count.
     cluster = smoke["cluster_max_sustainable_qps"][SMOKE_CLUSTER_METHOD]
     coloc1 = cluster["1x-colocated"]
     coloc2 = cluster["2x-colocated"]
     disagg2 = cluster["2x-disaggregated"]
-    disagg4_fixed = cluster["4x-disaggregated"]
-    disagg4_balanced = cluster["4x-disaggregated-balanced"]
+    disagg4 = cluster["4x-disaggregated"]
     print(
         f"cluster [{SMOKE_CLUSTER_METHOD}]: 1x colocated {coloc1} qps, "
         f"2x colocated {coloc2} qps, 2x disaggregated {disagg2} qps, "
-        f"4x disaggregated fixed {disagg4_fixed} / balanced "
-        f"{disagg4_balanced} qps"
+        f"4x disaggregated {disagg4} qps"
     )
     if coloc2 < 0.9 * coloc1:
         print(
@@ -1014,13 +997,6 @@ def run_smoke(args) -> int:
         print(
             f"FAIL: disaggregated serving ({disagg2}) no longer matches "
             f"colocated sharding ({coloc2}) at 2 devices",
-            file=sys.stderr,
-        )
-        return 1
-    if disagg4_balanced < disagg4_fixed:
-        print(
-            f"FAIL: balanced pool split ({disagg4_balanced}) fell behind "
-            f"the fixed K//2 split ({disagg4_fixed}) at 4 devices",
             file=sys.stderr,
         )
         return 1
