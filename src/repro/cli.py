@@ -169,10 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--device-spec",
         default="",
         help="heterogeneous cluster shorthand, comma-separated COUNTxSPEED "
-        "groups with an optional @BLOCKS KV capacity (e.g. "
-        "2x1.0@64,2x0.5 = two full-speed devices with 64 KV blocks each "
-        "+ two half-speed ones); sets the device count, so --devices may "
-        "be omitted",
+        "groups (e.g. 2x1.0,2x0.5 = two full-speed + two half-speed "
+        "devices); sets the device count, so --devices may be omitted",
     )
     serve_parser.add_argument(
         "--faults",
@@ -221,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memory-blocks",
         type=int,
         default=None,
-        help="KV-cache capacity per device, in blocks (default: memory is "
-        "unconstrained; per-device @BLOCKS in --device-spec overrides)",
+        help="KV-cache capacity of every device, in blocks (default: memory "
+        "is unconstrained)",
     )
     serve_parser.add_argument(
         "--block-size",

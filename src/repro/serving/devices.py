@@ -37,9 +37,10 @@ DistServe/Splitwise are built on).  Mixed-model batches are billed
 batches — everything a dedicated pool device ever runs — are unaffected.
 
 **Heterogeneous clusters.** A :class:`DeviceSpec` describes one
-accelerator: its relative ``speed`` (phase costs are divided by it — a
-``speed=0.5`` part takes twice the simulated time per phase) and optional
-KV-cache capacity.  ``parse_device_specs`` turns the CLI shorthand
+accelerator by its relative ``speed`` (phase costs are divided by it — a
+``speed=0.5`` part takes twice the simulated time per phase); every device
+has the same KV-cache capacity (:mod:`repro.serving.memory`).
+``parse_device_specs`` turns the CLI shorthand
 ``"2x1.0,2x0.5"`` (two full-speed + two half-speed accelerators) into a
 spec list, which is what makes pool placement a real optimisation problem
 (see :mod:`repro.serving.router`).
@@ -67,20 +68,12 @@ class DeviceSpec:
     """Static description of one simulated accelerator.
 
     ``speed`` is relative throughput: a phase whose nominal cost is ``c``
-    occupies the device for ``c / speed`` ms.  ``memory_blocks`` is the
-    device's KV-cache capacity in blocks (see :mod:`repro.serving.memory`);
-    ``None`` inherits the cluster-wide default from
-    :class:`~repro.serving.memory.MemorySpec`.
+    occupies the device for ``c / speed`` ms.
     """
 
     speed: float = 1.0
-    memory_blocks: int | None = None
 
     def __post_init__(self) -> None:
-        if self.memory_blocks is not None and self.memory_blocks < 1:
-            raise ValueError(
-                f"memory_blocks must be >= 1 when set, got {self.memory_blocks}"
-            )
         # NaN compares False against every bound, so an explicit finiteness
         # check is required — a NaN speed would otherwise poison `free_at`
         # and hang the scheduler's event loop.
@@ -94,8 +87,6 @@ def parse_device_specs(text: str) -> tuple[DeviceSpec, ...]:
     The grammar is comma-separated groups of ``COUNTxSPEED`` (or a bare
     ``SPEED`` for a single device): ``"2x1.0,2x0.5"`` is two full-speed
     plus two half-speed accelerators, ``"1.0,0.25"`` a fast/slow pair.
-    A group may append ``@BLOCKS`` to give its devices a KV-memory
-    capacity (``"2x1.0@64,2x0.5@32"`` — see :mod:`repro.serving.memory`).
     Order matters — it fixes device indices, which the deterministic
     tie-breaks key on.
     """
@@ -107,25 +98,9 @@ def parse_device_specs(text: str) -> tuple[DeviceSpec, ...]:
                 f"empty device group in spec {text!r}; every comma-separated "
                 "segment must be COUNTxSPEED (e.g. 2x1.0) or a bare SPEED"
             )
-        body, at, blocks_text = item.partition("@")
-        blocks: int | None = None
-        if at:
-            try:
-                blocks = int(blocks_text)
-            except ValueError:
-                raise ValueError(
-                    f"bad memory capacity {blocks_text!r} in device group "
-                    f"{item!r} of spec {text!r}; @BLOCKS needs an integer "
-                    "block count (e.g. 2x1.0@64)"
-                ) from None
-            if blocks < 1:
-                raise ValueError(
-                    f"device group {item!r} in spec {text!r} asks for "
-                    f"{blocks} memory block(s); @BLOCKS needs a count >= 1"
-                )
-        count_text, sep, speed_text = body.partition("x")
+        count_text, sep, speed_text = item.partition("x")
         if not sep:
-            count_text, speed_text = "1", body
+            count_text, speed_text = "1", item
         try:
             count = int(count_text)
             speed = float(speed_text)
@@ -139,30 +114,24 @@ def parse_device_specs(text: str) -> tuple[DeviceSpec, ...]:
                 f"device group {item!r} in spec {text!r} asks for {count} "
                 "device(s); each COUNTxSPEED group needs a count >= 1"
             )
-        specs.extend(
-            DeviceSpec(speed=speed, memory_blocks=blocks) for _ in range(count)
-        )
+        specs.extend(DeviceSpec(speed=speed) for _ in range(count))
     return tuple(specs)
 
 
 def format_device_specs(specs: Sequence[DeviceSpec]) -> str:
-    """Canonical ``COUNTxSPEED[@BLOCKS]`` rendering of a spec list.
+    """Canonical ``COUNTxSPEED`` rendering of a spec list.
 
-    The parser's inverse.  Adjacent equal specs group (``"2x1,2x0.5@32"``);
+    The parser's inverse.  Adjacent equal speeds group (``"2x1,2x0.5"``);
     non-adjacent runs stay separate so device order — which tie-breaks key
     on — remains visible.
     """
-    groups: list[tuple[float, int | None, int]] = []
+    groups: list[tuple[float, int]] = []
     for spec in specs:
-        key = (spec.speed, spec.memory_blocks)
-        if groups and groups[-1][:2] == key:
-            groups[-1] = (*key, groups[-1][2] + 1)
+        if groups and groups[-1][0] == spec.speed:
+            groups[-1] = (spec.speed, groups[-1][1] + 1)
         else:
-            groups.append((*key, 1))
-    return ",".join(
-        f"{count}x{speed:g}" + (f"@{blocks}" if blocks is not None else "")
-        for speed, blocks, count in groups
-    )
+            groups.append((spec.speed, 1))
+    return ",".join(f"{count}x{speed:g}" for speed, count in groups)
 
 
 class Device:

@@ -22,7 +22,7 @@ model *memory* too, with the vLLM-style paged discipline:
   penalty** proportional to the blocks it must re-materialise.  A failed
   phase drops its residency the same way; eviction and failure are the
   only sources of re-prefill.  A finished request (completed or shed)
-  releases its residencies, re-prefill marks and LRU tick at once.
+  releases its residencies and re-prefill marks at once.
 * Full blocks of the committed region are **shared copy-on-write across
   requests** decoding the same prompt, keyed ``(model, utterance, block)``
   — the cross-request extension of the per-(model, utterance) prefix trie
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Default token positions per KV block (the vLLM default page size).
 DEFAULT_BLOCK_SIZE = 16
@@ -60,10 +60,8 @@ DEFAULT_REPREFILL_MS_PER_BLOCK = 2.0
 class MemorySpec:
     """Memory-model knobs for one serve simulation.
 
-    ``device_blocks`` is the per-device KV capacity in blocks; ``None``
-    disables memory accounting entirely (the legacy time-only cluster).
-    Per-device ``DeviceSpec.memory_blocks`` overrides beat this default,
-    so heterogeneous clusters can mix large- and small-memory parts.
+    ``device_blocks`` is every device's KV capacity in blocks; ``None``
+    disables memory accounting entirely (the time-only cluster).
     """
 
     device_blocks: int | None = None
@@ -86,7 +84,7 @@ class MemorySpec:
 
     @property
     def enabled(self) -> bool:
-        """Does this spec, by itself, turn memory accounting on?"""
+        """Does this spec turn memory accounting on?"""
         return self.device_blocks is not None
 
     def blocks_for(self, tokens: int) -> int:
@@ -101,24 +99,19 @@ class _BlockPool:
 
     __slots__ = ("capacity", "used", "peak", "shared")
 
-    def __init__(self, capacity: int | None) -> None:
-        self.capacity = capacity  # None = unbounded (accounting only)
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
         self.used = 0
         self.peak = 0
         # Refcounts of copy-on-write blocks: (model, prompt key, block
         # index) -> number of holdings referencing the one physical block.
         self.shared: dict[tuple[str, str, int], int] = {}
 
-    def free(self) -> int | None:
-        if self.capacity is None:
-            return None
-        return self.capacity - self.used
-
     def charge(self, blocks: int) -> None:
         self.used += blocks
         if self.used > self.peak:
             self.peak = self.used
-        if self.capacity is not None and self.used > self.capacity:
+        if self.used > self.capacity:
             raise RuntimeError(
                 f"block pool over capacity: {self.used} > {self.capacity}"
             )
@@ -154,19 +147,22 @@ class _Holding:
 class ClusterKVMemory:
     """Cluster-wide paged KV allocator driven by the scheduler's event loop.
 
-    One instance per scheduler run.  ``capacities`` holds the per-device
-    block budgets (``None`` = unbounded); holdings are keyed by request
-    index, then model — a speculative session holds draft-model and
-    target-model residencies independently, each on one device, and
-    completion, shedding or eviction reaches one request's residencies
-    without scanning anyone else's.  A request has at most one phase
-    executing, from :meth:`admit` to :meth:`settle`; a second admission
-    before the settle raises, as does a settle with nothing executing.
+    One instance per scheduler run, with one pool of ``spec.device_blocks``
+    blocks per device.  Holdings are keyed by request index, then model — a
+    speculative session holds draft-model and target-model residencies
+    independently, each on one device, and completion, shedding or eviction
+    reaches one request's residencies without scanning anyone else's.  The
+    map iterates least recently admitted first: :meth:`admit` re-inserts
+    the request it admits.  A request has at most one phase executing,
+    from :meth:`admit` to :meth:`settle`; a second admission before the
+    settle raises, as does a settle with nothing executing.
     """
 
-    def __init__(self, spec: MemorySpec, capacities: Sequence[int | None]) -> None:
+    def __init__(self, spec: MemorySpec, devices: int) -> None:
+        if spec.device_blocks is None:
+            raise ValueError("KV accounting needs MemorySpec.device_blocks")
         self.spec = spec
-        self.pools = [_BlockPool(capacity) for capacity in capacities]
+        self.pools = [_BlockPool(spec.device_blocks) for _ in range(devices)]
         self._holdings: dict[int, dict[str, _Holding]] = {}  # request -> model
         self._running: set[int] = set()  # requests with a phase executing
         # Residencies dropped outright (evicted, or lost with a failed
@@ -174,8 +170,6 @@ class ClusterKVMemory:
         # re-prefill penalty.  A finished request's entry goes with its
         # release.
         self._evicted: dict[int, set[str]] = {}
-        self._lru: dict[int, int] = {}  # request -> last-admit tick
-        self._tick = 0
         self.evictions = 0
         self.evicted_blocks = 0
         self.reuse_hits = 0
@@ -194,11 +188,7 @@ class ClusterKVMemory:
 
     def fits_anywhere(self, demand: int, device_indices: Iterable[int]) -> bool:
         """Could ``demand`` blocks ever fit on one of these devices?"""
-        for index in device_indices:
-            capacity = self.pools[index].capacity
-            if capacity is None or demand <= capacity:
-                return True
-        return False
+        return any(demand <= self.pools[index].capacity for index in device_indices)
 
     # -- admission gate ----------------------------------------------------
     def admit(
@@ -249,7 +239,7 @@ class ClusterKVMemory:
                 else:
                     reused += 1
             needed = new_physical - freed
-            if pool.capacity is None or pool.used + needed <= pool.capacity:
+            if pool.used + needed <= pool.capacity:
                 break
             used_before = pool.used
             self._evict_until(device, pool.used + needed - pool.capacity, request)
@@ -268,18 +258,16 @@ class ClusterKVMemory:
             pool.charge(private_target - current_private)
         elif private_target < current_private:
             pool.release(current_private - private_target)
+        # Re-inserted, so the map iterates least recently admitted first.
+        models = self._holdings.pop(request, {})
+        self._holdings[request] = models
         if holding is None:
             if held is not None:
                 self._release(model, held)  # the residency moves to ``device``
-            holding = _Holding(device, prompt_key)
-            self._holdings.setdefault(request, {})[model] = holding
+            holding = models[model] = _Holding(device, prompt_key)
         holding.shared = shared_target
         holding.private = private_target
         self._running.add(request)
-        self._tick += 1
-        # Re-insert, so the dict's order is tick order (oldest first).
-        self._lru.pop(request, None)
-        self._lru[request] = self._tick
         penalty = 0.0
         marks = self._evicted.get(request)
         if marks is not None and model in marks:
@@ -346,8 +334,8 @@ class ClusterKVMemory:
         """Free every residency of a finished ``request`` (completed/shed).
 
         Only a session whose phase is not executing may be released; a
-        running one raises.  Its re-prefill marks and LRU tick go too,
-        including the mark of a model evicted after its last phase.
+        running one raises.  Its re-prefill marks go too, including the
+        mark of a model evicted after its last phase.
         """
         if request in self._running:
             raise RuntimeError(f"request {request} has a phase executing")
@@ -355,7 +343,6 @@ class ClusterKVMemory:
         for model, holding in self._holdings.pop(request, {}).items():
             freed += self._release(model, holding)
         self._evicted.pop(request, None)
-        self._lru.pop(request, None)
         return freed
 
     def _drop(self, request: int, model: str) -> int:
@@ -397,15 +384,13 @@ class ClusterKVMemory:
             return
         running, holdings = self._running, self._holdings
         freed = 0
-        # Every resident request has an LRU tick (its holdings come from an
-        # admission), and ``_lru`` iterates least recently admitted first.
-        for victim in self._lru:
+        # Least recently admitted first; a snapshot, since a victim whose
+        # last residency goes leaves the map.
+        for victim in list(holdings):
             if victim == protect or victim in running:
                 continue
-            models = holdings.get(victim)
-            if models is None or not any(
-                h.device == device and h.blocks > 0 for h in models.values()
-            ):
+            models = holdings[victim]
+            if not any(h.device == device and h.blocks > 0 for h in models.values()):
                 continue
             victim_freed = 0
             for model, holding in list(models.items()):
@@ -420,7 +405,7 @@ class ClusterKVMemory:
 
     # -- reporting / invariants --------------------------------------------
     @property
-    def capacities(self) -> tuple[int | None, ...]:
+    def capacities(self) -> tuple[int, ...]:
         return tuple(pool.capacity for pool in self.pools)
 
     @property
@@ -436,8 +421,8 @@ class ClusterKVMemory:
         ``used == private blocks + distinct shared blocks`` per device, and
         nothing exceeds capacity.  With ``drained=True`` (every request is
         terminal, as at the end of a scheduler run) any used block,
-        residency, running phase, re-prefill mark or LRU tick left over is
-        a leak and fails too.
+        residency, running phase or re-prefill mark left over is a leak and
+        fails too.
         """
         private = [0] * len(self.pools)
         for models in self._holdings.values():
@@ -450,21 +435,17 @@ class ClusterKVMemory:
                     f"device {device}: ledger says {pool.used} blocks used, "
                     f"holdings account for {expected}"
                 )
-            if pool.capacity is not None and pool.used > pool.capacity:
+            if pool.used > pool.capacity:
                 raise AssertionError(
                     f"device {device}: {pool.used} blocks used exceeds "
                     f"capacity {pool.capacity}"
                 )
         if drained and (
-            self._holdings
-            or self._running
-            or self._evicted
-            or self._lru
-            or any(self.used_blocks())
+            self._holdings or self._running or self._evicted or any(self.used_blocks())
         ):
             raise AssertionError(
                 f"KV leaked: requests {sorted(self._holdings)} still resident, "
                 f"{sorted(self._running)} running, blocks used "
                 f"{self.used_blocks()}, re-prefill marks on "
-                f"{sorted(self._evicted)}, LRU ticks on {sorted(self._lru)}"
+                f"{sorted(self._evicted)}"
             )

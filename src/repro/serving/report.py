@@ -240,34 +240,21 @@ class ServeReport:
         return replace(self, max_sustainable_qps=max_qps)
 
     def per_device_rows(self) -> list[dict]:
-        """One row per cluster device: spec, pool role, busy, utilisation.
-
-        Empty when the scheduler recorded no per-device detail (legacy
-        stats objects); speeds/roles default to ``1.0``/``"any"`` when a
-        run predates the heterogeneous-cluster stats fields.
-        """
+        """One row per cluster device: spec, pool role, busy, utilisation."""
         stats = self.stats
-        speeds = stats.device_speeds
-        roles = stats.device_roles
-        capacities = stats.memory_blocks
-        peaks = stats.peak_memory_blocks
         rows = []
         for index, busy in enumerate(stats.per_device_busy_ms):
-            speed = speeds[index] if index < len(speeds) else 1.0
-            role = roles[index] if index < len(roles) else "any"
             utilisation = busy / stats.sim_end_ms if stats.sim_end_ms > 0 else 0.0
             row = {
                 "device": f"dev{index}",
-                "speed": speed,
-                "role": role,
+                "speed": stats.device_speeds[index],
+                "role": stats.device_roles[index],
                 "busy_ms": round(busy, 3),
                 "utilisation": round(utilisation, 4),
             }
             if self.memory_active:
-                row["memory_blocks"] = (
-                    capacities[index] if index < len(capacities) else None
-                )
-                row["peak_blocks"] = peaks[index] if index < len(peaks) else 0
+                row["memory_blocks"] = stats.memory_blocks[index]
+                row["peak_blocks"] = stats.peak_memory_blocks[index]
             rows.append(row)
         return rows
 

@@ -70,9 +70,9 @@ threads injected chaos through the loop:
   every event in between.
 
 **Memory awareness.**  With a :class:`~repro.serving.memory.MemorySpec`
-(or per-device ``@BLOCKS`` capacities) the scheduler bills KV residency
-per in-flight session — draft and target model separately, each resident
-on one device — through a paged block allocator
+that sets ``device_blocks`` (one capacity for every device) the scheduler
+bills KV residency per in-flight session — draft and target model
+separately, each resident on one device — through a paged block allocator
 (:class:`~repro.serving.memory.ClusterKVMemory`):
 
 * A phase only dispatches on a device if its blocks fit (**admission
@@ -260,7 +260,7 @@ class ScheduleStats:
     wasted_busy_ms: float = 0.0  # occupancy billed to crash-aborted batches
     fault_events: int = 0  # events in the injected plan
     # -- memory accounting (empty/zero when memory is unconstrained) -------
-    memory_blocks: tuple[int | None, ...] = ()  # KV capacity per device
+    memory_blocks: tuple[int, ...] = ()  # KV capacity per device
     peak_memory_blocks: tuple[int, ...] = ()  # high-water blocks per device
     block_size: int = 0  # tokens per KV block (0 = memory off)
     evictions: int = 0  # idle sessions whose blocks were reclaimed
@@ -370,9 +370,8 @@ class ContinuousBatchScheduler:
     ``faults`` threads a seeded :class:`~repro.serving.faults.FaultPlan`
     through the run; omitted or empty, the loop is bit-identical to the
     fault-free scheduler.  ``memory`` enables KV-block accounting
-    (:class:`~repro.serving.memory.MemorySpec`); it activates when the spec
-    sets ``device_blocks`` or any device spec carries an ``@BLOCKS``
-    capacity, and per-device capacities override the spec default.  After
+    (:class:`~repro.serving.memory.MemorySpec`) when the spec sets
+    ``device_blocks``, every device's capacity.  After
     :meth:`run`, ``last_dispatch_log`` holds one
     ``(device_index, start_ms, end_ms, phases, aborted)`` tuple per
     executed micro-batch — the audit trail the invariant suite checks
@@ -493,23 +492,14 @@ class _ServeLoop:
         self.stream = scheduler.stream
         arrivals = sorted(trace, key=lambda a: (a.arrival_ms, a.index))
         self.draft_share = _planner_draft_share(decoder, cluster, arrivals, dataset)
-        memspec = scheduler.memory if scheduler.memory is not None else MemorySpec()
-        if cluster.device_specs is not None:
-            capacities = [
-                spec.memory_blocks
-                if spec.memory_blocks is not None
-                else memspec.device_blocks
-                for spec in cluster.device_specs
-            ]
-        else:
-            capacities = [memspec.device_blocks] * (cluster.devices or 1)
-        self.memory = (
-            ClusterKVMemory(memspec, capacities)
-            if any(cap is not None for cap in capacities)
-            else None
-        )
         self.devices, self.router = build_router(
             cluster, config.overlap, self.draft_share
+        )
+        memspec = scheduler.memory
+        self.memory = (
+            ClusterKVMemory(memspec, len(self.devices))
+            if memspec is not None and memspec.enabled
+            else None
         )
         if plan is not None:
             for device, profile in zip(

@@ -40,7 +40,7 @@ class ClusterSpec:
 
     devices: int | None = None  # accelerator count; None = 1 or len(device_spec)
     router: str = "colocated"  # placement policy (see serving.router)
-    device_spec: str = ""  # heterogeneous shorthand, e.g. "2x1.0,2x0.5@64"
+    device_spec: str = ""  # heterogeneous shorthand, e.g. "2x1.0,2x0.5"
 
 
 @dataclass(frozen=True)

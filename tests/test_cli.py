@@ -152,10 +152,16 @@ class TestServeSimValidation:
             main(["serve-sim", "--max-batch", "8", "--inflight", "2"])
         assert "max_inflight" in str(excinfo.value)
 
-    def test_rejects_malformed_device_spec(self, capsys):
+    @pytest.mark.parametrize("spec", ("2xfast", "2x1.0@64"))
+    def test_rejects_malformed_device_spec(self, capsys, spec):
+        # A group has no KV-capacity suffix: --memory-blocks sizes every device.
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve-sim", "--device-spec", "2xfast"])
-        assert "COUNTxSPEED" in str(excinfo.value)
+            main(["serve-sim", "--device-spec", spec])
+        message = str(excinfo.value)
+        assert message.startswith(
+            f"specasr serve-sim: error: bad device group {spec!r}"
+        )
+        assert "COUNTxSPEED" in message
 
     def test_rejects_device_spec_count_mismatch(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

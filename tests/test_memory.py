@@ -10,8 +10,10 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
   or the session being admitted, a stalled admission leaves the session's
   residencies where they were, and a fully drained allocator holds zero
   blocks.  The tapes are built so that admissions do evict idle sessions.
-  A finished request leaves no re-prefill mark or LRU tick behind, and a
-  drained audit fails on a leftover one.
+  Release and eviction free exactly what a scan of every holding frees,
+  and eviction takes the least recently admitted idle session first.  A
+  finished request leaves no re-prefill mark behind, and a drained audit
+  fails on a leftover one.
 * **Parity contract** — with ample capacity, a memory-enabled run is
   bit-identical to the memory-disabled scheduler across router policies
   and device counts: same transcripts, same timings, same stats, no
@@ -20,7 +22,7 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
   arrived) holds under pressure, transcripts of completed requests stay
   scheduler-independent, and an impossible demand sheds ``"memory"``.
 * **Config surface** — ``ServeSimConfig`` takes only its composed
-  sub-configs, and the ``@BLOCKS`` device-spec suffix round-trips.
+  sub-configs.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from repro.serving import (
     MemorySpec,
     SchedulerConfig,
     ServeSimConfig,
-    format_device_specs,
-    parse_device_specs,
     poisson_trace,
     simulate,
 )
@@ -111,13 +111,15 @@ class _AllocatorHarness:
     drives it: a request has at most one phase executing, and only an idle
     request is released."""
 
-    def __init__(self, capacities, spec):
-        self.memory = ClusterKVMemory(spec, capacities)
+    def __init__(self, devices, spec):
+        self.memory = ClusterKVMemory(spec, devices)
         self.spec = spec
-        self.devices = len(capacities)
         # request -> (model, peak_tokens) of its one executing phase
         self.running: dict[int, tuple[str, int]] = {}
         self.committed: dict[tuple[int, str], int] = {}
+        # Requests least recently admitted first: a request moves last on
+        # each successful admission and leaves on release.
+        self.order: dict[int, None] = {}
 
     def snapshot(self, requests):
         """Residencies of the sessions of ``requests``."""
@@ -131,8 +133,10 @@ class _AllocatorHarness:
         self.memory.audit()
         assert self.memory._running == set(self.running)
         for pool in self.memory.pools:
-            if pool.capacity is not None:
-                assert pool.used <= pool.capacity
+            assert pool.used <= pool.capacity
+        # The allocator's map iterates least recently admitted first.
+        holders = self.memory._holdings
+        assert list(holders) == [r for r in self.order if r in holders]
 
     def admit(self, request, model, device, peak):
         if request in self.running:
@@ -162,6 +166,8 @@ class _AllocatorHarness:
             own_after.pop(key)
             assert own_after == own_before
             self.running[request] = (model, peak)
+            self.order.pop(request, None)
+            self.order[request] = None
         self.check()
 
     def settle(self, request, commit, accepted):
@@ -183,6 +189,7 @@ class _AllocatorHarness:
         if request in self.running:
             return  # the scheduler never releases a session mid-phase
         self.memory.release_request(request)
+        self.order.pop(request, None)
         for model in MODELS:
             self.committed.pop((request, model), None)
         self.check()
@@ -192,6 +199,7 @@ class _AllocatorHarness:
             self.settle(request, commit=False, accepted=0)
         for request in range(8):
             self.memory.release_request(request)
+        self.order.clear()
         self.check()
         assert all(used == 0 for used in self.memory.used_blocks())
         self.memory.audit(drained=True)
@@ -242,15 +250,15 @@ class TestAllocatorProperties:
         spec = MemorySpec(
             device_blocks=capacity, block_size=block_size, prefix_sharing=sharing
         )
-        harness = _AllocatorHarness([capacity, capacity, None], spec)
+        harness = _AllocatorHarness(3, spec)
         _play(harness, tape)
         harness.drain()
 
     @given(tape=ops)
     @STABLE
     def test_unbounded_pools_never_stall(self, tape):
-        spec = MemorySpec(device_blocks=8)  # spec default irrelevant: None caps
-        harness = _AllocatorHarness([None, None, None], spec)
+        # Pools far larger than any tape's demand never fill.
+        harness = _AllocatorHarness(3, MemorySpec(device_blocks=10**6))
         _play(harness, tape)
         assert harness.memory.stalls == 0
         assert harness.memory.evictions == 0
@@ -276,13 +284,13 @@ def _scan_release(memory, request):
             continue
         freed += _scan_drop(memory, owner, model, holding)
     memory._evicted.pop(request, None)
-    memory._lru.pop(request, None)
     return freed
 
 
-def _scan_evict(memory, device, shortfall, protect):
+def _scan_evict(memory, order, device, shortfall, protect):
     """Reference ``_evict_until``: candidates and each victim's residencies
-    found by scanning every holding."""
+    found by scanning every holding, taken in ``order`` (least recently
+    admitted first)."""
     if shortfall <= 0:
         return
     present = {
@@ -290,13 +298,14 @@ def _scan_evict(memory, device, shortfall, protect):
         for (owner, _m), holding in _flat_holdings(memory).items()
         if holding.device == device and holding.blocks > 0
     }
+    rank = {request: position for position, request in enumerate(order)}
     candidates = sorted(
         (
             owner
             for owner in present
             if owner != protect and owner not in memory._running
         ),
-        key=lambda owner: (memory._lru.get(owner, -1), owner),
+        key=rank.__getitem__,
     )
     freed = 0
     for victim in candidates:
@@ -317,14 +326,13 @@ def _allocator_state(memory):
     """Everything release and eviction may change, in comparable form."""
     return (
         [(pool.used, pool.peak, dict(pool.shared)) for pool in memory.pools],
-        set(memory._holdings),  # no empty per-request map is left behind
+        list(memory._holdings),  # eviction order; no empty map left behind
         {
             key: (*_shape(holding), holding.prompt_key)
             for key, holding in _flat_holdings(memory).items()
         },
         set(memory._running),
         {request: set(models) for request, models in memory._evicted.items()},
-        dict(memory._lru),
         memory.evictions,
         memory.evicted_blocks,
     )
@@ -354,7 +362,7 @@ class TestResidencyLookup:
     @STABLE
     def test_release_and_eviction_match_whole_map_scan(self, tape, capacity):
         spec = MemorySpec(device_blocks=capacity, block_size=4)
-        harness = _AllocatorHarness([capacity, capacity], spec)
+        harness = _AllocatorHarness(2, spec)
         memory = harness.memory
         for op, request, model_idx, device, peak in tape:
             if op in ("admit", "serve"):
@@ -377,7 +385,13 @@ class TestResidencyLookup:
                 for shortfall in (1, capacity):
                     actual, reference = copy.deepcopy(memory), copy.deepcopy(memory)
                     actual._evict_until(target_device, shortfall, protect=request)
-                    _scan_evict(reference, target_device, shortfall, protect=request)
+                    _scan_evict(
+                        reference,
+                        harness.order,
+                        target_device,
+                        shortfall,
+                        protect=request,
+                    )
                     assert _allocator_state(actual) == _allocator_state(reference)
                     actual.audit()
         harness.drain()
@@ -386,7 +400,7 @@ class TestResidencyLookup:
 class TestAllocatorUnit:
     def test_prefix_sharing_dedupes_physical_blocks(self):
         spec = MemorySpec(device_blocks=64, block_size=4)
-        memory = ClusterKVMemory(spec, [64])
+        memory = ClusterKVMemory(spec, 1)
         # Request 0 decodes and commits 16 tokens of prompt "utt".
         assert memory.admit(0, 0, "m", "utt", 16, 0) == 0.0
         memory.settle(0, "m", 16, committed=True)
@@ -401,7 +415,7 @@ class TestAllocatorUnit:
 
     def test_no_sharing_means_no_reuse(self):
         spec = MemorySpec(device_blocks=64, block_size=4, prefix_sharing=False)
-        memory = ClusterKVMemory(spec, [64])
+        memory = ClusterKVMemory(spec, 1)
         memory.admit(0, 0, "m", "utt", 16, 0)
         memory.settle(0, "m", 16, committed=True)
         memory.admit(0, 1, "m", "utt", 16, 0)
@@ -410,7 +424,7 @@ class TestAllocatorUnit:
 
     def test_eviction_marks_and_reprefill_penalty(self):
         spec = MemorySpec(device_blocks=6, block_size=4, reprefill_ms_per_block=2.0)
-        memory = ClusterKVMemory(spec, [6])
+        memory = ClusterKVMemory(spec, 1)
         assert memory.admit(0, 0, "m", "a", 12, 0) == 0.0
         memory.settle(0, "m", 12, committed=True)  # 3 blocks resident
         # Request 1 needs the space; request 0 is idle -> evicted.
@@ -427,7 +441,7 @@ class TestAllocatorUnit:
 
     def test_eviction_frees_every_model_of_a_victim(self):
         spec = MemorySpec(device_blocks=12, block_size=4)
-        memory = ClusterKVMemory(spec, [12, 12])
+        memory = ClusterKVMemory(spec, 2)
         for request, device in ((0, 0), (1, 0), (2, 1)):
             for model in MODELS:
                 memory.admit(device, request, model, f"utt-{request}", 8, 0)
@@ -444,11 +458,11 @@ class TestAllocatorUnit:
         memory.audit()
 
     def test_eviction_walks_least_recently_admitted_first(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=12, block_size=4), [12])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=12, block_size=4), 1)
         for request in (0, 1, 2, 0):  # request 0 runs again last
             memory.admit(0, request, "m", f"utt-{request}", 4, 0)
             memory.settle(request, "m", 4, committed=True)
-        assert list(memory._lru) == [1, 2, 0]
+        assert list(memory._holdings) == [1, 2, 0]
         # A one-block shortfall takes the oldest idle session and stops.
         memory._evict_until(0, 1, protect=-1)
         assert set(memory._holdings) == {0, 2}
@@ -459,7 +473,7 @@ class TestAllocatorUnit:
         memory.audit()
 
     def test_finished_request_leaves_no_reprefill_mark(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=4, block_size=4), [4, 4])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=4, block_size=4), 2)
         draft, target = MODELS
         # Request 0's last draft phase commits 8 tokens on device 0.
         memory.admit(0, 0, draft, "a", 8, 0)
@@ -475,12 +489,11 @@ class TestAllocatorUnit:
         memory.release_request(0)
         # The draft model's re-prefill mark went with the request.
         assert not memory._evicted
-        assert not memory._lru
         memory.audit(drained=True)
 
     def test_running_session_never_evicted_even_under_pressure(self):
         spec = MemorySpec(device_blocks=4, block_size=4)
-        memory = ClusterKVMemory(spec, [4])
+        memory = ClusterKVMemory(spec, 1)
         assert memory.admit(0, 0, "m", "a", 8, 0) == 0.0  # in flight, 3 blocks
         # Request 1 cannot fit: the only resident session is running.
         assert memory.admit(0, 1, "m", "b", 8, 0) is None
@@ -490,13 +503,13 @@ class TestAllocatorUnit:
         memory.audit()
 
     def test_fits_anywhere(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=4), [4, None])
-        assert memory.fits_anywhere(3, [0])
-        assert not memory.fits_anywhere(9, [0])
-        assert memory.fits_anywhere(9, [0, 1])  # unbounded device
+        memory = ClusterKVMemory(MemorySpec(device_blocks=4), 2)
+        assert memory.fits_anywhere(4, [0])
+        assert not memory.fits_anywhere(5, [0, 1])
+        assert not memory.fits_anywhere(1, [])  # an empty pool
 
     def test_drained_audit_fails_on_leftover_kv(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), 1)
         memory.audit(drained=True)
         memory.admit(0, 0, "m", "a", 8, 0)
         memory.audit()
@@ -509,12 +522,12 @@ class TestAllocatorUnit:
         memory.audit(drained=True)
 
     def test_drained_audit_fails_on_leftover_reprefill_marks(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), 1)
         memory.admit(0, 0, "m", "a", 8, 0)
         # The phase failed: its blocks go, the mark stays for the retry.
         memory.settle(0, "m", 0, committed=False)
         assert not any(memory.used_blocks())
-        with pytest.raises(AssertionError, match=r"marks on \[0\], LRU ticks on \[0\]"):
+        with pytest.raises(AssertionError, match=r"marks on \[0\]"):
             memory.audit(drained=True)
         memory.release_request(0)  # the request was shed without a retry
         memory.audit(drained=True)
@@ -524,8 +537,13 @@ class TestAllocatorContract:
     """A request has one phase executing at most, and an idle residency
     moves to another device only once that device admits the phase."""
 
+    def test_needs_a_capacity(self):
+        # Without device_blocks memory accounting is off: no allocator.
+        with pytest.raises(ValueError, match="device_blocks"):
+            ClusterKVMemory(MemorySpec(), 1)
+
     def test_second_executing_phase_raises(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16, 16])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), 2)
         assert memory.admit(0, 0, MODELS[0], "a", 8, 0) == 0.0
         for device, model in ((0, MODELS[1]), (1, MODELS[0])):
             with pytest.raises(RuntimeError, match="already has a phase executing"):
@@ -537,7 +555,7 @@ class TestAllocatorContract:
         memory.audit()
 
     def test_settle_without_executing_phase_raises(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), [16])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=16, block_size=4), 1)
         with pytest.raises(RuntimeError, match="no phase executing"):
             memory.settle(0, "m", 0, committed=True)
         memory.admit(0, 0, "m", "a", 8, 0)
@@ -548,7 +566,7 @@ class TestAllocatorContract:
         memory.audit()
 
     def test_stalled_migration_keeps_idle_residency(self):
-        memory = ClusterKVMemory(MemorySpec(device_blocks=8, block_size=4), [8, 4])
+        memory = ClusterKVMemory(MemorySpec(device_blocks=4, block_size=4), 2)
         # Request 0 commits 8 tokens on device 0: two shared blocks.
         memory.admit(0, 0, "m", "a", 8, 0)
         memory.settle(0, "m", 8, committed=True)
@@ -732,15 +750,6 @@ class TestSchedulerMemory:
                 memory=MemorySpec(device_blocks=12, reprefill_ms_per_block=1e308),
             )
 
-    def test_device_spec_blocks_override(self, decoder, clean_dataset, trace):
-        cluster = ClusterConfig(device_specs=parse_device_specs("1.0@64,1.0@32"))
-        _, stats = self._run(decoder, clean_dataset, trace, cluster)
-        assert stats.memory_blocks == (64, 32)
-        assert all(
-            peak <= cap
-            for peak, cap in zip(stats.peak_memory_blocks, (64, 32), strict=True)
-        )
-
     def test_prefix_sharing_reduces_peak(self, decoder, clean_dataset):
         # Every request decodes the same utterance: maximal shareable prefix.
         trace = poisson_trace(12, 20.0, 1, seed=5)
@@ -765,7 +774,7 @@ class TestSchedulerMemory:
 
 
 # ---------------------------------------------------------------------------
-# Config surface: composed sub-configs, @BLOCKS grammar
+# Config surface: composed sub-configs
 # ---------------------------------------------------------------------------
 
 
@@ -801,20 +810,3 @@ class TestConfigSurface:
         report = simulate(ServeSimConfig(num_requests=4, utterances=4, qps=4.0))
         assert "memory" not in report.to_dict()
 
-
-class TestDeviceSpecBlocksGrammar:
-    def test_parse_blocks_suffix(self):
-        specs = parse_device_specs("2x1.0@64,0.5")
-        assert [s.speed for s in specs] == [1.0, 1.0, 0.5]
-        assert [s.memory_blocks for s in specs] == [64, 64, None]
-
-    def test_format_round_trip(self):
-        text = "2x1.0@64,1x0.5"
-        specs = parse_device_specs(text)
-        assert parse_device_specs(format_device_specs(specs)) == specs
-
-    def test_bad_blocks_rejected(self):
-        with pytest.raises(ValueError, match="integer block count"):
-            parse_device_specs("1.0@fast")
-        with pytest.raises(ValueError, match=">= 1"):
-            parse_device_specs("1.0@0")

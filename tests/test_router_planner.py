@@ -89,7 +89,7 @@ class TestDeviceSpecs:
         with pytest.raises(ValueError, match="empty device group"):
             parse_device_specs(bad)
 
-    @pytest.mark.parametrize("bad", ("2x", "x1.0", "2x1x0.5"))
+    @pytest.mark.parametrize("bad", ("2x", "x1.0", "2x1x0.5", "1.0@64", "2x1.0@64"))
     def test_malformed_groups_show_expected_shape(self, bad):
         with pytest.raises(ValueError, match="COUNTxSPEED") as err:
             parse_device_specs(bad)

@@ -169,18 +169,3 @@ class TestPerDeviceRows:
         payload = report.to_dict()
         assert payload["draft_share"] == 0.25
         assert len(payload["per_device"]) == 3
-
-    def test_legacy_stats_default_speed_and_role(self):
-        # stats recorded before the heterogeneous fields existed
-        stats = _stats(
-            sim_end_ms=100.0,
-            per_device_busy_ms=(50.0,),
-            device_speeds=(),
-            device_roles=(),
-        )
-        report = ServeReport.from_records("spec", [], stats, 3000.0, 2.0)
-        (row,) = report.per_device_rows()
-        assert row["speed"] == 1.0
-        assert row["role"] == "any"
-        assert row["utilisation"] == pytest.approx(0.5)
-        assert report.cluster_label() == "1 device(s)"  # no speed-mix suffix

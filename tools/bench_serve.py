@@ -97,6 +97,10 @@ CLUSTER_METHODS = ("spec(8,1)", "specasr-asp")
 #: harshest case; warm restarts are covered by the determinism check).
 CHAOS_METHOD = "specasr-asp"
 CHAOS_CLUSTER = (4, "disaggregated", "")
+#: Ceiling of the chaos grid's load search.  A point that reads it measured
+#: the search, not the cluster, so the chaos smoke fails on a fault-free
+#: point that reaches it.
+CHAOS_QPS_CEILING = 64.0
 CHAOS_POINTS = (
     ("0-failures", ""),
     ("1-failure", "crash@500:dev3"),
@@ -390,7 +394,10 @@ def _chaos_entry(args, num_requests: int) -> dict:
     for label, faults in CHAOS_POINTS:
         config = replace(base, chaos=ChaosSpec(faults=faults))
         max_qps, _ = max_sustainable_qps(
-            config, target_ratio=args.slo_target, decoder=decoder
+            config,
+            target_ratio=args.slo_target,
+            qps_ceiling=CHAOS_QPS_CEILING,
+            decoder=decoder,
         )
         grid[label] = round(max_qps, 3)
     fault_free = grid["0-failures"]
@@ -745,11 +752,14 @@ def _smoke_measure_once(args) -> tuple[dict, dict, int]:
 def _chaos_smoke(args) -> int:
     """Chaos guard: capacity retention and determinism under one failure.
 
-    Asserts that one injected device failure on the 4-device disaggregated
-    cluster retains >= 0.5x the fault-free sustained QPS, that the chaos
-    simulation is rerun-identical, and that requests are conserved.
+    Runs the full bench's chaos grid (``--requests``; at the smoke's 24
+    requests the fault-free cluster sustains the search ceiling).  Asserts
+    that the fault-free point stays below ``CHAOS_QPS_CEILING``, that one
+    injected device failure on the 4-device disaggregated cluster retains
+    >= 0.5x the fault-free sustained QPS, that the chaos simulation is
+    rerun-identical, and that requests are conserved.
     """
-    chaos = _chaos_entry(args, args.smoke_requests)
+    chaos = _chaos_entry(args, args.requests)
     grid = chaos["max_sustainable_qps"]
     print(
         f"chaos [{chaos['method']} @ {chaos['cluster']}]: "
@@ -764,6 +774,13 @@ def _chaos_smoke(args) -> int:
     one_failure = grid["1-failure"]
     if fault_free <= 0:
         print("FAIL: fault-free chaos baseline sustains no load", file=sys.stderr)
+        return 1
+    if fault_free >= CHAOS_QPS_CEILING:
+        print(
+            f"FAIL: fault-free chaos baseline reads the search ceiling "
+            f"({fault_free} qps), not the cluster's capacity",
+            file=sys.stderr,
+        )
         return 1
     if one_failure < 0.5 * fault_free:
         print(
