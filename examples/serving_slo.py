@@ -32,9 +32,11 @@ from dataclasses import replace
 from repro.serving import (
     ChaosSpec,
     ClusterSpec,
+    SchedulerConfig,
     ServeSimConfig,
     build_decoder,
     max_sustainable_qps,
+    parse_device_specs,
     simulate,
 )
 
@@ -57,7 +59,8 @@ def main() -> None:
             qps=qps,
             num_requests=48,
             deadline_ms=slo_ms,
-            queue_capacity=8,  # small queue: overload becomes rejections
+            # small queue: overload becomes rejections
+            scheduler=SchedulerConfig(queue_capacity=8),
         )
         report = simulate(config)
         print(
@@ -114,7 +117,8 @@ def main() -> None:
     # full-speed and two half-speed accelerators the fast devices go to
     # the verify pool, the heavy side, instead of drafting.
     for spec in ("", "2x1.0,2x0.5"):
-        cluster = ClusterSpec(devices=4, router="disaggregated", device_spec=spec)
+        specs = parse_device_specs(spec) if spec else None
+        cluster = ClusterSpec(devices=4, router="disaggregated", device_specs=specs)
         config = replace(base, cluster=cluster)
         max_qps, probes = max_sustainable_qps(config, refine_steps=4, decoder=decoder)
         stats = next(iter(probes.values())).stats

@@ -129,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-batch",
-        "--batch",
-        dest="batch",
         type=_positive_int,
         default=4,
         help="max phases co-scheduled per device pass",
@@ -392,19 +390,21 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         ChaosSpec,
         ClusterSpec,
         MemorySpec,
+        SchedulerConfig,
         ServeSimConfig,
         StreamSpec,
         build_decoder,
         load_trace,
         max_sustainable_qps,
+        parse_device_specs,
         simulate,
     )
 
     try:
-        # Construction validates the memory and stream specs; the calls
-        # below do the cross-argument validation (e.g. disaggregation needs
-        # >= 2 devices, max_inflight >= max_batch, fault events naming absent
-        # devices) and load the replayed trace — fail with a clean message,
+        # Construction validates every sub-config, cross-argument checks
+        # included (e.g. disaggregation needs >= 2 devices, max_inflight >=
+        # max_batch); the calls below reject fault events naming absent
+        # devices and load the replayed trace — fail with a clean message,
         # not a traceback.
         config = ServeSimConfig(
             method=args.method,
@@ -415,24 +415,25 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             utterances=args.utterances,
             arrival=args.arrival,
             deadline_ms=args.deadline_ms,
-            max_batch=args.batch,
-            max_inflight=args.inflight,
-            queue_capacity=args.queue_capacity,
-            overlap=args.overlap,
             batch_fraction=args.batch_fraction,
-            cluster=ClusterSpec(
-                devices=args.devices,
-                router=args.router,
-                device_spec=args.device_spec,
-            ),
-            chaos=ChaosSpec(
-                faults=args.faults,
-                fault_seed=args.fault_seed,
+            scheduler=SchedulerConfig(
+                max_batch=args.max_batch,
+                max_inflight=args.inflight,
+                queue_capacity=args.queue_capacity,
+                overlap=args.overlap,
                 max_retries=args.max_retries,
                 retry_backoff_ms=args.retry_backoff_ms,
                 admission_deadline_ms=args.admission_deadline_ms,
                 batch_deadline_ms=args.batch_deadline_ms,
             ),
+            cluster=ClusterSpec(
+                devices=args.devices,
+                router=args.router,
+                device_specs=(
+                    parse_device_specs(args.device_spec) if args.device_spec else None
+                ),
+            ),
+            chaos=ChaosSpec(faults=args.faults, fault_seed=args.fault_seed),
             memory=MemorySpec(
                 device_blocks=args.memory_blocks,
                 block_size=args.block_size,
@@ -446,11 +447,9 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 lookahead_s=args.lookahead_s,
             ),
         )
-        config.scheduler_config()
-        cluster = config.cluster_config()
         plan = config.fault_plan()
         if plan is not None:
-            plan.validate_for(cluster.devices)
+            plan.validate_for(config.cluster.devices)
         trace = load_trace(args.trace) if args.trace else None
     except ValueError as error:
         raise SystemExit(f"specasr serve-sim: error: {error}") from None

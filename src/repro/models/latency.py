@@ -111,9 +111,6 @@ class SimClock:
     def total_ms(self) -> float:
         return sum(event.ms for event in self.events)
 
-    def total_for_model(self, model: str) -> float:
-        return sum(event.ms for event in self.events if event.model == model)
-
     def total_for_kind(self, *kinds: str) -> float:
         wanted = set(kinds)
         return sum(event.ms for event in self.events if event.kind in wanted)
@@ -125,6 +122,3 @@ class SimClock:
     def tokens_for_kind(self, *kinds: str) -> int:
         wanted = set(kinds)
         return sum(event.new_tokens for event in self.events if event.kind in wanted)
-
-    def merge(self, other: "SimClock") -> None:
-        self.events.extend(other.events)

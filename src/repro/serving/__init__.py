@@ -47,7 +47,6 @@ from repro.serving.faults import (
     DeviceFaultProfile,
     FaultPlan,
     PhaseErrorRate,
-    RetryPolicy,
     parse_fault_spec,
 )
 from repro.serving.memory import DEFAULT_BLOCK_SIZE, ClusterKVMemory, MemorySpec
@@ -75,7 +74,7 @@ from repro.serving.router import (
     ROUTER_MERGED,
     ROUTER_POLICIES,
     ROUTER_REGISTRY,
-    ClusterConfig,
+    ClusterSpec,
     build_router,
     measure_draft_share,
     plan_pool_split,
@@ -88,7 +87,6 @@ from repro.serving.scheduler import (
 )
 from repro.serving.simulator import (
     ChaosSpec,
-    ClusterSpec,
     ServeSimConfig,
     build_decoder,
     max_sustainable_qps,
@@ -99,7 +97,6 @@ __all__ = [
     "AdmissionQueue",
     "Arrival",
     "ChaosSpec",
-    "ClusterConfig",
     "ClusterKVMemory",
     "ClusterSpec",
     "ContinuousBatchScheduler",
@@ -121,7 +118,6 @@ __all__ = [
     "ROUTER_POLICIES",
     "ROUTER_REGISTRY",
     "RequestRecord",
-    "RetryPolicy",
     "SHED_CAPACITY",
     "SHED_DEADLINE",
     "SHED_MEMORY",

@@ -313,36 +313,6 @@ def parse_fault_spec(text: str, seed: int = 0) -> FaultPlan:
     return FaultPlan(events=tuple(events), seed=seed)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for failed phase dispatches.
-
-    A failed phase (crash abort or transient error) re-enters the waiting
-    state ``backoff_ms * 2**(attempt - 1)`` after the failure; once a single
-    phase fails more than ``max_retries`` times the whole request is shed
-    (reason ``"retries"``) — a poisoned request must not spin forever on a
-    flaky cluster.
-    """
-
-    max_retries: int = 3
-    backoff_ms: float = 25.0
-
-    def __post_init__(self) -> None:
-        if not self.max_retries >= 0:  # NaN fails every comparison
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not math.isfinite(self.backoff_ms) or self.backoff_ms < 0:
-            raise ValueError(
-                f"backoff_ms must be finite and >= 0, got {self.backoff_ms}"
-            )
-
-    def backoff_for(self, attempt: int) -> float:
-        """Backoff delay after the ``attempt``-th failure (1-based)."""
-        return self.backoff_ms * (2.0 ** max(0, attempt - 1))
-
-    def exhausted(self, attempts: int) -> bool:
-        return attempts > self.max_retries
-
-
 __all__ = [
     "DeviceCrash",
     "DeviceFaultProfile",
@@ -351,6 +321,5 @@ __all__ = [
     "FaultPlan",
     "HEALTHY_PROFILE",
     "PhaseErrorRate",
-    "RetryPolicy",
     "parse_fault_spec",
 ]

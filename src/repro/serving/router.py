@@ -24,7 +24,7 @@ the cluster spec, so a fixed trace schedules identically on every run):
   framing of dLLM-ASR points at.
 
 Policies live in ``ROUTER_REGISTRY`` (name → class); ``build_router`` and
-:class:`ClusterConfig` validation both read it, so registering a policy is
+:class:`ClusterSpec` validation both read it, so registering a policy is
 one dict entry — there is no dispatch chain a new policy can silently miss.
 
 **Pool planning.**  The draft/target split is itself a placement decision,
@@ -49,8 +49,10 @@ for a later round, which changes no launch (see
 :meth:`DisaggregatedRouter.route`; ``tests/test_router_planner.py`` keeps
 the router that routed every phase as the reference).
 
-:class:`ClusterConfig` is the serialisable knob set threaded through
-:class:`~repro.serving.simulator.ServeSimConfig` and the CLI.
+:class:`ClusterSpec` is the one cluster config: the scheduler takes it,
+:class:`~repro.serving.simulator.ServeSimConfig` holds it as ``cluster``,
+and the CLI builds it from ``--devices``, ``--router`` and
+``--device-spec`` (via :func:`~repro.serving.devices.parse_device_specs`).
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ PLANNER_SAMPLE_UTTERANCES = 3
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """Shape of the simulated accelerator cluster.
+class ClusterSpec:
+    """Shape and placement policy of the simulated accelerator cluster.
 
     ``devices`` may be omitted (``None``): it defaults to 1, or to
     ``len(device_specs)`` when a heterogeneous spec list is provided.  An
@@ -363,7 +365,7 @@ class MergedVerifyRouter(DisaggregatedRouter):
     merge_verify = True
 
 
-#: Policy name → router class.  ``build_router`` and ``ClusterConfig``
+#: Policy name → router class.  ``build_router`` and ``ClusterSpec``
 #: validation both read this mapping, so a new policy is exactly one
 #: entry here — no dispatch chain to forget a branch in.
 ROUTER_REGISTRY: dict[str, type] = {
@@ -372,13 +374,11 @@ ROUTER_REGISTRY: dict[str, type] = {
     ROUTER_MERGED: MergedVerifyRouter,
 }
 
-#: Placement policies accepted by :class:`ClusterConfig`.
+#: Placement policies accepted by :class:`ClusterSpec`.
 ROUTER_POLICIES = tuple(ROUTER_REGISTRY)
 
 
-def build_router(
-    config: ClusterConfig, overlap: float, draft_share: float | None = None
-):
+def build_router(config: ClusterSpec, overlap: float, draft_share: float | None = None):
     """Devices + router for one scheduler run.
 
     Returns ``(devices, router)``; the devices are freshly timed (state is
@@ -388,7 +388,4 @@ def build_router(
     :data:`DEFAULT_DRAFT_SHARE`.
     """
     devices = make_devices(config.devices, overlap, specs=config.device_specs)
-    router_cls = ROUTER_REGISTRY.get(config.router)
-    if router_cls is None:
-        raise ValueError(f"unknown router policy {config.router!r}")
-    return devices, router_cls(devices, draft_share=draft_share)
+    return devices, ROUTER_REGISTRY[config.router](devices, draft_share=draft_share)

@@ -139,7 +139,7 @@ from repro.decoding.base import DecodeStepper, PhaseOutcome, begin_decode
 from repro.models.simulated import prompt_token_count
 from repro.serving.arrivals import Arrival, chunk_schedule, positions_available
 from repro.serving.devices import Device
-from repro.serving.faults import FaultPlan, RetryPolicy
+from repro.serving.faults import FaultPlan
 from repro.serving.memory import ClusterKVMemory, MemorySpec
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import (
@@ -157,7 +157,7 @@ from repro.serving.request import (
 from repro.serving.router import (
     PLANNER_SAMPLE_UTTERANCES,
     ROUTER_COLOCATED,
-    ClusterConfig,
+    ClusterSpec,
     build_router,
     measure_draft_share,
 )
@@ -165,7 +165,14 @@ from repro.serving.router import (
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Knobs of the serving loop."""
+    """Knobs of the serving loop.
+
+    A failed phase (crash abort or transient error) re-enters the waiting
+    state ``retry_backoff_ms * 2**(attempt - 1)`` after its ``attempt``-th
+    failure; once a single phase fails more than ``max_retries`` times the
+    whole request is shed (reason ``"retries"``), so a poisoned request
+    cannot spin forever on a flaky cluster.
+    """
 
     max_batch: int = 4  # phases co-scheduled per device iteration
     max_inflight: int = 8  # runnable sessions; parked streams hold no slot
@@ -201,11 +208,6 @@ class SchedulerConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0 when set, got {value}")
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries, backoff_ms=self.retry_backoff_ms
-        )
 
 
 @dataclass(frozen=True)
@@ -382,14 +384,14 @@ class ContinuousBatchScheduler:
         self,
         decoder,
         config: SchedulerConfig | None = None,
-        cluster: ClusterConfig | None = None,
+        cluster: ClusterSpec | None = None,
         faults: FaultPlan | None = None,
         memory: MemorySpec | None = None,
         stream: StreamSpec | None = None,
     ) -> None:
         self.decoder = decoder
         self.config = config or SchedulerConfig()
-        self.cluster = cluster or ClusterConfig()
+        self.cluster = cluster or ClusterSpec()
         self.faults = faults if faults is not None and faults else None
         if self.faults is not None:
             self.faults.validate_for(self.cluster.devices)
@@ -423,7 +425,7 @@ class ContinuousBatchScheduler:
 
 
 def _planner_draft_share(
-    decoder, cluster: ClusterConfig, arrivals: list[Arrival], dataset: Dataset
+    decoder, cluster: ClusterSpec, arrivals: list[Arrival], dataset: Dataset
 ) -> float | None:
     """The draft:verify cost ratio the pool planner needs.
 
@@ -488,7 +490,6 @@ class _ServeLoop:
         self.decoder = decoder
         self.config = config = scheduler.config
         self.plan = plan = scheduler.faults
-        self.retry = config.retry_policy()
         self.stream = scheduler.stream
         arrivals = sorted(trace, key=lambda a: (a.arrival_ms, a.index))
         self.draft_share = _planner_draft_share(decoder, cluster, arrivals, dataset)
@@ -837,12 +838,15 @@ class _ServeLoop:
         self.tally["retries"] += 1
         active.running = False
         active.attempts = attempt
-        if self.retry.exhausted(attempt):
+        config = self.config
+        if attempt > config.max_retries:
             self.shed_active(active, SHED_RETRIES)
             return
         active.record.requeues += 1
         self.tally["requeues"] += 1
-        active.ready_ms = end_ms + self.retry.backoff_for(attempt)
+        active.ready_ms = end_ms + config.retry_backoff_ms * (
+            2.0 ** max(0, attempt - 1)
+        )
 
     def commit(self, active: _Active, end_ms: float) -> None:
         """Apply a successfully executed phase and advance its session."""

@@ -17,11 +17,10 @@ from repro.harness.methods import build_method
 from repro.harness.runner import ExperimentConfig, load_split, shared_vocabulary
 from repro.models.registry import model_pair
 from repro.serving.arrivals import Arrival, make_trace, offered_qps
-from repro.serving.devices import parse_device_specs
 from repro.serving.faults import FaultPlan, parse_fault_spec
 from repro.serving.memory import MemorySpec
 from repro.serving.report import ServeReport
-from repro.serving.router import ClusterConfig
+from repro.serving.router import ClusterSpec
 from repro.serving.scheduler import (
     ContinuousBatchScheduler,
     SchedulerConfig,
@@ -30,40 +29,30 @@ from repro.serving.scheduler import (
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
-    """Shape and placement policy of the simulated accelerator cluster.
-
-    The ``disaggregated`` and ``merged`` routers size their draft and
-    target pools from the measured draft:verify cost ratio and the device
-    speeds (:func:`~repro.serving.router.plan_pool_split`).
-    """
-
-    devices: int | None = None  # accelerator count; None = 1 or len(device_spec)
-    router: str = "colocated"  # placement policy (see serving.router)
-    device_spec: str = ""  # heterogeneous shorthand, e.g. "2x1.0,2x0.5"
-
-
-@dataclass(frozen=True)
 class ChaosSpec:
-    """Fault injection and degradation handling (all off by default)."""
+    """Injected faults (none by default).
+
+    The retry and shedding knobs that absorb them are
+    :class:`~repro.serving.scheduler.SchedulerConfig` fields.
+    """
 
     faults: str = ""  # fault-spec grammar (see serving.faults)
     fault_seed: int = 0  # seeds the transient phase-error hash
-    max_retries: int = 3
-    retry_backoff_ms: float = 25.0
-    admission_deadline_ms: float | None = None  # shed overdue interactive
-    batch_deadline_ms: float | None = None  # batch-class SLO + shed bound
 
 
 @dataclass(frozen=True)
 class ServeSimConfig:
     """Everything one serve simulation depends on (replayable).
 
-    Composed from four sub-configs — ``cluster`` (:class:`ClusterSpec`),
-    ``chaos`` (:class:`ChaosSpec`), ``memory``
+    Composed from five sub-configs — ``scheduler``
+    (:class:`~repro.serving.scheduler.SchedulerConfig`), ``cluster``
+    (:class:`~repro.serving.router.ClusterSpec`), ``chaos``
+    (:class:`ChaosSpec`), ``memory``
     (:class:`~repro.serving.memory.MemorySpec`) and ``stream``
     (:class:`~repro.serving.scheduler.StreamSpec`) — plus the flat workload
-    knobs.  Override a sub-config knob by replacing the sub-config:
+    knobs.  The scheduler takes the sub-configs as they are, so each knob
+    is validated once, when its sub-config is built.  Override a
+    sub-config knob by replacing the sub-config:
     ``replace(config, cluster=replace(config.cluster, devices=4))``.
 
     The default deadline is a *completion* SLO of 3 s, calibrated against
@@ -81,29 +70,16 @@ class ServeSimConfig:
     split: str = "test-clean"
     arrival: str = "poisson"  # or "uniform"
     deadline_ms: float = 3000.0
-    max_batch: int = 4
-    max_inflight: int = 8
-    queue_capacity: int = 32
-    overlap: float = 0.8
     batch_fraction: float = 0.0  # share of arrivals tagged batch-class
+    scheduler: SchedulerConfig = SchedulerConfig()
     cluster: ClusterSpec = ClusterSpec()
     chaos: ChaosSpec = ChaosSpec()
     memory: MemorySpec = MemorySpec()
     stream: StreamSpec = StreamSpec()
 
-    # -- derived configs ---------------------------------------------------
-    def scheduler_config(self) -> SchedulerConfig:
-        chaos = self.chaos
-        return SchedulerConfig(
-            max_batch=self.max_batch,
-            max_inflight=self.max_inflight,
-            queue_capacity=self.queue_capacity,
-            overlap=self.overlap,
-            max_retries=chaos.max_retries,
-            retry_backoff_ms=chaos.retry_backoff_ms,
-            admission_deadline_ms=chaos.admission_deadline_ms,
-            batch_deadline_ms=chaos.batch_deadline_ms,
-        )
+    def __post_init__(self) -> None:
+        if not self.deadline_ms > 0:  # NaN fails every comparison
+            raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
 
     def fault_plan(self) -> FaultPlan | None:
         """The injected fault plan, or None when the spec is empty."""
@@ -111,23 +87,20 @@ class ServeSimConfig:
             return None
         return parse_fault_spec(self.chaos.faults, seed=self.chaos.fault_seed)
 
-    def cluster_config(self) -> ClusterConfig:
-        cluster = self.cluster
-        specs = parse_device_specs(cluster.device_spec) if cluster.device_spec else None
-        return ClusterConfig(
-            devices=cluster.devices,
-            router=cluster.router,
-            device_specs=specs,
-        )
-
-    def memory_spec(self) -> MemorySpec:
-        return self.memory
-
     def experiment_config(self) -> ExperimentConfig:
         return ExperimentConfig(seed=self.seed, utterances=self.utterances)
 
-    def with_qps(self, qps: float) -> "ServeSimConfig":
-        return replace(self, qps=qps)
+    def scheduler_config(self) -> SchedulerConfig:
+        """``self.scheduler``; kept because ``perfbench/workloads.py`` calls it."""
+        return self.scheduler
+
+    def cluster_config(self) -> ClusterSpec:
+        """``self.cluster``; kept because ``perfbench/workloads.py`` calls it."""
+        return self.cluster
+
+    def memory_spec(self) -> MemorySpec:
+        """``self.memory``; kept because ``perfbench/workloads.py`` calls it."""
+        return self.memory
 
 
 def build_decoder(config: ServeSimConfig, oracle_block_size: int | None = None):
@@ -176,10 +149,10 @@ def simulate(
         decoder = build_decoder(config)
     scheduler = ContinuousBatchScheduler(
         decoder,
-        config.scheduler_config(),
-        config.cluster_config(),
+        config.scheduler,
+        config.cluster,
         faults=config.fault_plan(),
-        memory=config.memory_spec(),
+        memory=config.memory,
         stream=config.stream,
     )
     records = scheduler.run(trace, dataset)
@@ -190,7 +163,7 @@ def simulate(
         scheduler.last_stats,
         config.deadline_ms,
         offered,
-        batch_deadline_ms=config.chaos.batch_deadline_ms,
+        batch_deadline_ms=config.scheduler.batch_deadline_ms,
     )
 
 
@@ -227,7 +200,7 @@ def max_sustainable_qps(
     def sustainable(qps: float) -> bool:
         report = evaluated.get(qps)
         if report is None:
-            report = simulate(config.with_qps(qps), decoder=decoder)
+            report = simulate(replace(config, qps=qps), decoder=decoder)
             evaluated[qps] = report
         return report.goodput_ratio >= target_ratio
 

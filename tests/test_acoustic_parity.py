@@ -41,7 +41,7 @@ from repro.models.acoustic import (
 from repro.models.latency import SimClock
 from repro.models.registry import model_pair
 from repro.models.simulated import prewarm_models
-from repro.serving import ClusterConfig, ContinuousBatchScheduler
+from repro.serving import ClusterSpec, ContinuousBatchScheduler
 from repro.serving.arrivals import poisson_trace
 from repro.utils import rng as rng_module
 from repro.utils.rng import (
@@ -224,7 +224,7 @@ class TestServeParity:
             draft, target = model_pair("whisper", vocab, oracle_block_size=block_size)
             scheduler = ContinuousBatchScheduler(
                 build_method("specasr-asp", draft, target),
-                cluster=ClusterConfig(devices=4, router="merged"),
+                cluster=ClusterSpec(devices=4, router="merged"),
             )
             records = scheduler.run(trace, clean_dataset)
             outcomes = [

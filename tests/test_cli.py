@@ -90,6 +90,8 @@ class TestServeSimValidation:
             (["serve-sim", "--deadline-ms", "nan"], "positive number"),
             (["serve-sim", "--rtf", "nan"], "positive number"),
             (["serve-sim", "--chunk-s", "nan"], "positive number"),
+            # --max-batch has one spelling; --batch is an ambiguous prefix.
+            (["serve-sim", "--batch", "2"], "ambiguous option: --batch could match"),
         ],
     )
     def test_rejects_out_of_range_values(self, capsys, argv, fragment):

@@ -38,7 +38,6 @@ from repro.harness.methods import build_method
 from repro.harness.runner import load_split
 from repro.serving import (
     ChaosSpec,
-    ClusterConfig,
     ClusterSpec,
     ContinuousBatchScheduler,
     Device,
@@ -47,7 +46,6 @@ from repro.serving import (
     FaultPlan,
     MemorySpec,
     PhaseErrorRate,
-    RetryPolicy,
     SchedulerConfig,
     ScheduleStats,
     ServeSimConfig,
@@ -264,26 +262,6 @@ class TestDeviceFaultMath:
             device.execute(50.0, [_phase(10.0)], abort_ms=20.0)
 
 
-class TestRetryPolicy:
-    def test_backoff_doubles_per_attempt(self):
-        policy = RetryPolicy(max_retries=3, backoff_ms=25.0)
-        assert [policy.backoff_for(a) for a in (1, 2, 3)] == [25.0, 50.0, 100.0]
-        assert not policy.exhausted(3)
-        assert policy.exhausted(4)
-
-    def test_zero_retries_sheds_on_first_failure(self):
-        policy = RetryPolicy(max_retries=0)
-        assert policy.exhausted(1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="max_retries"):
-            RetryPolicy(max_retries=float("nan"))
-        with pytest.raises(ValueError, match="backoff_ms"):
-            RetryPolicy(backoff_ms=-1.0)
-
-
 class TestSchedulerConfigChaosKnobs:
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -308,7 +286,7 @@ class TestSchedulerConfigChaosKnobs:
         plan = parse_fault_spec("crash@100:dev5")
         with pytest.raises(ValueError, match="dev0..dev1"):
             ContinuousBatchScheduler(
-                decoder=None, cluster=ClusterConfig(devices=2), faults=plan
+                decoder=None, cluster=ClusterSpec(devices=2), faults=plan
             )
 
     def test_empty_plan_is_dropped(self):
@@ -381,6 +359,16 @@ def _trace(specs) -> list[Arrival]:
     ]
 
 
+class _FirstPhaseFailsThrice(FaultPlan):
+    """Fails the first three attempts of every request's first phase.
+
+    Its event only makes the plan non-empty: ``phase_fails`` alone decides.
+    """
+
+    def phase_fails(self, request_index: int, phase_index: int, attempt: int) -> bool:
+        return phase_index == 0 and attempt <= 3
+
+
 def _run(decoder, dataset, trace, config=None, cluster=None, faults=None):
     scheduler = ContinuousBatchScheduler(decoder, config, cluster, faults=faults)
     records = scheduler.run(trace, dataset)
@@ -414,7 +402,7 @@ def _assert_conservation(records, stats):
 
 
 class TestCrashRecovery:
-    CLUSTER = ClusterConfig(devices=4, router="disaggregated")
+    CLUSTER = ClusterSpec(devices=4, router="disaggregated")
     TRACE = [(i % 6, 100.0 * i) for i in range(12)]
 
     def test_warm_restart_preserves_transcripts(self, chaos_decoder, clean_dataset):
@@ -542,7 +530,7 @@ class TestFaultEpochs:
             chaos_decoder,
             clean_dataset,
             trace,
-            cluster=ClusterConfig(devices=4, router="merged"),
+            cluster=ClusterSpec(devices=4, router="merged"),
             faults=plan,
         )
         _assert_conservation(records, scheduler.last_stats)
@@ -567,6 +555,31 @@ class TestDegradation:
         _assert_conservation(records, scheduler.last_stats)
         assert all(r.status == STATUS_SHED for r in records)
         assert all(r.shed_reason == SHED_CAPACITY for r in records)
+
+    @pytest.mark.parametrize("max_retries", [3, 2])
+    def test_backoff_doubles_per_attempt(
+        self, chaos_decoder, clean_dataset, max_retries
+    ):
+        # The first phase fails its first three attempts.  Each retry starts
+        # retry_backoff_ms * 2**(attempt - 1) after its failure, and a budget
+        # of two retries sheds the request at the third failure.
+        config = SchedulerConfig(max_retries=max_retries, retry_backoff_ms=25.0)
+        records, scheduler = _run(
+            chaos_decoder,
+            clean_dataset,
+            _trace([(0, 0.0)]),
+            config=config,
+            faults=_FirstPhaseFailsThrice(events=(PhaseErrorRate(0.5),)),
+        )
+        log = scheduler.last_dispatch_log[: max_retries + 1]
+        gaps = [later[1] - earlier[2] for earlier, later in zip(log, log[1:])]
+        assert gaps == pytest.approx([25.0, 50.0, 100.0][:max_retries])
+        assert records[0].retries == 3
+        if max_retries == 3:
+            assert records[0].status == STATUS_COMPLETED
+        else:
+            assert records[0].status == STATUS_SHED
+            assert records[0].shed_reason == SHED_RETRIES
 
     def test_retry_exhaustion_sheds_with_reason(self, chaos_decoder, clean_dataset):
         trace = _trace([(0, 0.0), (1, 50.0), (2, 100.0)])
@@ -643,8 +656,8 @@ class TestDegradation:
             qps=6.0,
             seed=2025,
             batch_fraction=0.3,
+            scheduler=SchedulerConfig(batch_deadline_ms=30000.0),
             cluster=ClusterSpec(devices=2, router="colocated"),
-            chaos=ChaosSpec(batch_deadline_ms=30000.0),
         )
         dataset = load_split(config.split, config.experiment_config())
         tagged = make_trace(
@@ -666,7 +679,7 @@ class TestDegradation:
 
         def interactive_goodput(trace):
             scheduler = ContinuousBatchScheduler(
-                decoder, config.scheduler_config(), config.cluster_config()
+                decoder, config.scheduler, config.cluster
             )
             records = scheduler.run(trace, dataset)
             met = sum(
@@ -707,9 +720,9 @@ class TestDegradation:
         # same transcripts.
         trace = _trace([(i % 6, 5.0 * i) for i in range(24)])
         baseline, fast = _run(
-            chaos_decoder, clean_dataset, trace, cluster=ClusterConfig(devices=4)
+            chaos_decoder, clean_dataset, trace, cluster=ClusterSpec(devices=4)
         )
-        slowed = ClusterConfig(device_specs=parse_device_specs("3x1,1x0.05"))
+        slowed = ClusterSpec(device_specs=parse_device_specs("3x1,1x0.05"))
         records, scheduler = _run(chaos_decoder, clean_dataset, trace, cluster=slowed)
         stats = scheduler.last_stats
         _assert_conservation(records, stats)
@@ -745,7 +758,7 @@ class TestRequeueDeterminism:
         one served by a fresh decoder, at every load."""
         shared = build_decoder(self.CONFIG)
         for qps in (4.0, 8.0):
-            config = self.CONFIG.with_qps(qps)
+            config = replace(self.CONFIG, qps=qps)
             replayed = simulate(config, decoder=shared)
             assert replayed.to_dict() == simulate(config).to_dict()
 
@@ -768,10 +781,9 @@ class TestChaosReport:
             num_requests=12,
             utterances=6,
             batch_fraction=0.5,
+            scheduler=SchedulerConfig(batch_deadline_ms=9000.0),
             cluster=ClusterSpec(devices=4, router="disaggregated"),
-            chaos=ChaosSpec(
-                faults="crash@600:dev3:restart=800", batch_deadline_ms=9000.0
-            ),
+            chaos=ChaosSpec(faults="crash@600:dev3:restart=800"),
         )
         report = simulate(config)
         payload = report.to_dict()

@@ -35,8 +35,8 @@ from hypothesis import strategies as st
 
 from repro.harness.methods import build_method
 from repro.serving import (
-    ClusterConfig,
     ClusterKVMemory,
+    ClusterSpec,
     ContinuousBatchScheduler,
     MemorySpec,
     SchedulerConfig,
@@ -594,15 +594,15 @@ class TestAllocatorContract:
 # ---------------------------------------------------------------------------
 
 PARITY_CLUSTERS = (
-    ClusterConfig(devices=1, router="colocated"),
-    ClusterConfig(devices=2, router="colocated"),
-    ClusterConfig(devices=2, router="disaggregated"),
-    ClusterConfig(devices=3, router="merged"),
-    ClusterConfig(devices=4, router="disaggregated"),
+    ClusterSpec(devices=1, router="colocated"),
+    ClusterSpec(devices=2, router="colocated"),
+    ClusterSpec(devices=2, router="disaggregated"),
+    ClusterSpec(devices=3, router="merged"),
+    ClusterSpec(devices=4, router="disaggregated"),
 )
 
 
-def _cluster_id(config: ClusterConfig) -> str:
+def _cluster_id(config: ClusterSpec) -> str:
     return f"{config.devices}x-{config.router}"
 
 
@@ -664,7 +664,7 @@ class TestSchedulerMemory:
     def test_constrained_conservation_and_transcripts(
         self, decoder, clean_dataset, trace
     ):
-        cluster = ClusterConfig(devices=2, router="colocated")
+        cluster = ClusterSpec(devices=2, router="colocated")
         base, _ = self._run(decoder, clean_dataset, trace, cluster)
         tight, stats = self._run(
             decoder,
@@ -692,7 +692,7 @@ class TestSchedulerMemory:
                 assert tuple(r.tokens) == reference[r.request.index]
 
     def test_batch_size_emerges_from_free_blocks(self, decoder, clean_dataset, trace):
-        cluster = ClusterConfig(devices=1, router="colocated")
+        cluster = ClusterSpec(devices=1, router="colocated")
         _, wide = self._run(
             decoder,
             clean_dataset,
@@ -718,7 +718,7 @@ class TestSchedulerMemory:
             decoder,
             clean_dataset,
             trace,
-            ClusterConfig(devices=1, router="colocated"),
+            ClusterSpec(devices=1, router="colocated"),
             memory=MemorySpec(device_blocks=1, block_size=1),
         )
         shed = [r for r in records if r.status == STATUS_SHED]
@@ -734,7 +734,7 @@ class TestSchedulerMemory:
                 decoder,
                 clean_dataset,
                 trace,
-                ClusterConfig(devices=1, router="colocated"),
+                ClusterSpec(devices=1, router="colocated"),
                 memory=MemorySpec(device_blocks=1_000_000),
             )
 
@@ -746,14 +746,14 @@ class TestSchedulerMemory:
                 decoder,
                 clean_dataset,
                 trace,
-                ClusterConfig(devices=2, router="colocated"),
+                ClusterSpec(devices=2, router="colocated"),
                 memory=MemorySpec(device_blocks=12, reprefill_ms_per_block=1e308),
             )
 
     def test_prefix_sharing_reduces_peak(self, decoder, clean_dataset):
         # Every request decodes the same utterance: maximal shareable prefix.
         trace = poisson_trace(12, 20.0, 1, seed=5)
-        cluster = ClusterConfig(devices=1, router="colocated")
+        cluster = ClusterSpec(devices=1, router="colocated")
         _, shared = self._run(
             decoder,
             clean_dataset,
@@ -783,13 +783,35 @@ class TestConfigSurface:
         with pytest.raises(TypeError, match="unexpected keyword"):
             ServeSimConfig(bogus=1)
         # Sub-config knobs have exactly one spelling: the sub-config field.
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ServeSimConfig(devices=4)
+        for knob in ("devices", "max_batch", "max_retries"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                ServeSimConfig(**{knob: 4})
 
     def test_memory_spec_accessor(self):
         assert ServeSimConfig().memory_spec() == MemorySpec()
         config = ServeSimConfig(memory=MemorySpec(device_blocks=8))
         assert config.memory_spec().device_blocks == 8
+
+    def test_scheduler_and_cluster_accessors(self):
+        # perfbench/workloads.py builds its scheduler through these two.
+        assert ServeSimConfig().scheduler_config() == SchedulerConfig()
+        assert ServeSimConfig().cluster_config() == ClusterSpec()
+        config = ServeSimConfig(
+            scheduler=SchedulerConfig(max_batch=2), cluster=ClusterSpec(devices=3)
+        )
+        assert config.scheduler_config().max_batch == 2
+        assert config.cluster_config().devices == 3
+
+    def test_cluster_validates_when_built(self):
+        # The config holds the ClusterSpec the scheduler takes, so a bad
+        # cluster fails here rather than when a run starts.
+        with pytest.raises(ValueError, match="at least 2 devices"):
+            ServeSimConfig(cluster=ClusterSpec(devices=1, router="merged"))
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), -5.0, 0.0])
+    def test_rejects_non_positive_deadline(self, deadline_ms):
+        with pytest.raises(ValueError, match="deadline_ms must be positive"):
+            ServeSimConfig(num_requests=6, utterances=4, deadline_ms=deadline_ms)
 
     def test_simulate_reports_memory(self):
         config = ServeSimConfig(

@@ -48,7 +48,6 @@ class TestSimClock:
         clock.record("a", "draft", 1, 0, 5.0)
         clock.record("b", "verify", 4, 10, 7.5)
         assert clock.total_ms() == pytest.approx(12.5)
-        assert clock.total_for_model("a") == pytest.approx(5.0)
         assert clock.total_for_kind("verify") == pytest.approx(7.5)
 
     def test_counts_and_tokens(self):
@@ -62,10 +61,3 @@ class TestSimClock:
         clock = SimClock()
         with pytest.raises(ValueError):
             clock.record("a", "draft", 1, 0, -1.0)
-
-    def test_merge(self):
-        a, b = SimClock(), SimClock()
-        a.record("x", "draft", 1, 0, 1.0)
-        b.record("y", "verify", 1, 0, 2.0)
-        a.merge(b)
-        assert a.total_ms() == pytest.approx(3.0)

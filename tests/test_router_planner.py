@@ -38,7 +38,7 @@ from repro.serving.router import (
     ROUTER_MERGED,
     ROUTER_POLICIES,
     ROUTER_REGISTRY,
-    ClusterConfig,
+    ClusterSpec,
     ColocatedRouter,
     DisaggregatedRouter,
     MergedVerifyRouter,
@@ -392,28 +392,28 @@ def routing_rounds(draw):
 
 #: Clusters the scheduler-level comparison serves the same trace on.
 EXACT_CASES = {
-    "disaggregated-4x": (ClusterConfig(devices=4, router=ROUTER_DISAGGREGATED), ""),
-    "merged-4x": (ClusterConfig(devices=4, router=ROUTER_MERGED), ""),
+    "disaggregated-4x": (ClusterSpec(devices=4, router=ROUTER_DISAGGREGATED), ""),
+    "merged-4x": (ClusterSpec(devices=4, router=ROUTER_MERGED), ""),
     "merged-mixed": (
-        ClusterConfig(
+        ClusterSpec(
             router=ROUTER_MERGED,
             device_specs=parse_device_specs("1.0,0.5,2.0,1.0,0.5"),
         ),
         "",
     ),
     "disaggregated-mixed": (
-        ClusterConfig(
+        ClusterSpec(
             router=ROUTER_DISAGGREGATED,
             device_specs=parse_device_specs("2x1.0,2x0.5"),
         ),
         "",
     ),
     "merged-one-survivor": (
-        ClusterConfig(devices=3, router=ROUTER_MERGED),
+        ClusterSpec(devices=3, router=ROUTER_MERGED),
         "crash@300:dev0;crash@500:dev2:restart=900",
     ),
     "disaggregated-one-survivor": (
-        ClusterConfig(
+        ClusterSpec(
             router=ROUTER_DISAGGREGATED,
             device_specs=parse_device_specs("1.0,0.5,2.0"),
         ),
@@ -514,7 +514,7 @@ class TestRouterRegistry:
     def test_build_router_dispatches_every_policy(self, policy):
         devices_needed = 1 if policy == "colocated" else 2
         devices, router = build_router(
-            ClusterConfig(devices=devices_needed, router=policy), overlap=0.8
+            ClusterSpec(devices=devices_needed, router=policy), overlap=0.8
         )
         assert isinstance(router, ROUTER_REGISTRY[policy])
         assert router.name == policy
@@ -531,45 +531,45 @@ class TestRouterRegistry:
                 return self.devices[0]
 
         monkeypatch.setitem(ROUTER_REGISTRY, "dev0-only", EveryoneToDeviceZero)
-        config = ClusterConfig(devices=2, router="dev0-only")
+        config = ClusterSpec(devices=2, router="dev0-only")
         _, router = build_router(config, overlap=0.8)
         assert isinstance(router, EveryoneToDeviceZero)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown router"):
-            ClusterConfig(devices=2, router="unknown-policy")
+            ClusterSpec(devices=2, router="unknown-policy")
 
 
 class TestClusterConfigSpecs:
     def test_devices_derived_from_specs(self):
-        config = ClusterConfig(device_specs=parse_device_specs("2x1.0,2x0.5"))
+        config = ClusterSpec(device_specs=parse_device_specs("2x1.0,2x0.5"))
         assert config.devices == 4
 
     def test_explicit_matching_count_accepted(self):
-        config = ClusterConfig(
+        config = ClusterSpec(
             devices=2, router="merged", device_specs=parse_device_specs("1.0,0.5")
         )
         assert config.devices == 2
 
     def test_mismatched_count_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            ClusterConfig(devices=3, device_specs=parse_device_specs("2x1.0"))
+            ClusterSpec(devices=3, device_specs=parse_device_specs("2x1.0"))
 
     def test_explicit_devices_one_mismatch_rejected(self):
         # devices=1 is an explicit count like any other, not a wildcard
         with pytest.raises(ValueError, match="does not match"):
-            ClusterConfig(devices=1, device_specs=parse_device_specs("2x1.0,2x0.5"))
+            ClusterSpec(devices=1, device_specs=parse_device_specs("2x1.0,2x0.5"))
 
     def test_omitted_devices_defaults_to_one(self):
-        assert ClusterConfig().devices == 1
-        assert ClusterConfig(router="colocated").devices == 1
+        assert ClusterSpec().devices == 1
+        assert ClusterSpec(router="colocated").devices == 1
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ClusterConfig(device_specs=())
+            ClusterSpec(device_specs=())
 
     def test_build_router_heterogeneous_speeds(self):
-        config = ClusterConfig(
+        config = ClusterSpec(
             router="disaggregated", device_specs=parse_device_specs("2x1.0,2x0.5")
         )
         devices, router = build_router(config, overlap=0.8, draft_share=1.0 / 3.0)

@@ -321,9 +321,7 @@ class TestBackpressure:
             qps=50.0,
             num_requests=16,
             utterances=8,
-            queue_capacity=2,
-            max_batch=1,
-            max_inflight=1,
+            scheduler=SchedulerConfig(queue_capacity=2, max_batch=1, max_inflight=1),
         )
         report = simulate(config)
         assert report.rejected > 0

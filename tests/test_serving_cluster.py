@@ -32,7 +32,6 @@ from repro.harness.methods import build_method
 from repro.harness.runner import load_split
 from repro.models.simulated import SimulatedASRModel
 from repro.serving import (
-    ClusterConfig,
     ClusterSpec,
     ContinuousBatchScheduler,
     Device,
@@ -63,25 +62,25 @@ PHASED_METHODS = (
 HETERO = parse_device_specs("2x1.0,2x0.5")
 
 CLUSTERS = (
-    ClusterConfig(devices=1, router="colocated"),
-    ClusterConfig(devices=2, router="colocated"),
-    ClusterConfig(devices=2, router="disaggregated"),
-    ClusterConfig(devices=2, router="merged"),
-    ClusterConfig(devices=3, router="disaggregated"),
-    ClusterConfig(devices=4, router="colocated"),
-    ClusterConfig(devices=4, router="disaggregated"),
-    ClusterConfig(devices=4, router="merged"),
+    ClusterSpec(devices=1, router="colocated"),
+    ClusterSpec(devices=2, router="colocated"),
+    ClusterSpec(devices=2, router="disaggregated"),
+    ClusterSpec(devices=2, router="merged"),
+    ClusterSpec(devices=3, router="disaggregated"),
+    ClusterSpec(devices=4, router="colocated"),
+    ClusterSpec(devices=4, router="disaggregated"),
+    ClusterSpec(devices=4, router="merged"),
     # heterogeneous clusters: the planner gives the fast parts to verify
-    ClusterConfig(devices=4, router="colocated", device_specs=HETERO),
-    ClusterConfig(devices=4, router="disaggregated", device_specs=HETERO),
-    ClusterConfig(devices=4, router="merged", device_specs=HETERO),
-    ClusterConfig(
+    ClusterSpec(devices=4, router="colocated", device_specs=HETERO),
+    ClusterSpec(devices=4, router="disaggregated", device_specs=HETERO),
+    ClusterSpec(devices=4, router="merged", device_specs=HETERO),
+    ClusterSpec(
         devices=3, router="merged", device_specs=parse_device_specs("2.0,2x0.5")
     ),
 )
 
 
-def _cluster_id(config: ClusterConfig) -> str:
+def _cluster_id(config: ClusterSpec) -> str:
     parts = [f"{config.devices}x-{config.router}"]
     if config.device_specs:
         parts.append("hetero")
@@ -307,18 +306,18 @@ class TestDeviceModel:
 class TestClusterConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ClusterConfig(devices=0)
+            ClusterSpec(devices=0)
         with pytest.raises(ValueError):
-            ClusterConfig(devices=2, router="sharded")
+            ClusterSpec(devices=2, router="sharded")
         with pytest.raises(ValueError):
-            ClusterConfig(devices=1, router="disaggregated")
+            ClusterSpec(devices=1, router="disaggregated")
         with pytest.raises(ValueError):
-            ClusterConfig(devices=1, router="merged")
+            ClusterSpec(devices=1, router="merged")
 
     def test_disagg_alias(self):
         # The policy has one spelling; the old shorthand is an unknown name.
         with pytest.raises(ValueError, match="unknown router"):
-            ClusterConfig(devices=2, router="disagg")
+            ClusterSpec(devices=2, router="disagg")
 
 
 class TestClusterDeterminism:
@@ -337,7 +336,7 @@ class TestClusterDeterminism:
         self, whisper_pair, clean_dataset, trace, cluster
     ):
         reference, _ = self._run(
-            whisper_pair, clean_dataset, trace, ClusterConfig(devices=1)
+            whisper_pair, clean_dataset, trace, ClusterSpec(devices=1)
         )
         records, _ = self._run(whisper_pair, clean_dataset, trace, cluster)
         assert [r.tokens for r in records] == [r.tokens for r in reference]
@@ -357,7 +356,7 @@ class TestClusterDeterminism:
             whisper_pair,
             clean_dataset,
             trace,
-            ClusterConfig(devices=2, router="disaggregated"),
+            ClusterSpec(devices=2, router="disaggregated"),
         )
         for r in records:
             assert r.status == STATUS_COMPLETED
@@ -386,7 +385,7 @@ class TestPlacementSemantics:
         stats = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=2, router="disaggregated"),
+            ClusterSpec(devices=2, router="disaggregated"),
             "specasr-asp",
         )
         # both pools see work: device 0 drafts, device 1 verifies
@@ -399,7 +398,7 @@ class TestPlacementSemantics:
         stats = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=2, router="disaggregated"),
+            ClusterSpec(devices=2, router="disaggregated"),
             "autoregressive",
         )
         # AR rounds are pure target phases; the draft pool stays idle
@@ -412,13 +411,13 @@ class TestPlacementSemantics:
         disagg = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=2, router="disaggregated"),
+            ClusterSpec(devices=2, router="disaggregated"),
             "specasr-asp",
         )
         merged = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=2, router="merged"),
+            ClusterSpec(devices=2, router="merged"),
             "specasr-asp",
         )
         # coalesced verify passes can only shrink target-device occupancy
@@ -435,7 +434,7 @@ class TestPlacementSemantics:
         runs = {}
         for name in ("colocated", router):
             scheduler = ContinuousBatchScheduler(
-                decoder, SchedulerConfig(), ClusterConfig(devices=2, router=name)
+                decoder, SchedulerConfig(), ClusterSpec(devices=2, router=name)
             )
             runs[name] = scheduler.run(trace, clean_dataset)
             assert all(r.status == STATUS_COMPLETED for r in runs[name])
@@ -449,7 +448,7 @@ class TestPlacementSemantics:
         stats = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=4, router="disaggregated"),
+            ClusterSpec(devices=4, router="disaggregated"),
             "specasr-asp",
         )
         assert stats.draft_share is not None
@@ -468,7 +467,7 @@ class TestPlacementSemantics:
         colocated = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=2, router="colocated"),
+            ClusterSpec(devices=2, router="colocated"),
             "specasr-asp",
         )
         assert colocated.draft_share is None
@@ -477,7 +476,7 @@ class TestPlacementSemantics:
             pooled = self._stats(
                 whisper_pair,
                 clean_dataset,
-                ClusterConfig(devices=2, router=router),
+                ClusterSpec(devices=2, router=router),
                 "specasr-asp",
             )
             assert pooled.draft_share == share
@@ -496,7 +495,7 @@ class TestPlacementSemantics:
         for qps in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16):
             trace = make_trace("poisson", 256, qps, len(dataset), config.seed)
             scheduler = ContinuousBatchScheduler(
-                decoder, config.scheduler_config(), config.cluster_config()
+                decoder, config.scheduler, config.cluster
             )
             scheduler.run(trace[:8], dataset)
             assert scheduler.last_stats.device_roles == halves
@@ -515,7 +514,7 @@ class TestPlacementSemantics:
         stats = self._stats(
             whisper_pair,
             clean_dataset,
-            ClusterConfig(devices=4, router="disaggregated", device_specs=HETERO),
+            ClusterSpec(devices=4, router="disaggregated", device_specs=HETERO),
             "specasr-asp",
         )
         assert stats.device_speeds == (1.0, 1.0, 0.5, 0.5)
@@ -532,7 +531,7 @@ class TestPlacementSemantics:
         scheduler = ContinuousBatchScheduler(
             decoder,
             SchedulerConfig(max_batch=2, max_inflight=8),
-            ClusterConfig(devices=4, router="disaggregated"),
+            ClusterSpec(devices=4, router="disaggregated"),
         )
         trace = uniform_trace(12, 8.0, len(clean_dataset), seed=11)
         records = scheduler.run(trace, clean_dataset)
@@ -550,7 +549,7 @@ class TestPlacementSemantics:
         totals = {}
         for devices in (1, 2):
             scheduler = ContinuousBatchScheduler(
-                decoder, SchedulerConfig(), ClusterConfig(devices=devices)
+                decoder, SchedulerConfig(), ClusterSpec(devices=devices)
             )
             records = scheduler.run(trace, clean_dataset)
             totals[devices] = sum(r.completion_ms for r in records)

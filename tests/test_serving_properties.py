@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from repro.decoding.base import PHASE_DRAFT, PHASE_VERIFY, PhaseOutcome, begin_decode
 from repro.harness.methods import build_method
 from repro.serving import (
-    ClusterConfig,
+    ClusterSpec,
     ContinuousBatchScheduler,
     Device,
     DeviceCrash,
@@ -175,10 +175,10 @@ def serving_decoder(whisper_pair):
 
 cluster_shapes = st.sampled_from(
     (
-        ClusterConfig(devices=1),
-        ClusterConfig(devices=2, router="disaggregated"),
-        ClusterConfig(devices=3, router="merged"),
-        ClusterConfig(devices=4, router="disaggregated"),
+        ClusterSpec(devices=1),
+        ClusterSpec(devices=2, router="disaggregated"),
+        ClusterSpec(devices=3, router="merged"),
+        ClusterSpec(devices=4, router="disaggregated"),
     )
 )
 
@@ -311,7 +311,7 @@ def _check_chaos_run(
             max_inflight=max_batch + 2,
             queue_capacity=queue_capacity,
         ),
-        ClusterConfig(
+        ClusterSpec(
             router="disaggregated",
             device_specs=tuple(DeviceSpec(speed=speed) for speed in speeds),
         ),

@@ -24,7 +24,7 @@ from repro.harness.methods import build_method
 from repro.metrics.latency_report import aggregate_latency
 from repro.serving import (
     Arrival,
-    ClusterConfig,
+    ClusterSpec,
     ContinuousBatchScheduler,
     SchedulerConfig,
     ServeSimConfig,
@@ -181,7 +181,7 @@ def _run(decoder, trace, dataset, stream: StreamSpec | None = None, **config):
     scheduler = ContinuousBatchScheduler(
         decoder,
         SchedulerConfig(**config),
-        ClusterConfig(devices=2),
+        ClusterSpec(devices=2),
         stream=stream,
     )
     return scheduler.run(trace, dataset), scheduler.last_stats
@@ -260,7 +260,7 @@ class TestStreamingScheduler:
         scheduler = ContinuousBatchScheduler(
             serving_decoder,
             SchedulerConfig(max_batch=1, max_inflight=1),
-            ClusterConfig(devices=1),
+            ClusterSpec(devices=1),
             stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.0),
         )
         (record,) = scheduler.run([Arrival(0, 1, 0.0, rtf=1.0)], clean_dataset)
@@ -287,7 +287,7 @@ class TestParkedStreams:
         scheduler = ContinuousBatchScheduler(
             decoder,
             SchedulerConfig(max_batch=1, max_inflight=1),
-            ClusterConfig(devices=1),
+            ClusterSpec(devices=1),
             stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
         )
         records = scheduler.run([streamed, *others], dataset)
@@ -370,7 +370,7 @@ class TestParkedStreams:
         scheduler = ContinuousBatchScheduler(
             serving_decoder,
             SchedulerConfig(max_batch=1, max_inflight=1),
-            ClusterConfig(devices=1),
+            ClusterSpec(devices=1),
             faults=parse_fault_spec("crash@1100:dev0"),
             stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
         )
@@ -531,7 +531,7 @@ class TestStreamingReport:
         scheduler = ContinuousBatchScheduler(
             serving_decoder,
             SchedulerConfig(max_batch=1, max_inflight=1, queue_capacity=1),
-            ClusterConfig(devices=1),
+            ClusterSpec(devices=1),
             stream=StreamSpec(enabled=True, chunk_s=1.0, lookahead_s=0.3),
         )
         records = scheduler.run(trace, clean_dataset)

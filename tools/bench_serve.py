@@ -60,6 +60,7 @@ from repro.serving import (  # noqa: E402
     ServeSimConfig,
     build_decoder,
     max_sustainable_qps,
+    parse_device_specs,
     simulate,
 )
 
@@ -166,7 +167,8 @@ def _point_key(devices: int, router: str, device_spec: str) -> str:
 def _point_config(
     base: ServeSimConfig, devices: int, router: str, device_spec: str
 ) -> ServeSimConfig:
-    cluster = ClusterSpec(devices=devices, router=router, device_spec=device_spec)
+    specs = parse_device_specs(device_spec) if device_spec else None
+    cluster = ClusterSpec(devices=devices, router=router, device_specs=specs)
     return replace(base, cluster=cluster)
 
 
@@ -233,7 +235,9 @@ def _check_determinism(config: ServeSimConfig) -> dict:
 
     decoder = build_decoder(config)
     fresh = _ReferenceDecodes(decoder)
-    serial = replace(config, max_batch=1, max_inflight=1)
+    serial = replace(
+        config, scheduler=replace(config.scheduler, max_batch=1, max_inflight=1)
+    )
     reports = {
         "serial": simulate(serial, decoder=decoder),
         "batched": simulate(config, decoder=decoder),
@@ -257,9 +261,7 @@ def _check_determinism(config: ServeSimConfig) -> dict:
     reference = None
     for devices, router, device_spec in CLUSTER_POINTS:
         point = _point_config(config, devices, router, device_spec)
-        scheduler = ContinuousBatchScheduler(
-            decoder, config.scheduler_config(), point.cluster_config()
-        )
+        scheduler = ContinuousBatchScheduler(decoder, config.scheduler, point.cluster)
         records = scheduler.run(trace, dataset)
         if not fresh.matches(records):
             raise AssertionError(
@@ -279,8 +281,8 @@ def _check_determinism(config: ServeSimConfig) -> dict:
     # memory-enabled run is bit-identical to the memory-disabled scheduler.
     ample = ContinuousBatchScheduler(
         decoder,
-        config.scheduler_config(),
-        config.cluster_config(),
+        config.scheduler,
+        config.cluster,
         memory=MemorySpec(device_blocks=1_000_000),
     )
     records = ample.run(trace, dataset)
@@ -307,7 +309,7 @@ def _check_determinism(config: ServeSimConfig) -> dict:
     runs = []
     for _ in range(2):
         scheduler = ContinuousBatchScheduler(
-            decoder, config.scheduler_config(), point.cluster_config(), faults=plan
+            decoder, config.scheduler, point.cluster, faults=plan
         )
         records = scheduler.run(trace, dataset)
         runs.append(
@@ -503,10 +505,10 @@ def _streaming_entry(args, num_requests: int) -> dict:
             enabled=True, rtf=rtf, chunk_s=chunk_s, lookahead_s=lookahead_s
         )
         streamed = ContinuousBatchScheduler(
-            decoder, base.scheduler_config(), base.cluster_config(), stream=spec
+            decoder, base.scheduler, base.cluster, stream=spec
         ).run(trace, dataset)
         offline = ContinuousBatchScheduler(
-            decoder, base.scheduler_config(), base.cluster_config()
+            decoder, base.scheduler, base.cluster
         ).run(offline_trace, dataset)
         identical = (
             len(streamed) == len(offline)
